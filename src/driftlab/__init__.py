@@ -21,9 +21,9 @@ from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
                           validate_enlargement)
 from .errors import (AzemaDegenerate, BadGrid, BadProbability, ConnectorInvalid,
                      DataInvariantViolated, DimensionMismatch, EngineError,
-                     FactorsMissing, JacodDegenerate, NotAMartingale, NotARandomTime,
-                     NotAStoppingTime, NotAdapted, NotPredictable, RefinementBroken,
-                     SchemaError, SupportConditionFailed, Unsolvable,
+                     FactorsMissing, InternalInvariant, JacodDegenerate, NotAMartingale,
+                     NotARandomTime, NotAStoppingTime, NotAdapted, NotPredictable,
+                     RefinementBroken, SchemaError, SupportConditionFailed, Unsolvable,
                      ZeroProbabilityBranch)
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
                             accessible_jump_value, continuous_part_integrand,

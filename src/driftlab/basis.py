@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadProbability, DimensionMismatch, NotAStoppingTime, RefinementBroken
+# InternalInvariant is re-exported for the oracle, whose only engine imports
+# are basis, linfeas and rational.
+from .errors import DimensionMismatch, InternalInvariant, NotAStoppingTime  # noqa: F401
 from .rational import ONE, ZERO, Q, rat
 
 
@@ -230,6 +232,17 @@ class Process:
         return Process(dim, tuple(rows))
 
     @staticmethod
+    def from_atom_table(n: int, filt: "Filtration", table: dict, dim: int) -> "Process":
+        """Predictable process worth table[(k, pre(k)-atom)] at ticks k >= 1, zero at 0."""
+        rows = []
+        for i in range(n):
+            row = [(ZERO,) * dim]
+            for k in range(1, filt.K + 1):
+                row.append(table[(k, filt.pre(k).block_of(i))])
+            rows.append(tuple(row))
+        return Process(dim, tuple(rows))
+
+    @staticmethod
     def stack(components: Sequence["Process"]) -> "Process":
         dim = sum(c.dim for c in components)
         n, ticks = components[0].n, components[0].ticks
@@ -268,6 +281,16 @@ class StoppingTime:
         v = self.values[i]
         return v is None or v >= k
 
+    def alive_block(self, b: frozenset[int], k: int) -> bool:
+        """True when the time is still running (>= k) on every outcome of b.
+
+        For a stopping time, {T >= k} is the complement of {T <= k - 1},
+        which is at(k-1)-measurable; pre(k), at(k) and every later partition
+        refine at(k-1), so an atom of any of them lies entirely inside or
+        entirely outside the event.
+        """
+        return all(self.geq(i, k) for i in b)
+
     @staticmethod
     def constant(n: int, k: Optional[int]) -> "StoppingTime":
         return StoppingTime((k,) * n)
@@ -298,15 +321,6 @@ def validate(space: SampleSpace, filt: Filtration) -> Diagnostics:
                 errors.append(f"REFINEMENT_BROKEN({name}): does not refine {prev_name}")
                 break
     return Diagnostics(ok=not errors, errors=tuple(errors))
-
-
-def require_valid(space: SampleSpace, filt: Filtration) -> None:
-    diag = validate(space, filt)
-    if not diag.ok:
-        first = diag.errors[0]
-        if first.startswith("BAD_PROBABILITY"):
-            raise BadProbability(first)
-        raise RefinementBroken(first)
 
 
 def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -> tuple[Q, ...]:

@@ -49,8 +49,7 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
     for k in range(1, filt.K + 1):
         part = filt.pre(k)
         for b in part.blocks:
-            if horizon is not None and not all(horizon.geq(i, k) for i in b):
-                # stopping times are measurable at pre(k); a block is in or out
+            if horizon is not None and not horizon.alive_block(b, k):
                 continue
             mass = space.mass(b)
             for c in range(X.dim):

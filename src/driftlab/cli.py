@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import serialize
-from .basis import StoppingTime, validate
+from .basis import StoppingTime, is_stopping_time, validate
 from .enlargement import (check_condition_support, check_positivity, drift_operator,
                           solve_factors, validate_enlargement)
 from .errors import EngineError, SchemaError
@@ -55,14 +55,20 @@ def _read_input(path: Optional[str]) -> dict:
     return serialize.loads(text)
 
 
+def _flag_horizon(horizon_flag: Optional[int], n: int, K: int) -> Optional[StoppingTime]:
+    """The constant horizon a --horizon flag asks for, capped at K; None without the flag."""
+    if horizon_flag is None:
+        return None
+    if horizon_flag < 0:
+        raise SchemaError("--horizon must be a nonnegative tick")
+    return StoppingTime.constant(n, min(horizon_flag, K))
+
+
 def _load_instance(doc: dict, horizon_flag: Optional[int]):
     eb = serialize.instance_from_json(doc)
-    if horizon_flag is not None:
-        if horizon_flag < 0:
-            raise SchemaError("--horizon must be a nonnegative tick")
-        cap = min(horizon_flag, eb.enlarged.K)
-        eb = dataclasses.replace(
-            eb, horizon=StoppingTime.constant(eb.space.n, cap))
+    flagged = _flag_horizon(horizon_flag, eb.space.n, eb.enlarged.K)
+    if flagged is not None:
+        eb = dataclasses.replace(eb, horizon=flagged)
     diag = validate_enlargement(eb)
     if not diag.ok:
         raise SchemaError("invalid instance: " + "; ".join(diag.errors))
@@ -140,15 +146,18 @@ def _cmd_check_viability(args) -> int:
 def _cmd_deflator(args) -> int:
     doc = _read_input(args.input)
     space, filt = serialize.basis_from_json(doc)
+    diag = validate(space, filt)
+    if not diag.ok:
+        raise SchemaError("invalid basis: " + "; ".join(diag.errors))
     if "asset" not in doc:
         raise SchemaError("deflator requires an 'asset' field")
     S = serialize.process_from_json(doc["asset"], n=space.n, ticks=filt.K)
-    if args.horizon is not None:
-        horizon = StoppingTime.constant(space.n, min(args.horizon, filt.K))
-    elif "horizon" in doc:
-        horizon = serialize.horizon_from_json(doc["horizon"], space.n, filt.K)
-    else:
-        horizon = StoppingTime.constant(space.n, filt.K)
+    horizon = _flag_horizon(args.horizon, space.n, filt.K)
+    if horizon is None:
+        horizon = (serialize.horizon_from_json(doc["horizon"], space.n, filt.K)
+                   if "horizon" in doc else StoppingTime.constant(space.n, filt.K))
+    if not is_stopping_time(filt, horizon):
+        raise SchemaError("invalid horizon: not a stopping time of the filtration")
     search = find_structure_connector(space, filt, S, horizon)
     oracle = lp_deflator_oracle(space, filt, S, horizon)
     report = {
@@ -326,9 +335,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit({"error": exc.code, "message": str(exc),
                "detail": encode_exact(exc.detail)}, out)
-        return 3
-    except AssertionError as exc:
-        _emit({"error": "INTERNAL_ASSERTION", "message": str(exc)}, out)
         return 3
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 from .basis import (Diagnostics, Filtration, Partition, Process, SampleSpace,
                     StoppingTime, cond_expect, is_stopping_time, validate)
 from .calculus import is_adapted, is_martingale
-from .errors import FactorsMissing, NotAMartingale, NotAdapted, RefinementBroken, Unsolvable
+from .errors import FactorsMissing, NotAMartingale, NotAdapted, Unsolvable
 from .linalg import min_norm_solve, vec_dot
 from .rational import ONE, ZERO, Q
 from .representation import RepresentationProcess
@@ -36,11 +36,6 @@ class EnlargedBasis:
 
     def alive(self, i: int, k: int) -> bool:
         return self.horizon.geq(i, k)
-
-    def alive_block(self, b: frozenset[int], k: int) -> bool:
-        # the horizon is an enlarged-side stopping time, so {T >= k} splits
-        # along enlarged left-limit atoms; a block is fully in or out
-        return all(self.horizon.geq(i, k) for i in b)
 
 
 def validate_enlargement(eb: EnlargedBasis) -> Diagnostics:
@@ -104,26 +99,28 @@ class DriftFactors:
         return vec_dot(self.phi.at(i, k), self.N.jump(i, k))
 
 
-def _base_cov(rep: RepresentationProcess, k: int, b: frozenset[int]):
-    """E[jump(W) jump(W)^T | base left-limit atom] from the child table."""
-    kids = rep.children[(k, b)]
-    p = rep.probs[(k, b)]
-    width = rep.width
-    w0 = min(b)
-    jumps = {}
-    for h, kid in enumerate(kids):
-        if kid:
-            jumps[h] = rep.W.jump(min(kid), k)
+def _jump_cov(weights, jumps, width: int):
+    """Sum over children of weight * jump jump^T, skipping zero entries."""
     V = [[ZERO] * width for _ in range(width)]
-    for h, jv in jumps.items():
-        ph = p[h]
+    for w, jv in zip(weights, jumps):
         for a in range(width):
             if jv[a] == ZERO:
                 continue
             row = V[a]
             for bb in range(width):
-                row[bb] += ph * jv[a] * jv[bb]
+                row[bb] += w * jv[a] * jv[bb]
     return V
+
+
+def _base_cov(rep: RepresentationProcess, k: int, b: frozenset[int]):
+    """E[jump(W) jump(W)^T | base left-limit atom] from the child table.
+
+    W is a base martingale, so its conditional jump mean on b is zero and
+    the second moment needs no centring.
+    """
+    live = [(ph, kid) for ph, kid in zip(rep.probs[(k, b)], rep.children[(k, b)]) if kid]
+    return _jump_cov([ph for ph, _ in live],
+                     [rep.W.jump(min(kid), k) for _, kid in live], rep.width)
 
 
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
@@ -141,7 +138,7 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
         pre_b = base.pre(k)
         cov_cache: dict = {}
         for c in enlarged.pre(k).blocks:
-            if not eb.alive_block(c, k):
+            if not eb.horizon.alive_block(c, k):
                 phi_by_atom[(k, c)] = (ZERO,) * width
                 continue
             b = pre_b.block_of(min(c))
@@ -156,37 +153,19 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
             if phi is None:
                 raise Unsolvable("factor system inconsistent", tick=k, atom=sorted(c))
             phi_by_atom[(k, c)] = tuple(phi)
-
-    rows = []
-    for i in range(space.n):
-        row = [(ZERO,) * width]
-        for k in range(1, base.K + 1):
-            row.append(phi_by_atom[(k, enlarged.pre(k).block_of(i))])
-        rows.append(tuple(row))
-    return DriftFactors(N=rep.W, phi=Process(width, tuple(rows)))
+    return DriftFactors(N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width))
 
 
 def factorization_check(eb: EnlargedBasis, factors: DriftFactors, X: Process):
-    """Drift of X == phi . [N, X]-compensator increments, on [0, horizon].
+    """Drift of the base martingale X == phi . [N, X]-compensator increments, on [0, horizon].
 
-    Returns None or the first mismatching (outcome, tick).
+    For a base martingale the base compensator increment is zero, so this
+    is the compensator transfer identity; returns None or the first
+    mismatching (outcome, tick, component).
     """
-    if factors is None:
-        raise FactorsMissing()
-    drift = drift_operator(eb, X)
-    n, K = eb.space.n, eb.base.K
-    for k in range(1, K + 1):
-        part = eb.base.pre(k)
-        cols = [cond_expect(eb.space, part,
-                            [factors.N.jump(i, k)[h] * X.jump(i, k)[0] for i in range(n)])
-                for h in range(factors.N.dim)]
-        for i in range(n):
-            if not eb.alive(i, k):
-                continue
-            rhs = vec_dot(factors.phi.at(i, k), [cols[h][i] for h in range(factors.N.dim)])
-            if drift.jump(i, k)[0] != rhs:
-                return (i, k)
-    return None
+    if not is_martingale(eb.space, eb.base, X):
+        raise NotAMartingale("drift factorization expects a base-filtration martingale")
+    return compensator_transfer_check(eb, factors, X)
 
 
 def compensator_transfer_check(eb: EnlargedBasis, factors: Optional[DriftFactors], A: Process):
@@ -239,7 +218,7 @@ def check_condition_support(eb: EnlargedBasis) -> SupportReport:
         at = base.at(k)
         pre_b = base.pre(k)
         for c in enlarged.pre(k).blocks:
-            if not eb.alive_block(c, k):
+            if not eb.horizon.alive_block(c, k):
                 continue
             b = pre_b.block_of(min(c))
             for kid in at.children_of(b):

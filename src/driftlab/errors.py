@@ -87,3 +87,9 @@ class BadGrid(EngineError):
 
 class SchemaError(EngineError):
     code = "SCHEMA_ERROR"
+
+
+class InternalInvariant(EngineError):
+    """A guarantee the engine prints failed its own recheck: a bug, not bad input."""
+
+    code = "INTERNAL_INVARIANT"

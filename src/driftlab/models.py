@@ -288,7 +288,7 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
     candidates = []
     for k in range(1, base.K + 1):
         for c in enlarged.pre(k).blocks:
-            if not eb.alive_block(c, k):
+            if not eb.horizon.alive_block(c, k):
                 continue
             b = base.pre(k).block_of(min(c))
             kids = base.at(k).children_of(b)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime
+from .basis import Filtration, InternalInvariant, Process, SampleSpace, StoppingTime
 from .linfeas import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                       check_bound_certificate, check_infeasibility_certificate, solve_lp)
 from .rational import ONE, ZERO, Q, rat, rat_str
@@ -32,10 +32,6 @@ class OracleResult:
     certificate: dict
 
 
-def _alive_block(horizon: StoppingTime, b, k: int) -> bool:
-    return all(horizon.geq(i, k) for i in b)
-
-
 def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
     """Rows and columns of the deflator feasibility program, deterministically ordered."""
     n, K = space.n, filt.K
@@ -43,7 +39,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     var_desc = []
     for k in range(1, K + 1):
         for b in filt.at(k).blocks:
-            if _alive_block(horizon, b, k):
+            if horizon.alive_block(b, k):
                 var_index[(k, b)] = len(var_desc)
                 var_desc.append((k, b))
 
@@ -61,7 +57,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     A_eq, b_eq, eq_desc = [], [], []
     for k in range(1, K + 1):
         for b in filt.pre(k).blocks:
-            if not _alive_block(horizon, b, k):
+            if not horizon.alive_block(b, k):
                 continue
             for comp in range(S.dim + 1):
                 row = [ZERO] * (nz + 1)  # last column is the gap variable
@@ -107,7 +103,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     return c, A_eq, b_eq, A_ub, b_ub, var_desc, var_index, eq_desc, ub_desc
 
 
-def _deflator_from_solution(space, filt, horizon, var_index, x) -> Process:
+def _deflator_from_solution(space, filt, var_index, x) -> Process:
     rows = []
     for i in range(space.n):
         cur = ONE
@@ -129,9 +125,10 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
         _build_lp(space, filt, S, horizon)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     if res.status == UNBOUNDED:  # impossible: the gap is capped
-        raise AssertionError("gap program cannot be unbounded")
+        raise InternalInvariant("gap program cannot be unbounded")
     if res.status == INFEASIBLE:
-        assert check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub)
+        if not check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub):
+            raise InternalInvariant("infeasibility certificate fails its recheck")
         cert = {
             "status": "no-deflator",
             "reason": "martingale-system-infeasible",
@@ -142,7 +139,9 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
         }
         return OracleResult(feasible=False, deflator=None, gap=None, certificate=cert)
     if res.value <= ZERO:
-        assert check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub, res.value)
+        if not check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub,
+                                       res.value):
+            raise InternalInvariant("gap bound certificate fails its recheck")
         cert = {
             "status": "no-deflator",
             "reason": "positivity-unreachable",
@@ -153,8 +152,9 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
             "rows_ub": ub_desc,
         }
         return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
-    Z = _deflator_from_solution(space, filt, horizon, var_index, res.x)
-    assert check_deflator(space, filt, S, Z, horizon)
+    Z = _deflator_from_solution(space, filt, var_index, res.x)
+    if not check_deflator(space, filt, S, Z, horizon):
+        raise InternalInvariant("oracle deflator fails its recheck")
     cert = {"status": "deflator", "gap": rat_str(res.value)}
     return OracleResult(feasible=True, deflator=Z, gap=res.value, certificate=cert)
 
@@ -172,7 +172,7 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
                 return False
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
-            if not _alive_block(horizon, b, k):
+            if not horizon.alive_block(b, k):
                 continue
             for comp in range(S.dim + 1):
                 tot = ZERO

@@ -103,14 +103,7 @@ def represent(rep: RepresentationProcess, X: Process) -> Process:
             coeff[(k, b)] = tuple(
                 scale * (xs[h] - mean) if h in live else ZERO for h in range(rep.width))
 
-    rows = []
-    for i in range(space.n):
-        row = [(ZERO,) * rep.width]
-        for k in range(1, filt.K + 1):
-            row.append(coeff[(k, filt.pre(k).block_of(i))])
-        rows.append(tuple(row))
-    H = Process(rep.width, tuple(rows))
-
+    H = Process.from_atom_table(space.n, filt, coeff, rep.width)
     rebuilt = stoch_integral(filt, H, rep.W)
     for i in range(space.n):
         for k in range(filt.K + 1):

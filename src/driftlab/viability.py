@@ -24,18 +24,14 @@ from typing import Optional
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, cond_expect
 from .calculus import doleans_exp, is_adapted, martingale_violation, stoch_integral, stop
-from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov,
+from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov, _jump_cov,
                           check_condition_support, check_positivity, solve_factors, tilde)
-from .errors import ConnectorInvalid, SupportConditionFailed, Unsolvable
+from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed, Unsolvable
 from .linalg import mat_vec, min_norm_solve, vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
 from .rational import ONE, ZERO, Q
 from .representation import RepresentationProcess, build_representation, represent
-
-
-def _alive_block(horizon: StoppingTime, b, k: int) -> bool:
-    return all(horizon.geq(i, k) for i in b)
 
 
 def _atom_jump_table(space: SampleSpace, filt: Filtration, S: Process, b, k: int):
@@ -47,11 +43,14 @@ def _atom_jump_table(space: SampleSpace, filt: Filtration, S: Process, b, k: int
     return kids, p, jumps
 
 
-def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: Process,
-                           horizon: Optional[StoppingTime] = None) -> Optional[dict]:
-    """None if D is a connector for S on [0, horizon], else a violation record."""
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
+def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
+                         horizon: StoppingTime) -> Optional[dict]:
+    """None if D can make a deflator on [0, horizon], else a violation record.
+
+    These are exactly the properties that make exp(-D) stopped at the
+    horizon a positive deflator: scalar, adapted, zero start, a martingale
+    up to the horizon, and every jump there strictly below one.
+    """
     if D.dim != 1:
         return {"reason": "not-scalar"}
     if not is_adapted(filt, D):
@@ -66,12 +65,23 @@ def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: 
         for k in range(1, filt.K + 1):
             if horizon.geq(i, k) and D.jump(i, k)[0] >= ONE:
                 return {"reason": "jump-at-least-one", "outcome": i, "tick": k}
+    return None
+
+
+def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: Process,
+                           horizon: Optional[StoppingTime] = None) -> Optional[dict]:
+    """None if D is a connector for S on [0, horizon], else a violation record."""
+    if horizon is None:
+        horizon = StoppingTime.constant(space.n, filt.K)
+    bad = _connector_violation(space, filt, D, horizon)
+    if bad is not None:
+        return bad
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
-            if not _alive_block(horizon, b, k):
+            if not horizon.alive_block(b, k):
                 continue
-            _, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
-            d_jumps = [D.jump(min(kid), k)[0] for kid in filt.at(k).children_of(b)]
+            kids, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
+            d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
             for c in range(S.dim):
                 mean = sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO)
                 cross = sum((ph * dj * sj[c] for ph, dj, sj in zip(p, d_jumps, s_jumps)), ZERO)
@@ -108,7 +118,7 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     jump_of: dict = {}
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
-            if not _alive_block(horizon, b, k):
+            if not horizon.alive_block(b, k):
                 continue
             kids, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
             m = len(kids)
@@ -155,7 +165,9 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
         return (jump_of[(k, filt.at(k).block_of(i))],)
 
     D = Process.from_jumps(space.n, filt.K, jumps)
-    assert is_structure_connector(space, filt, S, D, horizon) is None
+    bad = is_structure_connector(space, filt, S, D, horizon)
+    if bad is not None:
+        raise InternalInvariant("assembled connector fails its own check", **bad)
     return ConnectorSearch(connector=D)
 
 
@@ -163,28 +175,14 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
                             horizon: Optional[StoppingTime] = None) -> Process:
     """The stochastic exponential of -D stopped at the horizon.
 
-    Raises ConnectorInvalid unless D starts at zero, is a martingale up to
-    the horizon, and keeps every jump there strictly below one; those are
-    exactly the properties that make the result a positive deflator.
+    Raises ConnectorInvalid, carrying the record of _connector_violation,
+    when D cannot make a positive deflator.
     """
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    if D.dim != 1:
-        raise ConnectorInvalid("connector must be scalar")
-    if not is_adapted(filt, D):
-        raise ConnectorInvalid("connector must be adapted")
-    for i in range(space.n):
-        if D.at(i, 0)[0] != ZERO:
-            raise ConnectorInvalid("connector must start at zero", outcome=i)
-    bad = martingale_violation(space, filt, D, horizon)
+    bad = _connector_violation(space, filt, D, horizon)
     if bad is not None:
-        raise ConnectorInvalid("connector must be a martingale up to the horizon",
-                               tick=bad[0])
-    for i in range(space.n):
-        for k in range(1, filt.K + 1):
-            if horizon.geq(i, k) and D.jump(i, k)[0] >= ONE:
-                raise ConnectorInvalid("connector jump reaches one",
-                                       outcome=i, tick=k)
+        raise ConnectorInvalid("not a deflating connector", **bad)
     return doleans_exp(-stop(D, horizon))
 
 
@@ -211,7 +209,7 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
         pre_b = base.pre(k)
         cov_cache: dict = {}
         for cblk in enlarged.pre(k).blocks:
-            if not eb.alive_block(cblk, k):
+            if not eb.horizon.alive_block(cblk, k):
                 value_at[(k, cblk)] = (ZERO,) * width
                 continue
             b = pre_b.block_of(min(cblk))
@@ -223,15 +221,8 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
             w_rows = [rep.W.jump(min(kid), k) for kid in kids]
             gamma = [sum((pb * w[h] for pb, w in zip(pbar, w_rows)), ZERO)
                      for h in range(width)]
-            Vt = [[ZERO] * width for _ in range(width)]
-            for pb, w in zip(pbar, w_rows):
-                centered = [w[h] - gamma[h] for h in range(width)]
-                for a in range(width):
-                    if centered[a] == ZERO:
-                        continue
-                    row = Vt[a]
-                    for bb in range(width):
-                        row[bb] += pb * centered[a] * centered[bb]
+            Vt = _jump_cov(pbar, [[w[h] - gamma[h] for h in range(width)] for w in w_rows],
+                           width)
             phi = factors.phi.at(min(cblk), k)
             x = list(phi)
             if HD is not None:
@@ -243,14 +234,7 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
                 raise Unsolvable("integrand system inconsistent", tick=k,
                                  atom=sorted(cblk))
             value_at[(k, cblk)] = tuple(sol)
-
-    rows = []
-    for i in range(space.n):
-        row = [(ZERO,) * width]
-        for k in range(1, base.K + 1):
-            row.append(value_at[(k, enlarged.pre(k).block_of(i))])
-        rows.append(tuple(row))
-    return Process(width, tuple(rows))
+    return Process.from_atom_table(space.n, enlarged, value_at, width)
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -287,20 +271,16 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
     """Transfer a base connector D for S into an enlarged-filtration one.
 
     Builds Y = K . (W - drift W), then verifies exactly on [0, horizon]
-    that every jump of Y stays below one and that the jump covariance of Y
-    against the enlarged martingale part of S equals the base-side
-    covariance of D plus the multiplier-weighted covariance of the driving
-    process, per component.  Raises ConnectorInvalid on any mismatch
-    (which would contradict the construction).
+    that the jump covariance of Y against the enlarged martingale part of S
+    equals the base-side covariance of D plus the multiplier-weighted
+    covariance of the driving process, per component, and that Y is an
+    enlarged connector for S (every jump below one among its conditions).
+    Raises ConnectorInvalid on any mismatch (which would contradict the
+    construction).
     """
     K, Y = enlarged_connector(eb, rep, factors, D)
     space, base, enlarged = eb.space, eb.base, eb.enlarged
     n = space.n
-    for i in range(n):
-        for k in range(1, base.K + 1):
-            if eb.alive(i, k) and Y.jump(i, k)[0] >= ONE:
-                raise ConnectorInvalid("transferred connector jump reaches one",
-                                       outcome=i, tick=k)
     for k in range(1, base.K + 1):
         g_part = enlarged.pre(k)
         f_part = base.pre(k)
@@ -383,7 +363,8 @@ def full_viability_verdict(eb: EnlargedBasis,
     if not support.ok:
         asset = witness_asset(eb, rep, support)
         oracle_res = lp_deflator_oracle(eb.space, eb.enlarged, asset, eb.horizon)
-        assert not oracle_res.feasible
+        if oracle_res.feasible:
+            raise InternalInvariant("oracle prices the witness asset", tick=support.tick)
         return ViabilityReport(verdict=False, condition_support=False, support=support,
                                witness={
                                    "tick": support.tick,
@@ -393,9 +374,11 @@ def full_viability_verdict(eb: EnlargedBasis,
                                    "certificate": oracle_res.certificate,
                                })
     factors = solve_factors(eb, rep)
-    positive = check_positivity(eb, factors) is None
-    assert positive
+    bad = check_positivity(eb, factors)
+    if bad is not None:
+        raise InternalInvariant("multiplier pairing not positive under support",
+                                outcome=bad[0], tick=bad[1])
     K, Y = enlarged_connector(eb, rep, factors, None)
     Z = doleans_exp(-Y)
-    return ViabilityReport(verdict=True, condition_support=True, positivity=positive,
+    return ViabilityReport(verdict=True, condition_support=True, positivity=True,
                            support=support, factors=factors, connector=Y, deflator=Z)

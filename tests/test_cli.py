@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from driftlab.basis import Filtration, Partition, Process, SampleSpace
 from driftlab.cli import main
 from driftlab.enlargement import validate_enlargement
 from driftlab.models import worked_four_point, worked_six_point
@@ -117,6 +120,25 @@ def test_deflator_command(tmp_path):
     assert rep["found"] is True
     assert "deflator" in rep
     assert rep["oracle"]["status"] == "deflator"
+
+
+@pytest.mark.parametrize("prob, horizon, flags", [
+    (["1/2", "1/2"], None, ["--horizon", "-1"]),
+    (["1/1", "1/1"], None, []),
+    (["1/2", "1/2"], [None, 0], []),
+], ids=["negative-horizon-flag", "total-mass-two", "horizon-not-a-stopping-time"])
+def test_deflator_rejects_malformed_input(tmp_path, prob, horizon, flags):
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    doc = basis_to_json(SampleSpace(("u", "d"), ("1/2", "1/2")), filt)
+    doc["prob"] = prob
+    doc["asset"] = process_to_json(Process.from_scalar_paths([[0, 1], [0, 2]]))
+    if horizon is not None:
+        doc["horizon"] = horizon
+    inp = write(tmp_path / "a.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["deflator", "--input", inp, "--output", str(out)] + flags) == 2
+    assert read(out)["error"] == "SCHEMA_ERROR"
 
 
 def test_verify_theorems_deterministic(tmp_path):

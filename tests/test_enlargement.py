@@ -81,6 +81,9 @@ def test_drift_rejects_non_martingale():
         [list(range(eb.base.K + 1))] * eb.space.n)
     with pytest.raises(NotAMartingale):
         drift_operator(eb, ramp)
+    factors = solve_factors(eb, build_representation(eb.space, eb.base))
+    with pytest.raises(NotAMartingale):
+        factorization_check(eb, factors, ramp)
 
 
 @given(st.integers(min_value=0, max_value=200))

@@ -2,11 +2,13 @@ import ast
 import pathlib
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import driftlab
 from driftlab.calculus import is_martingale, pointwise_mul, stop
+from driftlab.errors import InternalInvariant
 from driftlab.models import (
     gen_single_filtration,
     random_adapted,
@@ -91,3 +93,13 @@ def test_certificates_serialize():
     res = lp_deflator_oracle(sp, filt, S)
     blob = dumps(encode_exact(res.certificate))
     assert "status" in blob
+
+
+def test_failed_deflator_recheck_raises_internal_invariant(monkeypatch):
+    rng = random.Random("oracle-recheck")
+    sp, filt = gen_single_filtration(rng, 4, 2, 3)
+    S, _, _ = random_viable_asset(rng, sp, filt)
+    assert lp_deflator_oracle(sp, filt, S).feasible
+    monkeypatch.setattr("driftlab.oracle.check_deflator", lambda *args: False)
+    with pytest.raises(InternalInvariant):
+        lp_deflator_oracle(sp, filt, S)

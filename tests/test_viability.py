@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from driftlab.basis import Process, StoppingTime
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.enlargement import solve_factors
-from driftlab.errors import SupportConditionFailed
+from driftlab.errors import ConnectorInvalid, SupportConditionFailed
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -137,3 +137,22 @@ def test_witness_asset_separates_the_filtrations():
     res = lp_deflator_oracle(four["eb"].space, four["eb"].enlarged, S,
                              four["eb"].horizon)
     assert not res.feasible
+
+
+@pytest.mark.parametrize("D, reason", [
+    (Process.zeros(2, 1, dim=2), "not-scalar"),
+    (Process.from_scalar_paths([[0, 0], [1, 1]]), "not-adapted"),
+    (Process.from_scalar_paths([[1, 1], [1, 1]]), "nonzero-start"),
+    (Process.from_scalar_paths([[0, "1/2"], [0, "1/2"]]), "not-martingale"),
+    (Process.from_scalar_paths([[0, 1], [0, -1]]), "jump-at-least-one"),
+])
+def test_invalid_connectors_are_rejected(D, reason):
+    from driftlab.basis import Filtration, Partition, SampleSpace
+    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    S = Process.from_scalar_paths([[0, 1], [0, -1]])
+    assert is_structure_connector(sp, filt, S, D)["reason"] == reason
+    with pytest.raises(ConnectorInvalid) as exc:
+        deflator_from_connector(sp, filt, D)
+    assert exc.value.detail["reason"] == reason
