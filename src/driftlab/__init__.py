@@ -19,12 +19,11 @@ from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
                           compensator_transfer_check, drift_operator,
                           factorization_check, solve_factors, tilde,
                           validate_enlargement)
-from .errors import (AzemaDegenerate, BadGrid, BadProbability, ConnectorInvalid,
-                     DataInvariantViolated, DimensionMismatch, EngineError,
-                     FactorsMissing, InternalInvariant, JacodDegenerate, NotAMartingale,
-                     NotARandomTime, NotAStoppingTime, NotAdapted, NotPredictable,
-                     RefinementBroken, SchemaError, SupportConditionFailed, Unsolvable,
-                     ZeroProbabilityBranch)
+from .errors import (AzemaDegenerate, BadGrid, ConnectorInvalid, DataInvariantViolated,
+                     DimensionMismatch, EngineError, FactorsMissing, InternalInvariant,
+                     JacodDegenerate, NotAMartingale, NotARandomTime, NotAStoppingTime,
+                     NotAdapted, NotPredictable, SchemaError, SupportConditionFailed,
+                     Unsolvable, ZeroProbabilityBranch)
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
                             accessible_jump_value, continuous_part_integrand,
                             inaccessible_jump_value, quotient_identity_holds,

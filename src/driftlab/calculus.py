@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, Partition, Process, SampleSpace, StoppingTime, cond_expect
+from .basis import Filtration, Process, SampleSpace, StoppingTime, cond_expect
 from .errors import DimensionMismatch, NotAdapted, NotPredictable
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO
 
 
 def is_adapted(filt: Filtration, X: Process) -> bool:

@@ -298,26 +298,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact engine for filtration enlargement on finite bases.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, seeded: bool = False):
+    def add(name: str, help_text: str, horizon: bool = False, seeded: bool = False):
+        """A subcommand; seeded ones generate their input, the others read --input."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="path to a JSON input document")
+        if not seeded:
+            p.add_argument("--input", help="path to a JSON input document")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--horizon", type=int, default=None,
-                       help="override the horizon with a constant tick")
+        if horizon:
+            p.add_argument("--horizon", type=int, default=None,
+                           help="override the horizon with a constant tick")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--instances", type=int, default=100)
             p.add_argument("--force-failure", action="store_true",
                            dest="force_failure")
-            p.add_argument("--workers", type=int, default=None)
         return p
 
     add("validate", "check a basis or enlarged instance")
-    add("drift", "drift of a base martingale under the enlargement")
-    add("factors", "drift-multiplier factorization of an instance")
-    add("check-viability", "full viability verdict with certificate")
-    add("deflator", "connector search plus deflator oracle on one basis")
-    add("verify-theorems", "run the seeded property suite", seeded=True)
+    add("drift", "drift of a base martingale under the enlargement", horizon=True)
+    add("factors", "drift-multiplier factorization of an instance", horizon=True)
+    add("check-viability", "full viability verdict with certificate", horizon=True)
+    add("deflator", "connector search plus deflator oracle on one basis", horizon=True)
+    verify = add("verify-theorems", "run the seeded property suite", seeded=True)
+    verify.add_argument("--workers", type=int, default=None)
     add("generate", "emit seeded random instances", seeded=True)
     add("kernel-eval", "evaluate per-event kernel formulas")
     add("diagnose-series", "classify integral refinements and jump series")

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import (Diagnostics, Filtration, Partition, Process, SampleSpace,
-                    StoppingTime, cond_expect, is_stopping_time, validate)
-from .calculus import is_adapted, is_martingale
+from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
+                    cond_expect, is_stopping_time, validate)
+from .calculus import compensator, is_adapted, is_martingale, stop
 from .errors import FactorsMissing, NotAMartingale, NotAdapted, Unsolvable
 from .linalg import min_norm_solve, vec_dot
 from .rational import ONE, ZERO, Q
@@ -58,31 +58,17 @@ def validate_enlargement(eb: EnlargedBasis) -> Diagnostics:
     return Diagnostics(ok=not errors, errors=tuple(errors))
 
 
-def drift_operator(eb: EnlargedBasis, X: Process, require_martingale: bool = True) -> Process:
+def drift_operator(eb: EnlargedBasis, X: Process) -> Process:
     """Cumulative enlarged-side conditional jump means on [0, horizon].
 
-    After the horizon the drift is frozen, so X - drift is the stopped
-    compensated process.
+    This is the enlarged-filtration compensator of X stopped at the
+    horizon, so X - drift is the stopped compensated process.
     """
-    if require_martingale and not is_martingale(eb.space, eb.base, X):
+    if not is_martingale(eb.space, eb.base, X):
         raise NotAMartingale("drift operator expects a base-filtration martingale")
     if not is_adapted(eb.base, X):
         raise NotAdapted()
-    n, K = eb.space.n, eb.base.K
-    incs = {}
-    for k in range(1, K + 1):
-        part = eb.enlarged.pre(k)
-        cols = []
-        for c in range(X.dim):
-            cols.append(cond_expect(eb.space, part, [X.jump(i, k)[c] for i in range(n)]))
-        incs[k] = cols
-
-    def jump(i, k):
-        if not eb.alive(i, k):
-            return (ZERO,) * X.dim
-        return tuple(incs[k][c][i] for c in range(X.dim))
-
-    return Process.from_jumps(n, K, jump, dim=X.dim)
+    return stop(compensator(eb.space, eb.enlarged, X), eb.horizon)
 
 
 def tilde(eb: EnlargedBasis, X: Process) -> Process:

@@ -17,14 +17,6 @@ class EngineError(Exception):
         self.detail = detail
 
 
-class BadProbability(EngineError):
-    code = "BAD_PROBABILITY"
-
-
-class RefinementBroken(EngineError):
-    code = "REFINEMENT_BROKEN"
-
-
 class NotAdapted(EngineError):
     code = "NOT_ADAPTED"
 

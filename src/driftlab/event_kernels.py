@@ -191,32 +191,29 @@ def _check_grid(t: Sequence[float], y: Sequence[float]) -> None:
             raise BadGrid("grid times must strictly increase")
 
 
-def _classify(values: Sequence[float], growth: float, run: int, rel_tol: float) -> str:
+def _classify(values: Sequence[float]) -> str:
     streak = 0
     for prev, cur in zip(values, values[1:]):
-        grew = cur >= growth * prev if prev > 0 else cur > prev
+        grew = cur >= GROWTH_FACTOR * prev if prev > 0 else cur > prev
         streak = streak + 1 if grew else 0
-        if streak >= run:
+        if streak >= RUN_LENGTH:
             return "divergent"
     if len(values) >= 2:
-        if abs(values[-1] - values[-2]) <= rel_tol * max(1.0, abs(values[-1])):
+        if abs(values[-1] - values[-2]) <= STABLE_REL_TOL * max(1.0, abs(values[-1])):
             return "finite"
     return "inconclusive"
 
 
 def series_diagnostics(levels: Optional[Sequence[dict]] = None,
-                       jumps: Optional[Sequence[float]] = None,
-                       growth_factor: float = GROWTH_FACTOR,
-                       run_length: int = RUN_LENGTH,
-                       stable_rel_tol: float = STABLE_REL_TOL) -> dict:
+                       jumps: Optional[Sequence[float]] = None) -> dict:
     """Classify an integral refinement sequence and/or a jump series.
 
     levels is a list of {"t": [...], "y": [...]} grids sampling the
     integrand on successive refinements; jumps is the raw jump sequence
     x_j, accumulated as partial sums of (x_j / (1 + x_j))^2 along dyadic
     prefixes.  Each part is classified divergent (values keep growing by
-    growth_factor over run_length successive steps), finite (last step
-    stabilized within stable_rel_tol), or inconclusive; the combined
+    GROWTH_FACTOR over RUN_LENGTH successive steps), finite (last step
+    stabilized within STABLE_REL_TOL), or inconclusive; the combined
     verdict is divergent if any part is, finite if all parts are.
     """
     if not levels and not jumps:
@@ -231,7 +228,7 @@ def series_diagnostics(levels: Optional[Sequence[dict]] = None,
                 raise BadGrid("each level needs t and y")
             _check_grid(t, y)
             values.append(_trapezoid([float(v) for v in t], [float(v) for v in y]))
-        verdict = _classify(values, growth_factor, run_length, stable_rel_tol)
+        verdict = _classify(values)
         report["integral"] = {"values": values, "verdict": verdict}
         verdicts.append(verdict)
     if jumps:
@@ -251,7 +248,7 @@ def series_diagnostics(levels: Optional[Sequence[dict]] = None,
             acc += term
             if j in marks:
                 sums.append(acc)
-        verdict = _classify(sums, growth_factor, run_length, stable_rel_tol)
+        verdict = _classify(sums)
         report["jump_series"] = {"values": sums, "verdict": verdict}
         verdicts.append(verdict)
     if "divergent" in verdicts:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .rational import ONE, ZERO, Q
+from .rational import ZERO, Q
 
 
 def vec_dot(a: Sequence[Q], b: Sequence[Q]) -> Q:

@@ -38,21 +38,21 @@ class _Tableau:
         self.obj = [ZERO] * (ncols + 1)
 
     def price_out(self, costs):
-        self.obj = [-c for c in costs] + [ZERO]
-        # express objective over the current basis: subtract cost * row
+        # self.obj[j] is the reduced cost of column j (positive: may enter);
+        # self.obj[-1] is minus the objective value.  Price out each basic
+        # column by subtracting its cost times its row.
+        self.obj = list(costs) + [ZERO]
         for r, bc in enumerate(self.basis):
             f = self.obj[bc]
             if f != ZERO:
                 row = self.rows[r]
                 self.obj = [o - f * a for o, a in zip(self.obj, row)]
-        # sign convention: self.obj[j] = (reduced cost of j) negated; flip once
-        self.obj = [-o for o in self.obj]
 
     def reduced(self, j):
         return self.obj[j]
 
     def run(self, banned=frozenset()):
-        rows, obj = self.rows, None
+        rows = self.rows
         while True:
             enter = None
             for j in range(self.ncols):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .basis import Filtration, InternalInvariant, Process, SampleSpace, StoppingTime
-from .linfeas import (INFEASIBLE, OPTIMAL, UNBOUNDED,
-                      check_bound_certificate, check_infeasibility_certificate, solve_lp)
+from .linfeas import (INFEASIBLE, UNBOUNDED, check_bound_certificate,
+                      check_infeasibility_certificate, solve_lp)
 from .rational import ONE, ZERO, Q, rat, rat_str
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import Filtration, Partition, Process, SampleSpace
+from .basis import Filtration, Process, SampleSpace
 from .calculus import is_martingale, stoch_integral
 from .errors import DimensionMismatch, NotAMartingale
 from .rational import ONE, ZERO, Q

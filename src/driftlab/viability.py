@@ -30,7 +30,7 @@ from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed,
 from .linalg import mat_vec, min_norm_solve, vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO
 from .representation import RepresentationProcess, build_representation, represent
 
 
@@ -107,11 +107,15 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
                              horizon: Optional[StoppingTime] = None) -> ConnectorSearch:
     """Search for a connector for S, or report the first atom ruling one out.
 
-    The defining constraints split over (tick, left-limit atom), so each
-    atom gets its own small program over the jump values on its children:
-    maximize the slack below one subject to zero conditional mean and the
-    compensator-matching equalities.  A positive optimal slack on every
-    alive atom assembles into a connector; anything else rules one out.
+    The defining constraints split over (tick, left-limit atom).  On an atom
+    with children h, conditional probabilities p_h and jumps s_h of S, the
+    weights q_h = p_h (1 - jump_h(D)) turn them into a one-period
+    martingale measure: sum q_h = 1, sum q_h s_h = 0 and every q_h > 0
+    (Harrison-Pliska; Dalang-Morton-Willinger).  Each atom gets a program
+    over q and a floor t with p_h t <= q_h, maximizing t, so t is the gap
+    min_h (1 - jump_h(D)) below one.  A positive optimal floor on every
+    alive atom assembles into a connector with jumps 1 - q_h / p_h; an
+    infeasible program or a floor of zero rules one out.
     """
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
@@ -122,42 +126,17 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
                 continue
             kids, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
             m = len(kids)
-            means = [sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO)
-                     for c in range(S.dim)]
-            # columns: d+ (m), d- (m), gap; maximize the gap
-            ncol = 2 * m + 1
-            A_eq = [[ZERO] * ncol]
-            b_eq = [ZERO]
-            for h in range(m):
-                A_eq[0][h] = p[h]
-                A_eq[0][m + h] = -p[h]
-            for c in range(S.dim):
-                row = [ZERO] * ncol
-                for h in range(m):
-                    w = p[h] * (s_jumps[h][c] - means[c])
-                    row[h] = w
-                    row[m + h] = -w
-                A_eq.append(row)
-                b_eq.append(means[c])
-            A_ub, b_ub = [], []
-            for h in range(m):
-                row = [ZERO] * ncol
-                row[h] = ONE
-                row[m + h] = -ONE
-                row[2 * m] = ONE
-                A_ub.append(row)
-                b_ub.append(ONE)
-            cap = [ZERO] * ncol
-            cap[2 * m] = ONE
-            A_ub.append(cap)
-            b_ub.append(ONE)
-            cost = [ZERO] * ncol
-            cost[2 * m] = ONE
-            res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
+            # columns: q (m), floor t; maximize t
+            A_eq = [[ONE] * m + [ZERO]]
+            A_eq += [[sj[c] for sj in s_jumps] + [ZERO] for c in range(S.dim)]
+            b_eq = [ONE] + [ZERO] * S.dim
+            A_ub = [[-ONE if j == h else ZERO for j in range(m)] + [p[h]] for h in range(m)]
+            b_ub = [ZERO] * m
+            res = solve_lp([ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub)
             if res.status == INFEASIBLE or res.value <= ZERO:
                 return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
             for h, kid in enumerate(kids):
-                jump_of[(k, kid)] = res.x[h] - res.x[m + h]
+                jump_of[(k, kid)] = ONE - res.x[h] / p[h]
 
     def jumps(i: int, k: int):
         if not horizon.geq(i, k):

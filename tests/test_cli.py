@@ -60,6 +60,22 @@ def test_schema_errors_exit_2(tmp_path):
     assert main(["validate", "--input", str(bad), "--output", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--horizon", "7"],
+    ["kernel-eval", "--horizon", "1"],
+    ["diagnose-series", "--horizon", "1"],
+    ["generate", "--horizon", "2"],
+    ["verify-theorems", "--horizon", "2"],
+    ["generate", "--input", "/nonexistent"],
+    ["verify-theorems", "--input", "/nonexistent"],
+    ["generate", "--workers", "4"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+def test_flags_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_drift_command(tmp_path):
     six = worked_six_point()
     doc = instance_to_json(six["eb"])

@@ -40,6 +40,33 @@ def package_imports(name):
     return found
 
 
+def unused_imports(path):
+    """Names a module imports and never reads, except `# noqa: F401` re-exports."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_package_has_no_unused_imports():
+    """`__init__` only re-exports; every other module uses what it imports."""
+    unused = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 

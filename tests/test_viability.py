@@ -16,7 +16,7 @@ from driftlab.models import (
     worked_four_point,
     worked_six_point,
 )
-from driftlab.oracle import lp_deflator_oracle, verify_no_deflator
+from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation
 from driftlab.viability import (
@@ -92,20 +92,31 @@ def test_connector_gives_positive_deflator(seed):
     assert is_martingale(sp, filt, pointwise_mul(Z, S))
 
 
-def test_one_sided_bet_has_no_connector():
-    from driftlab.basis import Filtration, Partition, SampleSpace
-    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
-    top = Partition([[0, 1]])
-    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+@pytest.mark.parametrize("jumps, found", [
     # nonnegative jump with positive mass on a gain: free lunch
-    S = Process.from_jumps(2, 1,
-                           lambda i, k: ONE if i == 0 else ZERO,
-                           start=(ONE,))
+    ([(1,), (0,)], False),
+    ([(1, 0), (-1, 0), (0, 1)], False),
+    ([(1, 0), (-1, 0), (0, 1), (0, -1)], True),
+], ids=["one-sided-bet", "zero-on-hull-edge", "zero-inside-hull"])
+def test_atom_connector_agrees_with_oracle(jumps, found):
+    """One tick: a connector exists iff 0 is strictly inside the jump hull."""
+    from driftlab.basis import Filtration, Partition, SampleSpace
+    m, dim = len(jumps), len(jumps[0])
+    sp = SampleSpace(tuple(f"w{h}" for h in range(m)), (Q(1, m),) * m)
+    top = Partition([list(range(m))])
+    filt = Filtration(top, ((top, Partition([[h] for h in range(m)])),))
+    S = Process.from_jumps(m, 1, lambda i, k: tuple(Q(v) for v in jumps[i]),
+                           start=(ONE,) * dim, dim=dim)
     search = find_structure_connector(sp, filt, S)
     oracle = lp_deflator_oracle(sp, filt, S)
-    assert not search.found
-    assert not oracle.feasible
-    assert verify_no_deflator(sp, filt, S, None, oracle.certificate)
+    assert search.found == oracle.feasible == found
+    if found:
+        Z = deflator_from_connector(sp, filt, search.connector)
+        assert check_deflator(sp, filt, S, Z)
+    else:
+        assert (search.tick, search.atom) == (1, tuple(range(m)))
+        assert oracle.certificate["reason"] == "positivity-unreachable"
+        assert verify_no_deflator(sp, filt, S, None, oracle.certificate)
 
 
 @given(st.integers(min_value=0, max_value=150))
