@@ -292,6 +292,14 @@ _DISPATCH = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlab",
@@ -309,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the horizon with a constant tick")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--instances", type=int, default=100)
+            p.add_argument("--instances", type=_positive_int, default=100)
             p.add_argument("--force-failure", action="store_true",
                            dest="force_failure")
         return p
@@ -320,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("check-viability", "full viability verdict with certificate", horizon=True)
     add("deflator", "connector search plus deflator oracle on one basis", horizon=True)
     verify = add("verify-theorems", "run the seeded property suite", seeded=True)
-    verify.add_argument("--workers", type=int, default=None)
+    verify.add_argument("--workers", type=_positive_int, default=None)
     add("generate", "emit seeded random instances", seeded=True)
     add("kernel-eval", "evaluate per-event kernel formulas")
     add("diagnose-series", "classify integral refinements and jump series")

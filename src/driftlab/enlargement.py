@@ -66,8 +66,6 @@ def drift_operator(eb: EnlargedBasis, X: Process) -> Process:
     """
     if not is_martingale(eb.space, eb.base, X):
         raise NotAMartingale("drift operator expects a base-filtration martingale")
-    if not is_adapted(eb.base, X):
-        raise NotAdapted()
     return stop(compensator(eb.space, eb.enlarged, X), eb.horizon)
 
 

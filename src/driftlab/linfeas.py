@@ -6,7 +6,9 @@ Bland's rule everywhere, so runs are deterministic and cycle-free.  The
 solver reports Farkas vectors for infeasible systems and dual vectors for
 optima; both can be re-verified by plain arithmetic (see the two
 certificate checkers at the bottom), which is what downstream consumers do
-instead of trusting the pivoting.
+instead of trusting the pivoting.  Tableau rows are sparse, so a pivot
+touches only the rows with a nonzero in the entering column, and only
+their nonzeros.
 """
 
 from __future__ import annotations
@@ -30,45 +32,56 @@ class LPResult:
     dual_ub: Optional[list] = None  # multipliers for <= rows (nonnegative)
 
 
+RHS = -1  # key of the right-hand side in a sparse row
+
+
+def _sub_scaled(dst: dict, f, src: dict) -> None:
+    """dst -= f * src over src's nonzeros, dropping entries that cancel."""
+    g = -f
+    for j, a in src.items():
+        v = dst.get(j)
+        if v is None:
+            dst[j] = g * a  # nonzero: both factors are
+        else:
+            v += g * a
+            if v:
+                dst[j] = v
+            else:
+                del dst[j]
+
+
 class _Tableau:
-    def __init__(self, rows, basis, ncols):
-        self.rows = rows          # each: ncols coefficients + rhs
+    def __init__(self, rows, basis):
+        self.rows = rows          # each: {column: nonzero coefficient}, rhs at RHS
         self.basis = basis        # basic column per row
-        self.ncols = ncols
-        self.obj = [ZERO] * (ncols + 1)
+        self.obj = {}
 
     def price_out(self, costs):
         # self.obj[j] is the reduced cost of column j (positive: may enter);
-        # self.obj[-1] is minus the objective value.  Price out each basic
+        # self.obj[RHS] is minus the objective value.  Price out each basic
         # column by subtracting its cost times its row.
-        self.obj = list(costs) + [ZERO]
+        self.obj = dict(costs)
         for r, bc in enumerate(self.basis):
-            f = self.obj[bc]
-            if f != ZERO:
-                row = self.rows[r]
-                self.obj = [o - f * a for o, a in zip(self.obj, row)]
+            f = self.obj.get(bc)
+            if f is not None:
+                _sub_scaled(self.obj, f, self.rows[r])
 
     def reduced(self, j):
-        return self.obj[j]
+        return self.obj.get(j, ZERO)
 
     def run(self, banned=frozenset()):
         rows = self.rows
         while True:
-            enter = None
-            for j in range(self.ncols):
-                if j in banned:
-                    continue
-                if self.obj[j] > ZERO:
-                    enter = j
-                    break
+            enter = min((j for j, v in self.obj.items()
+                         if j != RHS and j not in banned and v > ZERO), default=None)
             if enter is None:
                 return OPTIMAL
             leave = None
             best = None
             for r, row in enumerate(rows):
-                a = row[enter]
-                if a > ZERO:
-                    ratio = row[-1] / a
+                a = row.get(enter)
+                if a is not None and a > ZERO:
+                    ratio = row.get(RHS, ZERO) / a
                     if best is None or ratio < best or (ratio == best and self.basis[r] < self.basis[leave]):
                         best = ratio
                         leave = r
@@ -77,28 +90,28 @@ class _Tableau:
             self._pivot(leave, enter)
 
     def _pivot(self, r, c):
-        row = self.rows[r]
-        pv = row[c]
-        row = [a / pv for a in row]
+        pv = self.rows[r][c]
+        row = {j: a / pv for j, a in self.rows[r].items()}
         self.rows[r] = row
-        for rr in range(len(self.rows)):
+        for rr, other in enumerate(self.rows):
             if rr != r:
-                f = self.rows[rr][c]
-                if f != ZERO:
-                    self.rows[rr] = [a - f * b for a, b in zip(self.rows[rr], row)]
-        f = self.obj[c]
-        if f != ZERO:
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+                f = other.get(c)
+                if f is not None:
+                    _sub_scaled(other, f, row)
+        f = self.obj.get(c)
+        if f is not None:
+            _sub_scaled(self.obj, f, row)
         self.basis[r] = c
 
     def objective_value(self):
-        return -self.obj[-1]
+        return -self.obj.get(RHS, ZERO)
 
     def solution(self, nvars):
-        x = [ZERO] * self.ncols
+        x = [ZERO] * nvars
         for r, bc in enumerate(self.basis):
-            x[bc] = self.rows[r][-1]
-        return x[:nvars]
+            if bc < nvars:
+                x[bc] = self.rows[r].get(RHS, ZERO)
+        return x
 
 
 def _purge_artificial_basis(tab: _Tableau, art_cols: dict) -> None:
@@ -116,57 +129,53 @@ def _purge_artificial_basis(tab: _Tableau, art_cols: dict) -> None:
     for r in range(len(tab.basis)):
         if tab.basis[r] not in art_set:
             continue
-        row = tab.rows[r]
-        for j in range(tab.ncols):
-            if j not in art_set and row[j] != ZERO:
-                tab._pivot(r, j)
-                break
+        j = min((j for j in tab.rows[r] if j != RHS and j not in art_set), default=None)
+        if j is not None:
+            tab._pivot(r, j)
+
+
+def _sparse_row(coeffs, rhs) -> dict:
+    row = {j: a for j, a in enumerate(coeffs) if a}
+    if rhs:
+        row[RHS] = rhs
+    return row
 
 
 def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
     n = len(c)
     m_eq, m_ub = len(A_eq), len(A_ub)
     m = m_eq + m_ub
-    nslack = m_ub
-    # assemble rows: structural vars, slacks, then rhs; artificials appended later
-    raw = []
-    sign = []
-    for i in range(m_eq):
-        raw.append(list(A_eq[i]) + [ZERO] * nslack + [b_eq[i]])
-        sign.append(ONE)
+    # rows: structural vars, then one slack per <= row; artificials added below
+    rows = [_sparse_row(A_eq[i], b_eq[i]) for i in range(m_eq)]
     for j in range(m_ub):
-        s = [ZERO] * nslack
-        s[j] = ONE
-        raw.append(list(A_ub[j]) + s + [b_ub[j]])
-        sign.append(ONE)
-    for r in range(m):
-        if raw[r][-1] < ZERO:
-            raw[r] = [-a for a in raw[r]]
-            sign[r] = -ONE
+        row = _sparse_row(A_ub[j], b_ub[j])
+        row[n + j] = ONE
+        rows.append(row)
+    sign = []
+    for row in rows:
+        if row.get(RHS, ZERO) < ZERO:
+            for j in row:
+                row[j] = -row[j]
+            sign.append(-ONE)
+        else:
+            sign.append(ONE)
 
     basis = [-1] * m
     art_cols = {}
-    ncols = n + nslack
+    ncols = n + m_ub
     for r in range(m):
-        sc = None
         if r >= m_eq and sign[r] == ONE:
-            sc = n + (r - m_eq)  # its slack is a ready identity column
-        if sc is not None:
-            basis[r] = sc
+            basis[r] = n + (r - m_eq)  # its slack is a ready identity column
         else:
             art_cols[r] = ncols
-            for rr in range(m):
-                raw[rr].insert(ncols, ONE if rr == r else ZERO)
+            rows[r][ncols] = ONE
             basis[r] = ncols
             ncols += 1
 
-    tab = _Tableau(raw, basis, ncols)
+    tab = _Tableau(rows, basis)
 
     if art_cols:
-        costs1 = [ZERO] * ncols
-        for col in art_cols.values():
-            costs1[col] = -ONE
-        tab.price_out(costs1)
+        tab.price_out({col: -ONE for col in art_cols.values()})
         tab.run()
         if tab.objective_value() != ZERO:
             # Farkas: from reduced costs of the probe column of every row
@@ -182,10 +191,7 @@ def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
         _purge_artificial_basis(tab, art_cols)
 
     banned = frozenset(art_cols.values())
-    costs2 = [ZERO] * ncols
-    for j in range(n):
-        costs2[j] = c[j]
-    tab.price_out(costs2)
+    tab.price_out({j: cj for j, cj in enumerate(c) if cj})
     status = tab.run(banned=banned)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)

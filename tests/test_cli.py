@@ -76,6 +76,20 @@ def test_flags_a_command_ignores_are_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorems", "--instances", "-3"],
+    ["verify-theorems", "--instances", "0"],
+    ["generate", "--instances", "-3"],
+    ["generate", "--instances", "0"],
+    ["verify-theorems", "--workers", "0"],
+    ["verify-theorems", "--workers", "-2"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_counts_below_one_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_drift_command(tmp_path):
     six = worked_six_point()
     doc = instance_to_json(six["eb"])

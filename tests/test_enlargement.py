@@ -14,7 +14,7 @@ from driftlab.enlargement import (
     solve_factors,
     validate_enlargement,
 )
-from driftlab.errors import NotAMartingale
+from driftlab.errors import NotAdapted, NotAMartingale
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -84,6 +84,16 @@ def test_drift_rejects_non_martingale():
     factors = solve_factors(eb, build_representation(eb.space, eb.base))
     with pytest.raises(NotAMartingale):
         factorization_check(eb, factors, ramp)
+
+
+def test_drift_rejects_non_adapted():
+    """A path that reveals the outcome at tick 0 is not base-adapted."""
+    eb = worked_six_point()["eb"]
+    from driftlab.basis import Process
+    reveal = Process.from_scalar_paths(
+        [[i] * (eb.base.K + 1) for i in range(eb.space.n)])
+    with pytest.raises(NotAdapted):
+        drift_operator(eb, reveal)
 
 
 @given(st.integers(min_value=0, max_value=200))

@@ -69,6 +69,26 @@ def test_redundant_zero_row_is_harmless():
     assert res.value == Q(5)
 
 
+def test_beale_cycling_lp_golden():
+    """Beale's LP cycles under the textbook largest-coefficient rule.
+
+    Bland's rule must terminate on it, at the known optimum and duals.
+    """
+    c = [Q(3, 4), Q(-20), Q(1, 2), Q(-6)]
+    A_ub = [[Q(1, 4), Q(-8), Q(-1), Q(9)],
+            [Q(1, 2), Q(-12), Q(-1, 2), Q(3)],
+            [ZERO, ZERO, ONE, ZERO]]
+    b_ub = [ZERO, ZERO, ONE]
+    res = solve_lp(c, [], [], A_ub, b_ub)
+    assert res.status == OPTIMAL
+    assert res.value == Q(5, 4)
+    assert res.x == [ONE, ZERO, ONE, ZERO]
+    assert res.dual_eq == []
+    assert res.dual_ub == [ZERO, Q(3, 2), Q(5, 4)]
+    assert check_bound_certificate(c, [], [], A_ub, b_ub,
+                                   res.dual_eq, res.dual_ub, res.value)
+
+
 def _feasible(x, A_eq, b_eq, A_ub, b_ub):
     if any(v < ZERO for v in x):
         return False
@@ -81,18 +101,8 @@ def _feasible(x, A_eq, b_eq, A_ub, b_ub):
     return True
 
 
-@given(st.data())
-def test_random_lps_certified(data):
-    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
-    m_eq = data.draw(st.integers(min_value=0, max_value=2), label="m_eq")
-    m_ub = data.draw(st.integers(min_value=0, max_value=3), label="m_ub")
-    row = st.lists(coef, min_size=n, max_size=n)
-    c = data.draw(row, label="c")
-    A_eq = data.draw(st.lists(row, min_size=m_eq, max_size=m_eq), label="A_eq")
-    b_eq = data.draw(st.lists(coef, min_size=m_eq, max_size=m_eq), label="b_eq")
-    A_ub = data.draw(st.lists(row, min_size=m_ub, max_size=m_ub), label="A_ub")
-    b_ub = data.draw(st.lists(coef, min_size=m_ub, max_size=m_ub), label="b_ub")
-
+def _assert_certified(c, A_eq, b_eq, A_ub, b_ub, box_bound):
+    n = len(c)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     if res.status == OPTIMAL:
         assert _feasible(res.x, A_eq, b_eq, A_ub, b_ub)
@@ -105,8 +115,38 @@ def test_random_lps_certified(data):
     else:
         assert res.status == UNBOUNDED
         # unbounded implies feasible: boxing every variable far above any
-        # basic solution of these tiny systems must yield an optimum
+        # basic solution of these small systems must yield an optimum
         box = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
         boxed = solve_lp(c, A_eq, b_eq, list(A_ub) + box,
-                         list(b_ub) + [Q(10**6)] * n)
+                         list(b_ub) + [box_bound] * n)
         assert boxed.status == OPTIMAL
+
+
+def _draw_lp(data, entry, max_n, max_eq, max_ub):
+    n = data.draw(st.integers(min_value=1, max_value=max_n), label="n")
+    m_eq = data.draw(st.integers(min_value=0, max_value=max_eq), label="m_eq")
+    m_ub = data.draw(st.integers(min_value=0, max_value=max_ub), label="m_ub")
+    row = st.lists(entry, min_size=n, max_size=n)
+    c = data.draw(row, label="c")
+    A_eq = data.draw(st.lists(row, min_size=m_eq, max_size=m_eq), label="A_eq")
+    b_eq = data.draw(st.lists(entry, min_size=m_eq, max_size=m_eq), label="b_eq")
+    A_ub = data.draw(st.lists(row, min_size=m_ub, max_size=m_ub), label="A_ub")
+    b_ub = data.draw(st.lists(entry, min_size=m_ub, max_size=m_ub), label="b_ub")
+    return c, A_eq, b_eq, A_ub, b_ub
+
+
+@given(st.data())
+def test_random_lps_certified(data):
+    _assert_certified(*_draw_lp(data, coef, 4, 2, 3), box_bound=Q(10**6))
+
+
+# one_of takes the zero branch about half the time (and coef can draw zero
+# too), so pivots often cancel entries to zero
+sparse_coef = st.one_of(st.just(ZERO), coef)
+
+
+@given(st.data())
+def test_random_sparse_lps_certified(data):
+    # A vertex coordinate is a ratio of integer minors of order <= 8 with
+    # entries in [-3, 3]; Hadamard's bound (3 sqrt 8)^8 caps its numerator.
+    _assert_certified(*_draw_lp(data, sparse_coef, 8, 3, 5), box_bound=Q(3**8 * 8**4))

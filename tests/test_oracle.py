@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import pathlib
 import random
 
@@ -21,6 +22,10 @@ from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import find_structure_connector
 
 SRC = pathlib.Path(driftlab.__file__).parent
+
+# SHA-256 of the first 40 `acc-one` oracle results, taken from the dense
+# list-of-rows tableau before rows became sparse.
+PINNED_ORACLE_DIGEST = "bf0467562c56ac5c6e1f471425fcde5a921ee45a9dc3facade5d6e13cd8061c0"
 
 
 def package_imports(name):
@@ -130,3 +135,30 @@ def test_failed_deflator_recheck_raises_internal_invariant(monkeypatch):
     monkeypatch.setattr("driftlab.oracle.check_deflator", lambda *args: False)
     with pytest.raises(InternalInvariant):
         lp_deflator_oracle(sp, filt, S)
+
+
+def test_oracle_results_are_pinned():
+    """The oracle's certificates, gaps and deflators do not drift.
+
+    The first 40 `acc-one` markets of the connector-vs-oracle acceptance
+    test are hashed.  Any change to the simplex (row storage, scalar
+    representation) must keep Bland's basis path, so the digest must not
+    move.
+    """
+    records = []
+    for seed in range(40):
+        rng = random.Random(f"acc-one:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 12),
+                                         rng.randint(1, 4), 3)
+        horizon = (None if rng.random() < 0.7
+                   else random_stopping_time(rng, sp, filt))
+        if rng.random() < 0.45:
+            S, _, _ = random_viable_asset(rng, sp, filt,
+                                          dim=rng.choice((1, 1, 2)))
+        else:
+            S = random_adapted(rng, sp, filt, dim=rng.choice((1, 1, 2)))
+        res = lp_deflator_oracle(sp, filt, S, horizon)
+        records.append([res.certificate, res.gap,
+                        None if res.deflator is None else res.deflator.values])
+    digest = hashlib.sha256(dumps(encode_exact(records)).encode("utf-8")).hexdigest()
+    assert digest == PINNED_ORACLE_DIGEST
