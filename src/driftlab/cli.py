@@ -264,13 +264,21 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
+def _is_numbers(raw) -> bool:
+    """A JSON list of numbers (a bool is not one)."""
+    return isinstance(raw, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+
+
 def _cmd_diagnose_series(args) -> int:
     doc = _read_input(args.input)
     levels = doc.get("levels")
     jumps = doc.get("jumps")
-    if levels is not None and not isinstance(levels, list):
-        raise SchemaError("'levels' must be a list of {t, y} grids")
-    if jumps is not None and not isinstance(jumps, list):
+    if levels is not None and not (isinstance(levels, list) and all(
+            isinstance(g, dict) and _is_numbers(g.get("t")) and _is_numbers(g.get("y"))
+            for g in levels)):
+        raise SchemaError("'levels' must be a list of {t, y} grids of numbers")
+    if jumps is not None and not _is_numbers(jumps):
         raise SchemaError("'jumps' must be a list of numbers")
     report = series_diagnostics(levels=levels, jumps=jumps)
     report["command"] = "diagnose-series"

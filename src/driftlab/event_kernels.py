@@ -180,15 +180,27 @@ def _trapezoid(t: Sequence[float], y: Sequence[float]) -> float:
     return total
 
 
-def _check_grid(t: Sequence[float], y: Sequence[float]) -> None:
+def _finite_floats(values: Sequence, message: str) -> list:
+    """The values as floats; BadGrid(message) if one is not finite as a float."""
+    try:
+        xs = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        raise BadGrid(message)
+    if not all(isfinite(x) for x in xs):
+        raise BadGrid(message)
+    return xs
+
+
+def _check_grid(t: Sequence[float], y: Sequence[float]) -> tuple:
+    """The grid as finite floats with strictly increasing times."""
     if len(t) < 2 or len(t) != len(y):
         raise BadGrid("grid needs matching t/y samples, at least two")
-    for v in list(t) + list(y):
-        if not isfinite(float(v)):
-            raise BadGrid("grid samples must be finite")
+    t = _finite_floats(t, "grid samples must be finite")
+    y = _finite_floats(y, "grid samples must be finite")
     for a, b in zip(t, t[1:]):
         if not b > a:
             raise BadGrid("grid times must strictly increase")
+    return t, y
 
 
 def _classify(values: Sequence[float]) -> str:
@@ -226,16 +238,15 @@ def series_diagnostics(levels: Optional[Sequence[dict]] = None,
             t, y = grid.get("t"), grid.get("y")
             if t is None or y is None:
                 raise BadGrid("each level needs t and y")
-            _check_grid(t, y)
-            values.append(_trapezoid([float(v) for v in t], [float(v) for v in y]))
+            values.append(_trapezoid(*_check_grid(t, y)))
         verdict = _classify(values)
         report["integral"] = {"values": values, "verdict": verdict}
         verdicts.append(verdict)
     if jumps:
-        xs = [float(x) for x in jumps]
-        for x in xs:
-            if not isfinite(x) or 1.0 + x == 0.0:
-                raise BadGrid("jump values must be finite with 1 + x nonzero")
+        message = "jump values must be finite with 1 + x nonzero"
+        xs = _finite_floats(jumps, message)
+        if any(1.0 + x == 0.0 for x in xs):
+            raise BadGrid(message)
         terms = [(x / (1.0 + x)) ** 2 for x in xs]
         sums, acc = [], 0.0
         marks = set()

@@ -8,15 +8,19 @@ optima; both can be re-verified by plain arithmetic (see the two
 certificate checkers at the bottom), which is what downstream consumers do
 instead of trusting the pivoting.  Tableau rows are sparse, so a pivot
 touches only the rows with a nonzero in the entering column, and only
-their nonzeros.
+their nonzeros.  They are also fraction-free (Edmonds 1967; Bareiss
+1968): each row is integers over one positive row denominator, so an
+update is integer multiply-adds and one gcd, and rationals appear only
+where the input is read and the result is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .rational import ONE, ZERO, Q
+from .rational import ZERO, Q
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -35,86 +39,137 @@ class LPResult:
 RHS = -1  # key of the right-hand side in a sparse row
 
 
-def _sub_scaled(dst: dict, f, src: dict) -> None:
-    """dst -= f * src over src's nonzeros, dropping entries that cancel."""
-    g = -f
-    for j, a in src.items():
-        v = dst.get(j)
+def _int_row(entries, rhs) -> tuple:
+    """(integer row, denominator) of the (column, rational) entries and rhs.
+
+    The row is scaled by the lcm of its denominators.  That leaves it
+    reduced: for each prime of the lcm, the entry whose denominator holds
+    the prime's full power is scaled by a cofactor free of it, and its
+    numerator is prime to it.
+    """
+    nz = [(j, a) for j, a in entries if a]
+    if rhs:
+        nz.append((RHS, rhs))
+    den = lcm(*(a.denominator for _, a in nz))
+    return {j: a.numerator * (den // a.denominator) for j, a in nz}, den
+
+
+def _eliminate(row: dict, den: int, prow: dict, c: int) -> tuple:
+    """Clear column c of row / den in place with a pivot row whose value at c is one.
+
+    prow's entry pv = prow[c] is then its (positive) denominator, and the
+    result (row * pv - row[c] * prow) / (den * pv) is reduced by its gcd.
+    """
+    f = row[c]
+    pv = prow[c]
+    if pv != 1:
+        for j in row:
+            row[j] *= pv
+        den *= pv
+    for j, a in prow.items():
+        v = row.get(j)
         if v is None:
-            dst[j] = g * a  # nonzero: both factors are
+            row[j] = -f * a  # nonzero: both factors are
         else:
-            v += g * a
+            v -= f * a
             if v:
-                dst[j] = v
+                row[j] = v
             else:
-                del dst[j]
+                del row[j]
+    return _reduce(row, den)
+
+
+def _reduce(row: dict, den: int) -> tuple:
+    """row / den in place with the gcd of the entries and den divided out."""
+    g = gcd(den, *row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return row, den
 
 
 class _Tableau:
-    def __init__(self, rows, basis):
-        self.rows = rows          # each: {column: nonzero coefficient}, rhs at RHS
+    """Sparse fraction-free tableau.
+
+    Row r holds the rationals rows[r][j] / dens[r]: integer entries keyed by
+    column (nonzeros only, the right-hand side under RHS) over one positive
+    denominator.  The objective row is obj / obj_den in the same form.
+    """
+
+    def __init__(self, rows, dens, basis):
+        self.rows = rows          # each: {column: nonzero integer}, rhs at RHS
+        self.dens = dens          # positive integer denominator per row
         self.basis = basis        # basic column per row
         self.obj = {}
+        self.obj_den = 1
 
     def price_out(self, costs):
-        # self.obj[j] is the reduced cost of column j (positive: may enter);
-        # self.obj[RHS] is minus the objective value.  Price out each basic
-        # column by subtracting its cost times its row.
-        self.obj = dict(costs)
+        # obj[j] / obj_den is the reduced cost of column j (positive: may
+        # enter); obj[RHS] / obj_den is minus the objective value.  Price
+        # out each basic column by subtracting its cost times its row.
+        obj, den = _int_row(costs, 0)
         for r, bc in enumerate(self.basis):
-            f = self.obj.get(bc)
-            if f is not None:
-                _sub_scaled(self.obj, f, self.rows[r])
-
-    def reduced(self, j):
-        return self.obj.get(j, ZERO)
+            if bc in obj:
+                obj, den = _eliminate(obj, den, self.rows[r], bc)
+        self.obj, self.obj_den = obj, den
 
     def run(self, banned=frozenset()):
-        rows = self.rows
+        rows, basis = self.rows, self.basis
         while True:
+            # denominators are positive, so a numerator's sign is its value's
             enter = min((j for j, v in self.obj.items()
-                         if j != RHS and j not in banned and v > ZERO), default=None)
+                         if v > 0 and j != RHS and j not in banned), default=None)
             if enter is None:
                 return OPTIMAL
+            # ratio test rhs_r / a_r by cross-multiplication: the row
+            # denominators cancel
             leave = None
-            best = None
             for r, row in enumerate(rows):
                 a = row.get(enter)
-                if a is not None and a > ZERO:
-                    ratio = row.get(RHS, ZERO) / a
-                    if best is None or ratio < best or (ratio == best and self.basis[r] < self.basis[leave]):
-                        best = ratio
-                        leave = r
+                if a is not None and a > 0:
+                    b = row.get(RHS, 0)
+                    if leave is None:
+                        leave, best_b, best_a = r, b, a
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, best_b, best_a = r, b, a
             if leave is None:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
     def _pivot(self, r, c):
-        pv = self.rows[r][c]
-        row = {j: a / pv for j, a in self.rows[r].items()}
-        self.rows[r] = row
-        for rr, other in enumerate(self.rows):
-            if rr != r:
-                f = other.get(c)
-                if f is not None:
-                    _sub_scaled(other, f, row)
-        f = self.obj.get(c)
-        if f is not None:
-            _sub_scaled(self.obj, f, row)
+        # row / pivot: the row's denominator cancels, the pivot's magnitude
+        # becomes the new one
+        row = self.rows[r]
+        pv = row[c]
+        if pv < 0:
+            for j in row:
+                row[j] = -row[j]
+            pv = -pv
+        row, pv = _reduce(row, pv)
+        rows, dens = self.rows, self.dens
+        dens[r] = pv
+        for rr, other in enumerate(rows):
+            if rr != r and c in other:
+                rows[rr], dens[rr] = _eliminate(other, dens[rr], row, c)
+        if c in self.obj:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, row, c)
         self.basis[r] = c
 
     def objective_value(self):
-        return -self.obj.get(RHS, ZERO)
+        return Q(-self.obj.get(RHS, 0), self.obj_den)
 
     def solution(self, nvars):
         x = [ZERO] * nvars
         for r, bc in enumerate(self.basis):
             if bc < nvars:
-                x[bc] = self.rows[r].get(RHS, ZERO)
+                x[bc] = Q(self.rows[r].get(RHS, 0), self.dens[r])
         return x
 
 
-def _purge_artificial_basis(tab: _Tableau, art_cols: dict) -> None:
+def _purge_artificial_basis(tab: _Tableau, art_cols) -> None:
     """Pivot leftover artificials out of the basis after phase one.
 
     A zero-level artificial left basic is not caught by banning it from
@@ -125,7 +180,7 @@ def _purge_artificial_basis(tab: _Tableau, art_cols: dict) -> None:
     Rows with no such entry are redundant; their artificial can never
     change value, so they stay.
     """
-    art_set = frozenset(art_cols.values())
+    art_set = frozenset(art_cols)
     for r in range(len(tab.basis)):
         if tab.basis[r] not in art_set:
             continue
@@ -134,11 +189,15 @@ def _purge_artificial_basis(tab: _Tableau, art_cols: dict) -> None:
             tab._pivot(r, j)
 
 
-def _sparse_row(coeffs, rhs) -> dict:
-    row = {j: a for j, a in enumerate(coeffs) if a}
-    if rhs:
-        row[RHS] = rhs
-    return row
+def _duals(tab: _Tableau, probes, sign, probe_cost) -> list:
+    """Row r's multiplier sign_r * (cost - reduced cost) of its probe column.
+
+    A row's probe is its artificial, else its slack (an identity column of
+    the starting basis); probe_cost gives the artificials' phase-one cost.
+    """
+    obj, den = tab.obj, tab.obj_den
+    return [Q(s * (probe_cost.get(col, 0) * den - obj.get(col, 0)), den)
+            for col, s in zip(probes, sign)]
 
 
 def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
@@ -146,68 +205,74 @@ def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
     m_eq, m_ub = len(A_eq), len(A_ub)
     m = m_eq + m_ub
     # rows: structural vars, then one slack per <= row; artificials added below
-    rows = [_sparse_row(A_eq[i], b_eq[i]) for i in range(m_eq)]
-    for j in range(m_ub):
-        row = _sparse_row(A_ub[j], b_ub[j])
-        row[n + j] = ONE
+    rows, dens = [], []
+    for i in range(m_eq):
+        row, den = _int_row(enumerate(A_eq[i]), b_eq[i])
         rows.append(row)
+        dens.append(den)
+    for j in range(m_ub):
+        row, den = _int_row(enumerate(A_ub[j]), b_ub[j])
+        row[n + j] = den
+        rows.append(row)
+        dens.append(den)
     sign = []
     for row in rows:
-        if row.get(RHS, ZERO) < ZERO:
+        if row.get(RHS, 0) < 0:
             for j in row:
                 row[j] = -row[j]
-            sign.append(-ONE)
+            sign.append(-1)
         else:
-            sign.append(ONE)
+            sign.append(1)
 
     basis = [-1] * m
-    art_cols = {}
+    art_cost = {}
     ncols = n + m_ub
     for r in range(m):
-        if r >= m_eq and sign[r] == ONE:
+        if r >= m_eq and sign[r] == 1:
             basis[r] = n + (r - m_eq)  # its slack is a ready identity column
         else:
-            art_cols[r] = ncols
-            rows[r][ncols] = ONE
+            art_cost[ncols] = -1
+            rows[r][ncols] = dens[r]
             basis[r] = ncols
             ncols += 1
+    probes = list(basis)  # each row's dual probe: its artificial, else its slack
 
-    tab = _Tableau(rows, basis)
+    tab = _Tableau(rows, dens, basis)
 
-    if art_cols:
-        tab.price_out({col: -ONE for col in art_cols.values()})
+    if art_cost:
+        tab.price_out(art_cost.items())
         tab.run()
-        if tab.objective_value() != ZERO:
-            # Farkas: from reduced costs of the probe column of every row
-            y = []
-            for r in range(m):
-                col = art_cols.get(r)
-                if col is not None:
-                    yr = -ONE - tab.reduced(col)
-                else:
-                    yr = -tab.reduced(basis_probe_col(n, m_eq, r))
-                y.append(sign[r] * yr)
+        if tab.obj.get(RHS):
+            # phase one ends short of zero; Farkas from the probe columns
+            y = _duals(tab, probes, sign, art_cost)
             return LPResult(status=INFEASIBLE, dual_eq=y[:m_eq], dual_ub=y[m_eq:])
-        _purge_artificial_basis(tab, art_cols)
+        _purge_artificial_basis(tab, art_cost)
 
-    banned = frozenset(art_cols.values())
-    tab.price_out({j: cj for j, cj in enumerate(c) if cj})
-    status = tab.run(banned=banned)
-    if status == UNBOUNDED:
+    tab.price_out(enumerate(c))
+    if tab.run(banned=art_cost.keys()) == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
-    y = []
-    for r in range(m):
-        col = art_cols.get(r)
-        if col is None:
-            col = basis_probe_col(n, m_eq, r)
-        y.append(sign[r] * (-tab.reduced(col)))
+    y = _duals(tab, probes, sign, {})
     return LPResult(status=OPTIMAL, x=tab.solution(n), value=tab.objective_value(),
                     dual_eq=y[:m_eq], dual_ub=y[m_eq:])
 
 
-def basis_probe_col(n: int, m_eq: int, row: int) -> int:
-    """Slack column belonging to an inequality row (its dual probe)."""
-    return n + (row - m_eq)
+def _combine(n: int, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> tuple:
+    """(y^T A, y^T b) summed row by row over the LP's own rows.
+
+    Zero multipliers and zero coefficients add nothing and are skipped.
+    """
+    cols = [ZERO] * n
+    rhs = ZERO
+    for A, b, y in ((A_eq, b_eq, y_eq), (A_ub, b_ub, y_ub)):
+        for row, bi, yi in zip(A, b, y, strict=True):
+            if not yi:
+                continue
+            for j, a in enumerate(row):
+                if a:
+                    cols[j] += yi * a
+            if bi:
+                rhs += yi * bi
+    return cols, rhs
 
 
 def check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> bool:
@@ -215,26 +280,13 @@ def check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> bool:
     if any(v < ZERO for v in y_ub):
         return False
     n = len(A_eq[0]) if A_eq else (len(A_ub[0]) if A_ub else 0)
-    for j in range(n):
-        s = sum((y_eq[i] * A_eq[i][j] for i in range(len(A_eq))), ZERO) \
-            + sum((y_ub[i] * A_ub[i][j] for i in range(len(A_ub))), ZERO)
-        if s < ZERO:
-            return False
-    rhs = sum((y_eq[i] * b_eq[i] for i in range(len(A_eq))), ZERO) \
-        + sum((y_ub[i] * b_ub[i] for i in range(len(A_ub))), ZERO)
-    return rhs < ZERO
+    cols, rhs = _combine(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    return all(s >= ZERO for s in cols) and rhs < ZERO
 
 
 def check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound) -> bool:
     """Weak-duality check that max c.x <= bound over the feasible set."""
     if any(v < ZERO for v in y_ub):
         return False
-    n = len(c)
-    for j in range(n):
-        s = sum((y_eq[i] * A_eq[i][j] for i in range(len(A_eq))), ZERO) \
-            + sum((y_ub[i] * A_ub[i][j] for i in range(len(A_ub))), ZERO)
-        if s < c[j]:
-            return False
-    rhs = sum((y_eq[i] * b_eq[i] for i in range(len(A_eq))), ZERO) \
-        + sum((y_ub[i] * b_ub[i] for i in range(len(A_ub))), ZERO)
-    return rhs <= bound
+    cols, rhs = _combine(len(c), A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    return all(s >= cj for s, cj in zip(cols, c)) and rhs <= bound

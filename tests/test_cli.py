@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftlab.basis import Filtration, Partition, Process, SampleSpace
 from driftlab.cli import main
@@ -260,3 +264,51 @@ def test_diagnose_series(tmp_path):
     rep = read(out)
     assert rep["approximate"] is True
     assert rep["verdict"] == "divergent"
+
+
+@pytest.mark.parametrize("doc", [
+    {"levels": ["x"]},
+    {"jumps": ["x"]},
+    {"jumps": [[1]]},
+    {"levels": [{"t": ["a", "b"], "y": [1, 2]}]},
+    {"jumps": [True, False]},
+], ids=["level-string", "jump-string", "jump-list", "level-string-times", "jump-bools"])
+def test_diagnose_series_rejects_non_numbers(tmp_path, doc):
+    inp = write(tmp_path / "s.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["diagnose-series", "--input", inp, "--output", str(out)]) == 2
+    assert read(out)["error"] == "SCHEMA_ERROR"
+
+
+@pytest.mark.parametrize("doc", [
+    {"jumps": [10 ** 400]},
+    {"jumps": [-1]},
+    {"levels": [{"t": [0], "y": [1]}]},
+    {"levels": [{"t": [0, 10 ** 400], "y": [1, 2]}]},
+], ids=["jump-beyond-float", "jump-minus-one", "one-sample", "time-beyond-float"])
+def test_diagnose_series_refuses_unusable_numbers(tmp_path, doc):
+    inp = write(tmp_path / "s.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["diagnose-series", "--input", inp, "--output", str(out)]) == 3
+    assert read(out)["error"] == "BAD_GRID"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=12)
+numbers = st.lists(st.integers() | st.floats(), max_size=5)
+grids = st.lists(st.fixed_dictionaries({"t": numbers, "y": numbers}), max_size=3)
+
+
+@given(levels=json_values | grids, jumps=json_values | numbers)
+def test_diagnose_series_never_raises(levels, jumps):
+    """Any JSON under 'levels' and 'jumps' gives exit 0, 2 or 3 and a report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write(Path(tmp) / "s.json", {"levels": levels, "jumps": jumps})
+        out = Path(tmp) / "r.json"
+        code = main(["diagnose-series", "--input", inp, "--output", str(out)])
+        assert code in (0, 2, 3)
+        rep = read(out)
+        assert ("error" in rep) == (code != 0)

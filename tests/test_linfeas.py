@@ -150,3 +150,46 @@ def test_random_sparse_lps_certified(data):
     # A vertex coordinate is a ratio of integer minors of order <= 8 with
     # entries in [-3, 3]; Hadamard's bound (3 sqrt 8)^8 caps its numerator.
     _assert_certified(*_draw_lp(data, sparse_coef, 8, 3, 5), box_bound=Q(3**8 * 8**4))
+
+
+# Q(p, q) with p in [-3, 3] and q in {1, 2, 3, 5, 7}, zero about half the time
+rational_coef = st.one_of(st.just(ZERO), st.builds(
+    Q, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2, 3, 5, 7))))
+
+
+@given(st.data())
+def test_random_rational_lps_certified(data):
+    # solve_lp scales each row by the lcm of its denominators, at most
+    # lcm(2, 3, 5, 7) = 210, so the integer system (slacks included) has
+    # entries of magnitude at most 3 * 210 = 630.  A vertex coordinate is
+    # a ratio of integer minors of order <= 5 whose denominator is at least
+    # one; Hadamard's bound (630 sqrt 5)^5 < 630^5 * 5^3 caps its numerator.
+    _assert_certified(*_draw_lp(data, rational_coef, 4, 2, 3),
+                      box_bound=Q(630**5 * 5**3))
+
+
+def _dense_combination(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub):
+    cols = [sum((y_eq[i] * A_eq[i][j] for i in range(len(A_eq))), ZERO)
+            + sum((y_ub[i] * A_ub[i][j] for i in range(len(A_ub))), ZERO)
+            for j in range(n)]
+    rhs = sum((y_eq[i] * b_eq[i] for i in range(len(A_eq))), ZERO) \
+        + sum((y_ub[i] * b_ub[i] for i in range(len(A_ub))), ZERO)
+    return cols, rhs
+
+
+@given(st.data())
+def test_certificate_checkers_match_dense_reference(data):
+    c, A_eq, b_eq, A_ub, b_ub = _draw_lp(data, sparse_coef, 4, 3, 3)
+    y_eq = data.draw(st.lists(sparse_coef, min_size=len(A_eq), max_size=len(A_eq)),
+                     label="y_eq")
+    y_ub = data.draw(st.lists(sparse_coef, min_size=len(A_ub), max_size=len(A_ub)),
+                     label="y_ub")
+    bound = data.draw(coef, label="bound")
+    signs_ok = all(v >= ZERO for v in y_ub)
+    n = len(A_eq[0]) if A_eq else (len(A_ub[0]) if A_ub else 0)
+    cols, rhs = _dense_combination(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    assert check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) == \
+        (signs_ok and all(s >= ZERO for s in cols) and rhs < ZERO)
+    cols, rhs = _dense_combination(len(c), A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    assert check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound) == \
+        (signs_ok and all(s >= cj for s, cj in zip(cols, c)) and rhs <= bound)

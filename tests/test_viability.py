@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,13 +13,17 @@ from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
     gen_single_filtration,
+    random_adapted,
+    random_stopping_time,
     random_viable_asset,
+    tilted_component_assets,
     worked_four_point,
     worked_six_point,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation
+from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import (
     deflator_from_connector,
     enlarged_connector,
@@ -32,6 +37,11 @@ from driftlab.viability import (
 )
 
 KINDS = ("random", "initial", "progressive")
+
+# SHA-256 of the connector search outcomes hashed by
+# test_connector_results_are_pinned, taken from the Fraction-entry tableau
+# before rows became integers over a row denominator.
+PINNED_CONNECTOR_DIGEST = "990cf406ac5d33b2f67920430411cb3c91834ede51f2301b6d097ebcc1a3baa2"
 
 
 def test_six_point_verdict_and_deflator():
@@ -167,3 +177,42 @@ def test_invalid_connectors_are_rejected(D, reason):
     with pytest.raises(ConnectorInvalid) as exc:
         deflator_from_connector(sp, filt, D)
     assert exc.value.detail["reason"] == reason
+
+
+def _search_record(res):
+    return [res.found, res.tick, None if res.atom is None else list(res.atom),
+            None if res.connector is None else res.connector.values]
+
+
+def test_connector_results_are_pinned():
+    """The connector search's outcomes and connector values do not drift.
+
+    Connector values reach `deflator` reports byte for byte, and the
+    search takes whichever optimal vertex the simplex reaches, so any
+    change to the simplex must keep Bland's basis path.  Hashed: the
+    first 40 `acc-one` markets (drawn as in the oracle digest test), and
+    the tilted component assets of ten generated instances searched in
+    the enlarged filtration up to the horizon.
+    """
+    records = []
+    for seed in range(40):
+        rng = random.Random(f"acc-one:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 12),
+                                         rng.randint(1, 4), 3)
+        horizon = (None if rng.random() < 0.7
+                   else random_stopping_time(rng, sp, filt))
+        if rng.random() < 0.45:
+            S, _, _ = random_viable_asset(rng, sp, filt,
+                                          dim=rng.choice((1, 1, 2)))
+        else:
+            S = random_adapted(rng, sp, filt, dim=rng.choice((1, 1, 2)))
+        records.append(_search_record(find_structure_connector(sp, filt, S, horizon)))
+    for seed in range(10):
+        eb = gen_random_instance(GeneratorConfig(seed=seed,
+                                                 enlargement_kind=KINDS[seed % 3]))
+        rep = build_representation(eb.space, eb.base)
+        for S in tilted_component_assets(eb.space, eb.base, rep):
+            records.append(_search_record(
+                find_structure_connector(eb.space, eb.enlarged, S, eb.horizon)))
+    digest = hashlib.sha256(dumps(encode_exact(records)).encode("utf-8")).hexdigest()
+    assert digest == PINNED_CONNECTOR_DIGEST
