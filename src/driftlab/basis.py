@@ -44,8 +44,15 @@ class SampleSpace:
     def n(self) -> int:
         return len(self.outcomes)
 
-    def mass(self, event: Iterable[int]) -> Q:
-        return sum((self.prob[i] for i in event), ZERO)
+    @cached_property
+    def _masses(self) -> dict[frozenset[int], Q]:
+        return {}
+
+    def mass(self, event: frozenset[int]) -> Q:
+        out = self._masses.get(event)
+        if out is None:
+            out = self._masses[event] = sum((self.prob[i] for i in event), ZERO)
+        return out
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,6 @@ class Partition:
 
     def block_of(self, i: int) -> frozenset[int]:
         return self.blocks[self._index[i]]
-
-    def block_index_of(self, i: int) -> int:
-        return self._index[i]
 
     def covers(self, n: int) -> bool:
         seen = set()
@@ -103,10 +107,6 @@ class Partition:
     def event_measurable(self, event: frozenset[int]) -> bool:
         return all(b <= event or not (b & event) for b in self.blocks)
 
-    def children_of(self, block: frozenset[int]) -> list[frozenset[int]]:
-        """Blocks of this partition inside `block`, ordered by smallest member."""
-        return [b for b in self.blocks if b <= block]
-
 
 @dataclass(frozen=True)
 class Filtration:
@@ -129,6 +129,18 @@ class Filtration:
     def pre(self, k: int) -> Partition:
         # convention: pre(0) := at(0)
         return self.initial if k == 0 else self.ticks[k - 1][0]
+
+    @cached_property
+    def child_map(self) -> dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]]:
+        """(k, pre(k)-atom) -> its at(k)-children, ordered by smallest member."""
+        out = {}
+        for k in range(1, self.K + 1):
+            pre = self.pre(k)
+            kids: dict = {b: [] for b in pre.blocks}
+            for c in self.at(k).blocks:
+                kids[pre.block_of(min(c))].append(c)
+            out.update(((k, b), tuple(cs)) for b, cs in kids.items())
+        return out
 
     def chain(self) -> list[tuple[str, Partition]]:
         out = [("at(0)", self.initial)]
@@ -242,21 +254,6 @@ class Process:
             rows.append(tuple(row))
         return Process(dim, tuple(rows))
 
-    @staticmethod
-    def stack(components: Sequence["Process"]) -> "Process":
-        dim = sum(c.dim for c in components)
-        n, ticks = components[0].n, components[0].ticks
-        rows = []
-        for i in range(n):
-            row = []
-            for k in range(ticks + 1):
-                vec: tuple[Q, ...] = ()
-                for c in components:
-                    vec = vec + c.at(i, k)
-                row.append(vec)
-            rows.append(tuple(row))
-        return Process(dim, tuple(rows))
-
 
 INF = None  # stopping-time value for "never"
 
@@ -332,6 +329,14 @@ def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -
         for i in b:
             out[i] = avg
     return tuple(out)
+
+
+def atom_split(space: SampleSpace, filt: Filtration, k: int,
+               b: frozenset[int]) -> tuple[tuple[frozenset[int], ...], tuple[Q, ...]]:
+    """The at(k)-children of the pre(k)-atom b and their conditional probabilities."""
+    kids = filt.child_map[(k, b)]
+    mass = space.mass(b)
+    return kids, tuple(space.mass(kid) / mass for kid in kids)
 
 
 def cond_prob(space: SampleSpace, partition: Partition, event: frozenset[int]) -> tuple[Q, ...]:

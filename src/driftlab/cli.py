@@ -30,7 +30,7 @@ from .rational import ZERO, rat_str
 from .representation import build_representation
 from .serialize import encode_exact
 from .verify import first_failure, run_verify
-from .viability import find_structure_connector, full_viability_verdict
+from .viability import deflator_from_connector, find_structure_connector, full_viability_verdict
 
 _GEN_KINDS = ("random", "initial", "progressive")
 
@@ -168,7 +168,6 @@ def _cmd_deflator(args) -> int:
         "oracle": encode_exact(oracle.certificate),
     }
     if search.found:
-        from .viability import deflator_from_connector
         Z = deflator_from_connector(space, filt, search.connector, horizon)
         report["deflator"] = serialize.process_to_json(Z)
     else:

@@ -107,6 +107,12 @@ def _base_cov(rep: RepresentationProcess, k: int, b: frozenset[int]):
                      [rep.W.jump(min(kid), k) for _, kid in live], rep.width)
 
 
+def _pbar(space: SampleSpace, kids, cblk: frozenset[int]) -> tuple[Q, ...]:
+    """Conditional probability of each base child inside the enlarged atom cblk."""
+    mass = space.mass(cblk)
+    return tuple(space.mass(kid & cblk) / mass for kid in kids)
+
+
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
     """Minimum-norm multiplier per (tick, enlarged left-limit atom).
 
@@ -199,13 +205,11 @@ def check_condition_support(eb: EnlargedBasis) -> SupportReport:
     """
     base, enlarged = eb.base, eb.enlarged
     for k in range(1, base.K + 1):
-        at = base.at(k)
         pre_b = base.pre(k)
         for c in enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(c, k):
                 continue
-            b = pre_b.block_of(min(c))
-            for kid in at.children_of(b):
+            for kid in base.child_map[(k, pre_b.block_of(min(c)))]:
                 if not (kid & c):
                     return SupportReport(ok=False, tick=k, atom=c, child=kid)
     return SupportReport(ok=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
-                    cond_expect, cond_prob)
+                    atom_split, cond_expect, cond_prob)
 from .calculus import doleans_exp
-from .enlargement import (DriftFactors, EnlargedBasis, drift_operator, solve_factors,
+from .enlargement import (DriftFactors, EnlargedBasis, _pbar, drift_operator, solve_factors,
                           validate_enlargement)
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
@@ -133,11 +133,8 @@ def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
     """Scalar martingale null at zero; per-atom scaling keeps |jump| <= cap."""
     jump_of = {}
     for k in range(1, filt.K + 1):
-        pre, at = filt.pre(k), filt.at(k)
-        for b in pre.blocks:
-            kids = at.children_of(b)
-            mass = space.mass(b)
-            p = [space.mass(kid) / mass for kid in kids]
+        for b in filt.pre(k).blocks:
+            kids, p = atom_split(space, filt, k, b)
             raw = [_rand_q(rng) for _ in kids]
             mean = sum((ph * r for ph, r in zip(p, raw)), ZERO)
             cent = [r - mean for r in raw]
@@ -290,14 +287,13 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
         for c in enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(c, k):
                 continue
-            b = base.pre(k).block_of(min(c))
-            kids = base.at(k).children_of(b)
+            kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
             if len(kids) >= 2 and sum(1 for kid in kids if kid & c) >= 2:
-                candidates.append((k, c, b))
+                candidates.append((k, c, kids))
     if not candidates:
         return None
-    k, c, b = candidates[rng.randrange(len(candidates))]
-    kids = [kid for kid in eb.base.at(k).children_of(b) if kid & c]
+    k, c, kids = candidates[rng.randrange(len(candidates))]
+    kids = [kid for kid in kids if kid & c]
     kid = kids[rng.randrange(len(kids))]
     blocks = [x for x in enlarged.pre(k).blocks if x != c] + [c & kid, c - kid]
     chain = list(enlarged.ticks)
@@ -512,10 +508,9 @@ def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
     """Package one (tick, enlarged left-limit atom) as accessible event data."""
     b = eb.base.pre(k).block_of(min(cblk))
     kids = rep.children[(k, b)]
-    mass = eb.space.mass(cblk)
     width = rep.width
     p = rep.probs[(k, b)]
-    pbar = tuple(eb.space.mass(kid & cblk) / mass for kid in kids)
+    pbar = _pbar(eb.space, kids, cblk)
     n_vals = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * width for kid in kids)
     d_vals = tuple(D.jump(min(kid), k)[0] if (kid and D is not None) else ZERO
                    for kid in kids)

@@ -32,9 +32,21 @@ class OracleResult:
     certificate: dict
 
 
+def _z_column(filt: Filtration, horizon: StoppingTime, var_index: dict, i: int, k: int):
+    """The column holding outcome i's Z at tick k, or None where Z is the constant 1.
+
+    Z is frozen after the horizon, so its value at k is the one at
+    t = min(k, T_i).  The horizon is a stopping time, so the at(t)-atom of
+    i is alive at t and has a column; at t = 0, Z_0 = 1.
+    """
+    t = horizon.values[i]
+    t = k if t is None else min(k, t)
+    return None if t == 0 else var_index[(t, filt.at(t).block_of(i))]
+
+
 def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
     """Rows and columns of the deflator feasibility program, deterministically ordered."""
-    n, K = space.n, filt.K
+    K = filt.K
     var_index: dict = {}
     var_desc = []
     for k in range(1, K + 1):
@@ -42,16 +54,6 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
             if horizon.alive_block(b, k):
                 var_index[(k, b)] = len(var_desc)
                 var_desc.append((k, b))
-
-    def z_ref(i: int, k: int):
-        """(column, constant): the Z value of outcome i at tick k."""
-        while k > 0:
-            b = filt.at(k).block_of(i)
-            key = (k, b)
-            if key in var_index:
-                return var_index[key], None
-            k -= 1
-        return None, ONE
 
     nz = len(var_index)
     A_eq, b_eq, eq_desc = [], [], []
@@ -65,16 +67,16 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
                 for i in b:
                     w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
                     w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
-                    col, const = z_ref(i, k)
+                    col = _z_column(filt, horizon, var_index, i, k)
                     if col is not None:
                         row[col] += w_now
                     else:
-                        rhs -= w_now * const
-                    col, const = z_ref(i, k - 1)
+                        rhs -= w_now
+                    col = _z_column(filt, horizon, var_index, i, k - 1)
                     if col is not None:
                         row[col] -= w_prev
                     else:
-                        rhs += w_prev * const
+                        rhs += w_prev
                 A_eq.append(row)
                 b_eq.append(rhs)
                 eq_desc.append({
@@ -103,18 +105,12 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     return c, A_eq, b_eq, A_ub, b_ub, var_desc, var_index, eq_desc, ub_desc
 
 
-def _deflator_from_solution(space, filt, var_index, x) -> Process:
-    rows = []
-    for i in range(space.n):
-        cur = ONE
-        row = [(cur,)]
-        for k in range(1, filt.K + 1):
-            key = (k, filt.at(k).block_of(i))
-            if key in var_index:
-                cur = x[var_index[key]]
-            row.append((cur,))
-        rows.append(tuple(row))
-    return Process(1, tuple(rows))
+def _deflator_from_solution(space, filt, horizon, var_index, x) -> Process:
+    def z(i: int, k: int):
+        col = _z_column(filt, horizon, var_index, i, k)
+        return (ONE if col is None else x[col],)
+
+    return Process(1, tuple(tuple(z(i, k) for k in range(filt.K + 1)) for i in range(space.n)))
 
 
 def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
@@ -152,7 +148,7 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
             "rows_ub": ub_desc,
         }
         return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
-    Z = _deflator_from_solution(space, filt, var_index, res.x)
+    Z = _deflator_from_solution(space, filt, horizon, var_index, res.x)
     if not check_deflator(space, filt, S, Z, horizon):
         raise InternalInvariant("oracle deflator fails its recheck")
     cert = {"status": "deflator", "gap": rat_str(res.value)}

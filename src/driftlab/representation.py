@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import Filtration, Process, SampleSpace
+from .basis import Filtration, Process, SampleSpace, atom_split
 from .calculus import is_martingale, stoch_integral
 from .errors import DimensionMismatch, NotAMartingale
 from .rational import ONE, ZERO, Q
@@ -28,26 +28,10 @@ class RepresentationProcess:
     probs: dict     # (tick, atom) -> tuple of conditional child probabilities
     W: Process      # the driving process, dim = width
 
-    def atom_key(self, i: int, k: int) -> tuple[int, frozenset[int]]:
-        return (k, self.filt.pre(k).block_of(i))
-
-    def child_slot(self, i: int, k: int) -> int:
-        """Index of the child of the pre(k)-atom that contains outcome i."""
-        kids = self.children[(k, self.filt.pre(k).block_of(i))]
-        for h, kid in enumerate(kids):
-            if i in kid:
-                return h
-        raise KeyError(i)
-
 
 def multiplicity(space: SampleSpace, filt: Filtration) -> int:
     """Maximal number of children of any left-limit atom across all ticks."""
-    width = 1
-    for k in range(1, filt.K + 1):
-        pre, at = filt.pre(k), filt.at(k)
-        for b in pre.blocks:
-            width = max(width, len(at.children_of(b)))
-    return width
+    return max([1, *map(len, filt.child_map.values())])
 
 
 def build_representation(space: SampleSpace, filt: Filtration) -> RepresentationProcess:
@@ -55,14 +39,11 @@ def build_representation(space: SampleSpace, filt: Filtration) -> Representation
     children: dict = {}
     probs: dict = {}
     for k in range(1, filt.K + 1):
-        pre, at = filt.pre(k), filt.at(k)
-        for b in pre.blocks:
-            kids = at.children_of(b)  # ordered by smallest member
-            kids = kids + [frozenset()] * (width - len(kids))
-            mass = space.mass(b)
-            p = tuple(space.mass(c) / mass for c in kids)
-            children[(k, b)] = tuple(kids)
-            probs[(k, b)] = p
+        for b in filt.pre(k).blocks:
+            kids, p = atom_split(space, filt, k, b)
+            pad = width - len(kids)
+            children[(k, b)] = kids + (frozenset(),) * pad
+            probs[(k, b)] = p + (ZERO,) * pad
 
     half = Q(1, 2)
 

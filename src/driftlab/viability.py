@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, cond_expect
-from .calculus import doleans_exp, is_adapted, martingale_violation, stoch_integral, stop
+from .basis import Filtration, Process, SampleSpace, StoppingTime, atom_split, cond_expect
+from .calculus import doleans_exp, is_adapted, stoch_integral, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov, _jump_cov,
-                          check_condition_support, check_positivity, solve_factors, tilde)
+                          _pbar, check_condition_support, check_positivity, solve_factors, tilde)
 from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed, Unsolvable
 from .linalg import mat_vec, min_norm_solve, vec_dot
 from .linfeas import INFEASIBLE, solve_lp
@@ -34,22 +34,21 @@ from .rational import ONE, ZERO
 from .representation import RepresentationProcess, build_representation, represent
 
 
-def _atom_jump_table(space: SampleSpace, filt: Filtration, S: Process, b, k: int):
-    """(children, conditional probs, jump value rows) of S at a left-limit atom."""
-    kids = filt.at(k).children_of(b)
-    mass = space.mass(b)
-    p = [space.mass(kid) / mass for kid in kids]
-    jumps = [S.jump(min(kid), k) for kid in kids]
-    return kids, p, jumps
-
-
 def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
-                         horizon: StoppingTime) -> Optional[dict]:
+                         horizon: StoppingTime, S: Optional[Process] = None) -> Optional[dict]:
     """None if D can make a deflator on [0, horizon], else a violation record.
 
     These are exactly the properties that make exp(-D) stopped at the
     horizon a positive deflator: scalar, adapted, zero start, a martingale
-    up to the horizon, and every jump there strictly below one.
+    up to the horizon, and every jump there strictly below one.  Given S,
+    D must also be a connector for it: on every alive atom the jump
+    covariance of D against each component of S equals that component's
+    conditional jump mean, that is sum_h q_h s_h = 0 with the weights
+    q_h = p_h (1 - jump_h(D)) of find_structure_connector.  The last three
+    properties are checked in one walk over the alive atoms' jump tables;
+    a failed martingale property is reported at once, the first big jump
+    (by outcome, then tick) and the first failed identity (by tick, atom,
+    component) only when nothing graver turns up.
     """
     if D.dim != 1:
         return {"reason": "not-scalar"}
@@ -58,14 +57,30 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
     for i in range(space.n):
         if D.at(i, 0)[0] != ZERO:
             return {"reason": "nonzero-start", "outcome": i}
-    bad = martingale_violation(space, filt, D, horizon)
-    if bad is not None:
-        return {"reason": "not-martingale", "tick": bad[0], "atom": sorted(bad[1])}
-    for i in range(space.n):
-        for k in range(1, filt.K + 1):
-            if horizon.geq(i, k) and D.jump(i, k)[0] >= ONE:
-                return {"reason": "jump-at-least-one", "outcome": i, "tick": k}
-    return None
+    big_jump = identity = None
+    for k in range(1, filt.K + 1):
+        for b in filt.pre(k).blocks:
+            if not horizon.alive_block(b, k):
+                continue
+            kids, p = atom_split(space, filt, k, b)
+            d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
+            if sum((ph * dj for ph, dj in zip(p, d_jumps)), ZERO) != ZERO:
+                return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
+            for kid, dj in zip(kids, d_jumps):
+                if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
+                    big_jump = (min(kid), k)
+            if S is None or big_jump is not None or identity is not None:
+                continue
+            q = [ph * (ONE - dj) for ph, dj in zip(p, d_jumps)]
+            s_jumps = [S.jump(min(kid), k) for kid in kids]
+            for c in range(S.dim):
+                if sum((qh * sj[c] for qh, sj in zip(q, s_jumps)), ZERO) != ZERO:
+                    identity = {"reason": "identity-failed", "tick": k,
+                                "atom": sorted(b), "component": c}
+                    break
+    if big_jump is not None:
+        return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
+    return identity
 
 
 def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: Process,
@@ -73,22 +88,7 @@ def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: 
     """None if D is a connector for S on [0, horizon], else a violation record."""
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    bad = _connector_violation(space, filt, D, horizon)
-    if bad is not None:
-        return bad
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            if not horizon.alive_block(b, k):
-                continue
-            kids, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
-            d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
-            for c in range(S.dim):
-                mean = sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO)
-                cross = sum((ph * dj * sj[c] for ph, dj, sj in zip(p, d_jumps, s_jumps)), ZERO)
-                if cross != mean:
-                    return {"reason": "identity-failed", "tick": k,
-                            "atom": sorted(b), "component": c}
-    return None
+    return _connector_violation(space, filt, D, horizon, S)
 
 
 @dataclass
@@ -124,7 +124,8 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
         for b in filt.pre(k).blocks:
             if not horizon.alive_block(b, k):
                 continue
-            kids, p, s_jumps = _atom_jump_table(space, filt, S, b, k)
+            kids, p = atom_split(space, filt, k, b)
+            s_jumps = [S.jump(min(kid), k) for kid in kids]
             m = len(kids)
             # columns: q (m), floor t; maximize t
             A_eq = [[ONE] * m + [ZERO]]
@@ -195,8 +196,7 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
             if b not in cov_cache:
                 cov_cache[b] = _base_cov(rep, k, b)
             kids = [kid for kid in rep.children[(k, b)] if kid]
-            mass = space.mass(cblk)
-            pbar = [space.mass(kid & cblk) / mass for kid in kids]
+            pbar = _pbar(space, kids, cblk)
             w_rows = [rep.W.jump(min(kid), k) for kid in kids]
             gamma = [sum((pb * w[h] for pb, w in zip(pbar, w_rows)), ZERO)
                      for h in range(width)]

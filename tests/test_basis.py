@@ -10,6 +10,7 @@ from driftlab.basis import (
     Process,
     SampleSpace,
     StoppingTime,
+    atom_split,
     classify_stopping_time,
     cond_expect,
     cond_prob,
@@ -17,7 +18,8 @@ from driftlab.basis import (
     validate,
 )
 from driftlab.errors import NotAStoppingTime
-from driftlab.models import gen_single_filtration, random_adapted
+from driftlab.models import (GeneratorConfig, gen_random_instance, gen_single_filtration,
+                             random_adapted)
 from driftlab.rational import ONE, ZERO, Q
 
 
@@ -45,9 +47,34 @@ def test_refines_and_meet():
 def test_children_ordered_by_smallest_outcome():
     coarse = Partition([[0, 1, 2, 3]])
     fine = Partition([[3], [0, 2], [1]])
-    kids = fine.children_of(frozenset({0, 1, 2, 3}))
+    filt = Filtration(coarse, ((coarse, fine),))
+    kids = filt.child_map[(1, frozenset({0, 1, 2, 3}))]
     assert [min(b) for b in kids] == [0, 1, 3]
     assert fine.refines(coarse)
+
+
+def assert_children_match_brute_force(space, filt):
+    assert set(filt.child_map) == {(k, b) for k in range(1, filt.K + 1)
+                                   for b in filt.pre(k).blocks}
+    for (k, b), kids in filt.child_map.items():
+        assert list(kids) == [c for c in filt.at(k).blocks if c <= b]
+        split_kids, p = atom_split(space, filt, k, b)
+        assert split_kids == kids
+        total = sum(space.prob[i] for i in b)
+        assert list(p) == [sum(space.prob[i] for i in c) / total for c in kids]
+        assert sum(p) == ONE
+
+
+def test_child_map_and_split_match_brute_force():
+    for seed in range(30):
+        rng = random.Random(f"children:{seed}")
+        space, filt = gen_single_filtration(rng, rng.randint(2, 12), rng.randint(1, 4), 3)
+        assert_children_match_brute_force(space, filt)
+        for kind in ("random", "initial", "progressive"):
+            eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=kind,
+                                                     force_condition_failure=seed % 2 == 1))
+            assert_children_match_brute_force(eb.space, eb.base)
+            assert_children_match_brute_force(eb.space, eb.enlarged)
 
 
 def test_cond_expect_golden():

@@ -72,6 +72,54 @@ def test_package_has_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_modules():
+    return [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def test_unreferenced_functions_are_exported():
+    """A module-level function nothing in the package calls is public API.
+
+    So it must be exported from `__init__`; otherwise it is dead code.
+    """
+    trees = {path.stem: parse(path) for path in package_modules()}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    orphans = [f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name not in used
+               and node.name not in vars(driftlab)]
+    assert orphans == []
+
+
+def test_every_method_is_referenced():
+    """Each method of a package class is reached as an attribute somewhere.
+
+    Searched: the package, its tests and the benchmark.  Dunder methods
+    are reached through the language and are exempt.
+    """
+    repo = SRC.parent.parent
+    paths = [path for folder in (SRC, repo / "tests", repo / "perfbench")
+             for path in folder.glob("*.py")]
+    attrs = {node.attr for path in paths for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute)}
+    unused = [f"{path.stem}.{cls.name}.{fn.name}" for path in package_modules()
+              for cls in parse(path).body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("__") and fn.name not in attrs]
+    assert unused == []
+
+
+def test_package_has_no_assert():
+    """Every printed guarantee is enforced by code that `python -O` keeps."""
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 

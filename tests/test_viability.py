@@ -166,14 +166,23 @@ def test_witness_asset_separates_the_filtrations():
     (Process.from_scalar_paths([[1, 1], [1, 1]]), "nonzero-start"),
     (Process.from_scalar_paths([[0, "1/2"], [0, "1/2"]]), "not-martingale"),
     (Process.from_scalar_paths([[0, 1], [0, -1]]), "jump-at-least-one"),
+    # breaks the martingale property and the jump bound: the first is graver
+    (Process.from_scalar_paths([[0, 2], [0, 2]]), "not-martingale"),
+    # a deflating connector, but not one for the drifting asset of this case
+    (Process.zeros(2, 1), "identity-failed"),
 ])
 def test_invalid_connectors_are_rejected(D, reason):
     from driftlab.basis import Filtration, Partition, SampleSpace
     sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
     top = Partition([[0, 1]])
     filt = Filtration(top, ((top, Partition([[0], [1]])),))
-    S = Process.from_scalar_paths([[0, 1], [0, -1]])
+    S = Process.from_scalar_paths([[0, 1], [0, 0]] if reason == "identity-failed"
+                                  else [[0, 1], [0, -1]])
     assert is_structure_connector(sp, filt, S, D)["reason"] == reason
+    if reason == "identity-failed":
+        Z = deflator_from_connector(sp, filt, D)
+        assert Z.values == Process.from_scalar_paths([[1, 1], [1, 1]]).values
+        return
     with pytest.raises(ConnectorInvalid) as exc:
         deflator_from_connector(sp, filt, D)
     assert exc.value.detail["reason"] == reason
