@@ -7,10 +7,12 @@ conditional jump means on the closed interval [0, horizon]; subtracting it
 restores the martingale property in the enlarged filtration.
 
 The factorization expresses every such drift as phi . [N, X]-compensator
-with N the canonical representation process of the base filtration and phi
-solved per (tick, enlarged left-limit atom) from the base-conditional
-covariance of the jumps of N, taking the minimum-norm solution in its row
-space.
+with N the canonical representation process W of the base filtration and
+phi solved per (tick, enlarged left-limit atom) from the base-conditional
+covariance of the jumps of W, taking the minimum-norm solution in its row
+space.  The target of that solve is W's own enlarged jump mean, so the
+factorization also returns W minus its drift, the integrator of every
+enlarged connector.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ def tilde(eb: EnlargedBasis, X: Process) -> Process:
 
 @dataclass(frozen=True)
 class DriftFactors:
+    """Multiplier row phi against the driving process N, and Wt = N - drift_operator(eb, N)."""
     N: Process    # the canonical representation process of the base filtration
     phi: Process  # enlarged-predictable multiplier row, dim = N.dim
+    Wt: Process   # jump(N) minus its enlarged jump mean up to the horizon, jump(N) after
 
     def phi_dot_jump(self, i: int, k: int) -> Q:
         return vec_dot(self.phi.at(i, k), self.N.jump(i, k))
@@ -107,43 +111,57 @@ def _base_cov(rep: RepresentationProcess, k: int, b: frozenset[int]):
                      [rep.W.jump(min(kid), k) for _, kid in live], rep.width)
 
 
-def _pbar(space: SampleSpace, kids, cblk: frozenset[int]) -> tuple[Q, ...]:
-    """Conditional probability of each base child inside the enlarged atom cblk."""
-    mass = space.mass(cblk)
-    return tuple(space.mass(kid & cblk) / mass for kid in kids)
+def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
+                        c: frozenset[int]):
+    """(b, pbar, rows, gamma) for the enlarged left-limit atom c at tick k.
+
+    b is the base atom holding c.  Per child slot of b: pbar, the
+    conditional probability of the child inside c, and rows, W's jump on
+    it (zero on a padding slot).  W's jump is constant on each base child,
+    so gamma = sum pbar_h rows_h is W's enlarged conditional jump mean on
+    c, exactly.
+    """
+    b = eb.base.pre(k).block_of(min(c))
+    mass = eb.space.mass(c)
+    kids = rep.children[(k, b)]
+    pbar = tuple(eb.space.mass(kid & c) / mass for kid in kids)
+    rows = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * rep.width for kid in kids)
+    gamma = tuple(sum((pb * w[h] for pb, w in zip(pbar, rows)), ZERO)
+                  for h in range(rep.width))
+    return b, pbar, rows, gamma
 
 
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
-    """Minimum-norm multiplier per (tick, enlarged left-limit atom).
+    """Minimum-norm multiplier per (tick, enlarged left-limit atom), and W minus its drift.
 
     The target is the enlarged-side conditional jump mean of the driving
     process; consistency of the linear system is a structural fact here
     (the target is orthogonal to the covariance kernel), so a failed solve
     is raised as an internal error rather than reported.
     """
-    space, base, enlarged = eb.space, eb.base, eb.enlarged
+    space, enlarged = eb.space, eb.enlarged
     width = rep.width
     phi_by_atom: dict = {}
-    for k in range(1, base.K + 1):
-        pre_b = base.pre(k)
+    gamma_by_atom: dict = {}
+    for k in range(1, eb.base.K + 1):
         cov_cache: dict = {}
         for c in enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(c, k):
-                phi_by_atom[(k, c)] = (ZERO,) * width
+                phi_by_atom[(k, c)] = gamma_by_atom[(k, c)] = (ZERO,) * width
                 continue
-            b = pre_b.block_of(min(c))
+            b, _, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
             if b not in cov_cache:
                 cov_cache[b] = _base_cov(rep, k, b)
-            V = cov_cache[b]
-            mass = space.mass(c)
-            gamma = []
-            for h in range(width):
-                gamma.append(sum((space.prob[i] * rep.W.jump(i, k)[h] for i in c), ZERO) / mass)
-            phi = min_norm_solve(V, gamma)
+            phi = min_norm_solve(cov_cache[b], gamma)
             if phi is None:
                 raise Unsolvable("factor system inconsistent", tick=k, atom=sorted(c))
             phi_by_atom[(k, c)] = tuple(phi)
-    return DriftFactors(N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width))
+            gamma_by_atom[(k, c)] = gamma
+    drift = Process.from_jumps(space.n, eb.base.K,
+                               lambda i, k: gamma_by_atom[(k, enlarged.pre(k).block_of(i))],
+                               dim=width)
+    return DriftFactors(N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width),
+                        Wt=rep.W - drift)
 
 
 def factorization_check(eb: EnlargedBasis, factors: DriftFactors, X: Process):

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                     atom_split, cond_expect, cond_prob)
 from .calculus import doleans_exp
-from .enlargement import (DriftFactors, EnlargedBasis, _pbar, drift_operator, solve_factors,
-                          validate_enlargement)
+from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
+                          solve_factors, validate_enlargement)
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
 from .event_kernels import AccessibleEventData, InaccessibleEventData
@@ -506,17 +506,11 @@ def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
                                   factors: DriftFactors, D: Optional[Process],
                                   k: int, cblk: frozenset) -> AccessibleEventData:
     """Package one (tick, enlarged left-limit atom) as accessible event data."""
-    b = eb.base.pre(k).block_of(min(cblk))
-    kids = rep.children[(k, b)]
-    width = rep.width
-    p = rep.probs[(k, b)]
-    pbar = _pbar(eb.space, kids, cblk)
-    n_vals = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * width for kid in kids)
+    b, pbar, n_vals, _ = _enlarged_jump_mean(eb, rep, k, cblk)
     d_vals = tuple(D.jump(min(kid), k)[0] if (kid and D is not None) else ZERO
-                   for kid in kids)
-    phi = factors.phi.at(min(cblk), k)
-    return AccessibleEventData(p=p, pbar=pbar, n_vals=n_vals, d_vals=d_vals,
-                               phi=phi, weight=Q(1, 2 ** k))
+                   for kid in rep.children[(k, b)])
+    return AccessibleEventData(p=rep.probs[(k, b)], pbar=pbar, n_vals=n_vals, d_vals=d_vals,
+                               phi=factors.phi.at(min(cblk), k), weight=Q(1, 2 ** k))
 
 
 def random_accessible_instance(rng: random.Random) -> dict:

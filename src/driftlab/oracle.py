@@ -48,12 +48,10 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     """Rows and columns of the deflator feasibility program, deterministically ordered."""
     K = filt.K
     var_index: dict = {}
-    var_desc = []
     for k in range(1, K + 1):
         for b in filt.at(k).blocks:
             if horizon.alive_block(b, k):
-                var_index[(k, b)] = len(var_desc)
-                var_desc.append((k, b))
+                var_index[(k, b)] = len(var_index)
 
     nz = len(var_index)
     A_eq, b_eq, eq_desc = [], [], []
@@ -87,7 +85,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
                 })
 
     A_ub, b_ub, ub_desc = [], [], []
-    for v, (k, b) in enumerate(var_desc):
+    for (k, b), v in var_index.items():
         row = [ZERO] * (nz + 1)
         row[v] = -ONE
         row[nz] = ONE
@@ -102,7 +100,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
 
     c = [ZERO] * (nz + 1)
     c[nz] = ONE
-    return c, A_eq, b_eq, A_ub, b_ub, var_desc, var_index, eq_desc, ub_desc
+    return c, A_eq, b_eq, A_ub, b_ub, var_index, eq_desc, ub_desc
 
 
 def _deflator_from_solution(space, filt, horizon, var_index, x) -> Process:
@@ -117,8 +115,7 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    c, A_eq, b_eq, A_ub, b_ub, var_desc, var_index, eq_desc, ub_desc = \
-        _build_lp(space, filt, S, horizon)
+    c, A_eq, b_eq, A_ub, b_ub, var_index, eq_desc, ub_desc = _build_lp(space, filt, S, horizon)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     if res.status == UNBOUNDED:  # impossible: the gap is capped
         raise InternalInvariant("gap program cannot be unbounded")

@@ -171,6 +171,8 @@ def process_to_json(X: Process) -> dict:
 
 def process_from_json(doc: dict, n: Optional[int] = None,
                       ticks: Optional[int] = None) -> Process:
+    if not isinstance(doc, dict):
+        raise SchemaError("a process must be a JSON object")
     dim = _get(doc, "dim", int)
     if isinstance(dim, bool) or dim < 1:
         raise SchemaError("'dim' must be a positive integer")

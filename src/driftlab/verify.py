@@ -19,7 +19,7 @@ from .basis import StoppingTime
 from .calculus import is_martingale, pointwise_mul, stop
 from .enlargement import (check_condition_support, check_positivity,
                           compensator_transfer_check, factorization_check,
-                          solve_factors, tilde)
+                          solve_factors)
 from .errors import ConnectorInvalid, DataInvariantViolated
 from .event_kernels import (InaccessibleEventData, accessible_jump_value,
                             quotient_identity_holds, reduced_equation_holds,
@@ -173,7 +173,6 @@ def accessible_battery(seed: int) -> dict:
     eb, rep, factors = inst["eb"], inst["rep"], inst["factors"]
     out = {"battery": "accessible-kernel", "seed": seed, "ok": True}
     b = eb.base.pre(1).block_of(min(inst["atom"]))
-    Wt = tilde(eb, rep.W)
     for D, tag in ((None, "zero"), (inst["D"], "random")):
         data = extract_accessible_event_data(eb, rep, factors, D, 1, inst["atom"])
         try:
@@ -190,7 +189,7 @@ def accessible_battery(seed: int) -> dict:
                 continue
             val_kernel = accessible_jump_value(data, h)
             i = min(kid & inst["atom"])
-            val_engine = vec_dot(K.at(i, 1), Wt.jump(i, 1))
+            val_engine = vec_dot(K.at(i, 1), factors.Wt.jump(i, 1))
             if val_engine != val_kernel:
                 _fail(out, f"engine and kernel jump values differ at slot {h} ({tag})")
             if val_kernel >= ONE:

@@ -9,7 +9,7 @@ making D-deflated prices martingales, and conversely.
 
 On an enlarged basis the same machinery transfers: given the drift
 multiplier row phi and a base connector D, the enlarged connector is an
-integral K . (W - drift(W)) whose jumps equal
+integral K . (W - drift(W)), the factors' Wt, whose jumps equal
 (jump(D) + phi.jump(W)) / (1 + phi.jump(W)) pointwise.  The verdict that
 every base-viable asset stays viable in the enlarged filtration reduces to
 a child-support condition between the two filtrations; when it fails, a
@@ -24,8 +24,9 @@ from typing import Optional
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, atom_split, cond_expect
 from .calculus import doleans_exp, is_adapted, stoch_integral, stop
-from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov, _jump_cov,
-                          _pbar, check_condition_support, check_positivity, solve_factors, tilde)
+from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov,
+                          _enlarged_jump_mean, _jump_cov, check_condition_support,
+                          check_positivity, solve_factors)
 from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed, Unsolvable
 from .linalg import mat_vec, min_norm_solve, vec_dot
 from .linfeas import INFEASIBLE, solve_lp
@@ -168,7 +169,7 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
 
 def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
                        factors: DriftFactors, D: Optional[Process] = None) -> Process:
-    """Enlarged-predictable integrand K with (K . (W - drift W)) matching jumps.
+    """Enlarged-predictable integrand K with K . factors.Wt matching jumps.
 
     Requires the child-support condition; under it the centered enlarged
     covariance of the driving jumps has the same row space as the base one,
@@ -180,48 +181,37 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
     if not support.ok:
         raise SupportConditionFailed(tick=support.tick, atom=sorted(support.atom),
                                      child=sorted(support.child))
-    space, base, enlarged = eb.space, eb.base, eb.enlarged
     width = rep.width
     HD = represent(rep, D) if D is not None else None
 
     value_at: dict = {}
-    for k in range(1, base.K + 1):
-        pre_b = base.pre(k)
+    for k in range(1, eb.base.K + 1):
         cov_cache: dict = {}
-        for cblk in enlarged.pre(k).blocks:
+        for cblk in eb.enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(cblk, k):
                 value_at[(k, cblk)] = (ZERO,) * width
                 continue
-            b = pre_b.block_of(min(cblk))
+            b, pbar, w_rows, gamma = _enlarged_jump_mean(eb, rep, k, cblk)
             if b not in cov_cache:
                 cov_cache[b] = _base_cov(rep, k, b)
-            kids = [kid for kid in rep.children[(k, b)] if kid]
-            pbar = _pbar(space, kids, cblk)
-            w_rows = [rep.W.jump(min(kid), k) for kid in kids]
-            gamma = [sum((pb * w[h] for pb, w in zip(pbar, w_rows)), ZERO)
-                     for h in range(width)]
             Vt = _jump_cov(pbar, [[w[h] - gamma[h] for h in range(width)] for w in w_rows],
                            width)
-            phi = factors.phi.at(min(cblk), k)
-            x = list(phi)
+            x = factors.phi.at(min(cblk), k)
             if HD is not None:
-                hd = HD.at(min(cblk), k)
-                x = [xi + hi for xi, hi in zip(x, hd)]
-            target = mat_vec(cov_cache[b], x)
-            sol = min_norm_solve(Vt, target)
+                x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
+            sol = min_norm_solve(Vt, mat_vec(cov_cache[b], x))
             if sol is None:
                 raise Unsolvable("integrand system inconsistent", tick=k,
                                  atom=sorted(cblk))
             value_at[(k, cblk)] = tuple(sol)
-    return Process.from_atom_table(space.n, enlarged, value_at, width)
+    return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, width)
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
                        factors: DriftFactors, D: Optional[Process] = None):
-    """(K, Y): the integrand from solve_accessible_K and Y = K . (W - drift W)."""
+    """(K, Y): the integrand from solve_accessible_K and Y = K . factors.Wt."""
     K = solve_accessible_K(eb, rep, factors, D)
-    Y = stoch_integral(eb.enlarged, K, tilde(eb, rep.W))
-    return K, Y
+    return K, stoch_integral(eb.enlarged, K, factors.Wt)
 
 
 def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -229,15 +219,14 @@ def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
                         D: Optional[Process] = None) -> Optional[tuple]:
     """Exact pointwise identity for the connector jumps on [0, horizon].
 
-    jump(K . (W - drift W)) == (jump(D) + phi.jump(W)) / (1 + phi.jump(W));
+    jump(K . factors.Wt) == (jump(D) + phi.jump(W)) / (1 + phi.jump(W));
     returns None or the first failing (outcome, tick).
     """
-    Wt = tilde(eb, rep.W)
     for i in range(eb.space.n):
         for k in range(1, eb.base.K + 1):
             if not eb.alive(i, k):
                 continue
-            lhs = vec_dot(K.at(i, k), Wt.jump(i, k))
+            lhs = vec_dot(K.at(i, k), factors.Wt.jump(i, k))
             dphi = factors.phi_dot_jump(i, k)
             dd = D.jump(i, k)[0] if D is not None else ZERO
             if lhs * (ONE + dphi) != dd + dphi:
@@ -249,7 +238,7 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
                 S: Process, D: Process) -> Process:
     """Transfer a base connector D for S into an enlarged-filtration one.
 
-    Builds Y = K . (W - drift W), then verifies exactly on [0, horizon]
+    Builds Y = K . factors.Wt, then verifies exactly on [0, horizon]
     that the jump covariance of Y against the enlarged martingale part of S
     equals the base-side covariance of D plus the multiplier-weighted
     covariance of the driving process, per component, and that Y is an
@@ -257,7 +246,7 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
     Raises ConnectorInvalid on any mismatch (which would contradict the
     construction).
     """
-    K, Y = enlarged_connector(eb, rep, factors, D)
+    _, Y = enlarged_connector(eb, rep, factors, D)
     space, base, enlarged = eb.space, eb.base, eb.enlarged
     n = space.n
     for k in range(1, base.K + 1):
@@ -357,7 +346,7 @@ def full_viability_verdict(eb: EnlargedBasis,
     if bad is not None:
         raise InternalInvariant("multiplier pairing not positive under support",
                                 outcome=bad[0], tick=bad[1])
-    K, Y = enlarged_connector(eb, rep, factors, None)
+    _, Y = enlarged_connector(eb, rep, factors, None)
     Z = doleans_exp(-Y)
     return ViabilityReport(verdict=True, condition_support=True, positivity=True,
                            support=support, factors=factors, connector=Y, deflator=Z)

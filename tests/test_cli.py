@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.basis import Filtration, Partition, Process, SampleSpace
+from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
 from driftlab.cli import main
-from driftlab.enlargement import validate_enlargement
+from driftlab.enlargement import EnlargedBasis, validate_enlargement
 from driftlab.models import worked_four_point, worked_six_point
 from driftlab.rational import Q, rat
 from driftlab.serialize import (
@@ -156,22 +156,30 @@ def test_deflator_command(tmp_path):
     assert rep["oracle"]["status"] == "deflator"
 
 
-@pytest.mark.parametrize("prob, horizon, flags", [
-    (["1/2", "1/2"], None, ["--horizon", "-1"]),
-    (["1/1", "1/1"], None, []),
-    (["1/2", "1/2"], [None, 0], []),
-], ids=["negative-horizon-flag", "total-mass-two", "horizon-not-a-stopping-time"])
-def test_deflator_rejects_malformed_input(tmp_path, prob, horizon, flags):
+@pytest.mark.parametrize("command, edit, flags", [
+    ("deflator", {}, ["--horizon", "-1"]),
+    ("deflator", {"prob": ["1/1", "1/1"]}, []),
+    ("deflator", {"horizon": [None, 0]}, []),
+    ("deflator", {"asset": 3}, []),
+    ("deflator", {"asset": "dim"}, []),
+    ("drift", {"process": None}, []),
+], ids=["negative-horizon-flag", "total-mass-two", "horizon-not-a-stopping-time",
+        "asset-number", "asset-string", "drift-process-null"])
+def test_deflator_rejects_malformed_input(tmp_path, command, edit, flags):
+    """Malformed deflator input, or a drift process that is no object, exits 2."""
     top = Partition([[0, 1]])
     filt = Filtration(top, ((top, Partition([[0], [1]])),))
-    doc = basis_to_json(SampleSpace(("u", "d"), ("1/2", "1/2")), filt)
-    doc["prob"] = prob
-    doc["asset"] = process_to_json(Process.from_scalar_paths([[0, 1], [0, 2]]))
-    if horizon is not None:
-        doc["horizon"] = horizon
+    space = SampleSpace(("u", "d"), ("1/2", "1/2"))
+    X = process_to_json(Process.from_scalar_paths([[0, 1], [0, 2]]))
+    if command == "deflator":
+        doc = {**basis_to_json(space, filt), "asset": X}
+    else:
+        eb = EnlargedBasis(space, filt, filt, StoppingTime.constant(2, 1))
+        doc = {**instance_to_json(eb), "process": X}
+    doc.update(edit)
     inp = write(tmp_path / "a.json", doc)
     out = tmp_path / "r.json"
-    assert main(["deflator", "--input", inp, "--output", str(out)] + flags) == 2
+    assert main([command, "--input", inp, "--output", str(out)] + flags) == 2
     assert read(out)["error"] == "SCHEMA_ERROR"
 
 
@@ -312,3 +320,66 @@ def test_diagnose_series_never_raises(levels, jumps):
         assert code in (0, 2, 3)
         rep = read(out)
         assert ("error" in rep) == (code != 0)
+
+
+def _valid_documents():
+    """A well-formed input document per command, from the worked instances."""
+    six = worked_six_point()
+    eb = six["eb"]
+    instance = instance_to_json(eb)
+    return {
+        "validate": instance,
+        "drift": {**instance, "process": process_to_json(six["asset"])},
+        "factors": instance,
+        "check-viability": instance,
+        "deflator": {**basis_to_json(eb.space, eb.base),
+                     "asset": process_to_json(six["asset"])},
+        "kernel-eval": {"accessible": {
+            "p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"],
+            "n_vals": [["1/1"], ["-1/1"]], "d_vals": ["0/1", "0/1"],
+            "phi": ["1/2"], "weight": "1/1"}},
+    }
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _node_paths(node, path=()):
+    """The key path to every node of a JSON tree, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+@given(data=st.data())
+def test_any_document_gives_a_report(command, data):
+    """A valid document with one node replaced by any JSON never raises.
+
+    The exit code is 0, 2 or 3 and a JSON report is written; it carries an
+    "error" exactly when the exit code is nonzero, except that `validate`
+    reports an invalid basis as `"ok": false` with exit 3.
+    """
+    doc = VALID_DOCUMENTS[command]
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write(Path(tmp) / "in.json", _replace(doc, path, data.draw(json_values)))
+        out = Path(tmp) / "r.json"
+        code = main([command, "--input", inp, "--output", str(out)])
+        assert code in (0, 2, 3)
+        rep = read(out)
+        failed = "error" in rep or (command == "validate" and rep.get("ok") is False)
+        assert failed == (code != 0)

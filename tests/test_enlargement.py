@@ -96,13 +96,14 @@ def test_drift_rejects_non_adapted():
         drift_operator(eb, reveal)
 
 
-@given(st.integers(min_value=0, max_value=200))
-def test_factorization_covers_driver_and_random_martingales(seed):
-    eb = instance(seed)
+@given(st.integers(min_value=0, max_value=200), st.booleans())
+def test_factorization_covers_driver_and_random_martingales(seed, force):
+    eb = instance(seed, force)
     rng = random.Random(f"fac:{seed}")
     rep = build_representation(eb.space, eb.base)
     factors = solve_factors(eb, rep)
     assert is_predictable(eb.enlarged, factors.phi)
+    assert factors.Wt == rep.W - drift_operator(eb, rep.W)
     for comp in factors.N.components():
         assert factorization_check(eb, factors, comp) is None
     X = random_martingale(rng, eb.space, eb.base)

@@ -113,6 +113,30 @@ def test_every_method_is_referenced():
     assert unused == []
 
 
+def unread_locals(tree):
+    """function.name for each local a function assigns and never reads."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+        out += sorted({f"{fn.name}.{node.id}" for node in names
+                       if isinstance(node.ctx, ast.Store) and node.id not in read
+                       and not node.id.startswith("_")})
+    return out
+
+
+def test_every_local_is_read():
+    """A local that a package function assigns is read in that function.
+
+    Reads inside nested functions count for the enclosing one.  A name
+    starting with `_` marks a value dropped on purpose.
+    """
+    unread = {path.name: unread_locals(parse(path)) for path in package_modules()}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
 def test_package_has_no_assert():
     """Every printed guarantee is enforced by code that `python -O` keeps."""
     asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))

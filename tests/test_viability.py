@@ -14,6 +14,7 @@ from driftlab.models import (
     gen_random_instance,
     gen_single_filtration,
     random_adapted,
+    random_martingale,
     random_stopping_time,
     random_viable_asset,
     tilted_component_assets,
@@ -23,7 +24,7 @@ from driftlab.models import (
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation
-from driftlab.serialize import dumps, encode_exact
+from driftlab.serialize import dumps, encode_exact, process_to_json, viability_report_to_json
 from driftlab.viability import (
     deflator_from_connector,
     enlarged_connector,
@@ -42,6 +43,11 @@ KINDS = ("random", "initial", "progressive")
 # test_connector_results_are_pinned, taken from the Fraction-entry tableau
 # before rows became integers over a row denominator.
 PINNED_CONNECTOR_DIGEST = "990cf406ac5d33b2f67920430411cb3c91834ede51f2301b6d097ebcc1a3baa2"
+
+# SHA-256 of the viability reports and transferred connectors hashed by
+# test_viability_reports_are_pinned, taken while W - drift(W) was still
+# built through the general enlarged compensator.
+PINNED_VIABILITY_DIGEST = "2d034d93620d23d691b0eed8061089cb23807b34d3f44d46419655297af7a996"
 
 
 def test_six_point_verdict_and_deflator():
@@ -225,3 +231,30 @@ def test_connector_results_are_pinned():
                 find_structure_connector(eb.space, eb.enlarged, S, eb.horizon)))
     digest = hashlib.sha256(dumps(encode_exact(records)).encode("utf-8")).hexdigest()
     assert digest == PINNED_CONNECTOR_DIGEST
+
+
+def test_viability_reports_are_pinned():
+    """Viability reports and transferred connectors do not drift.
+
+    The driving process minus its enlarged drift is the integrator of
+    the connector Y, hence of the deflator exp(-Y) and of every
+    transferred connector.  Hashed: the `check-viability` report of
+    `gen_random_instance` seeds 0-29, unforced and forced, and on the
+    support-clean ones Y from a random base connector (jumps capped at
+    7/8).
+    """
+    records = []
+    for seed in range(30):
+        for forced in (False, True):
+            eb = gen_random_instance(GeneratorConfig(seed=seed,
+                                                     force_condition_failure=forced))
+            rep = build_representation(eb.space, eb.base)
+            report = full_viability_verdict(eb, rep)
+            records.append(viability_report_to_json(report))
+            if report.condition_support:
+                D = random_martingale(random.Random(f"pin:{seed}:{forced}"),
+                                      eb.space, eb.base, cap=Q(7, 8))
+                _, Y = enlarged_connector(eb, rep, report.factors, D)
+                records.append(process_to_json(Y))
+    digest = hashlib.sha256(dumps(records).encode("utf-8")).hexdigest()
+    assert digest == PINNED_VIABILITY_DIGEST
