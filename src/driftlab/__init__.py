@@ -29,6 +29,7 @@ from .event_kernels import (AccessibleEventData, InaccessibleEventData,
                             inaccessible_jump_value, quotient_identity_holds,
                             reduced_equation_holds, series_diagnostics,
                             validate_accessible, validate_inaccessible)
+from .linalg import min_norm_solve
 from .models import (GeneratorConfig, azema_phi_crosscheck, gen_initial_enlargement,
                      gen_progressive_enlargement, gen_random_instance,
                      gen_single_filtration, jacod_density_table,

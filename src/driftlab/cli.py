@@ -98,6 +98,8 @@ def _cmd_validate(args) -> int:
         space, filt = serialize.basis_from_json(doc)
         diag = validate(space, filt)
     report = {"command": "validate", "ok": diag.ok, "errors": list(diag.errors)}
+    if not diag.ok:
+        report["error"] = "VALIDATION_FAILED"
     _emit(report, args.output)
     return 0 if diag.ok else 3
 
@@ -184,12 +186,11 @@ def _cmd_deflator(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_verify(args.seed, args.instances, workers=args.workers,
                         force_failure=args.force_failure)
-    _emit(report, args.output)
     if not report["ok"]:
-        bad = first_failure(report)
-        sys.stderr.write(serialize.dumps(bad))
-        return 3
-    return 0
+        report["error"] = "BATTERY_FAILED"
+        sys.stderr.write(serialize.dumps(first_failure(report)))
+    _emit(report, args.output)
+    return 0 if report["ok"] else 3
 
 
 def _cmd_generate(args) -> int:

@@ -7,12 +7,12 @@ conditional jump means on the closed interval [0, horizon]; subtracting it
 restores the martingale property in the enlarged filtration.
 
 The factorization expresses every such drift as phi . [N, X]-compensator
-with N the canonical representation process W of the base filtration and
-phi solved per (tick, enlarged left-limit atom) from the base-conditional
-covariance of the jumps of W, taking the minimum-norm solution in its row
-space.  The target of that solve is W's own enlarged jump mean, so the
-factorization also returns W minus its drift, the integrator of every
-enlarged connector.
+with N the canonical representation process W of the base filtration.
+W's conditional jump covariances are multinomial, 4^-k (diag p - p p^T),
+so phi per (tick, enlarged left-limit atom) has a closed form, read as a
+density: 1 + phi.jump(W) = pbar_h / p_h.  Its target, W's enlarged jump
+mean, also gives W minus its drift, the integrator of every enlarged
+connector.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
                     cond_expect, is_stopping_time, validate)
 from .calculus import compensator, is_adapted, is_martingale, stop
 from .errors import FactorsMissing, NotAMartingale, NotAdapted, Unsolvable
-from .linalg import min_norm_solve, vec_dot
+from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
 from .representation import RepresentationProcess
 
@@ -78,7 +78,10 @@ def tilde(eb: EnlargedBasis, X: Process) -> Process:
 
 @dataclass(frozen=True)
 class DriftFactors:
-    """Multiplier row phi against the driving process N, and Wt = N - drift_operator(eb, N)."""
+    """Multiplier row phi against the driving process N, and Wt = N - drift_operator(eb, N).
+
+    On child h, 1 + phi.jump(N) = pbar_h / p_h: the child's enlarged over base probability.
+    """
     N: Process    # the canonical representation process of the base filtration
     phi: Process  # enlarged-predictable multiplier row, dim = N.dim
     Wt: Process   # jump(N) minus its enlarged jump mean up to the horizon, jump(N) after
@@ -87,75 +90,65 @@ class DriftFactors:
         return vec_dot(self.phi.at(i, k), self.N.jump(i, k))
 
 
-def _jump_cov(weights, jumps, width: int):
-    """Sum over children of weight * jump jump^T, skipping zero entries."""
-    V = [[ZERO] * width for _ in range(width)]
-    for w, jv in zip(weights, jumps):
-        for a in range(width):
-            if jv[a] == ZERO:
-                continue
-            row = V[a]
-            for bb in range(width):
-                row[bb] += w * jv[a] * jv[bb]
-    return V
+def _multinomial_solve(p, r, message: str, **where) -> tuple:
+    """Minimum-norm x with (diag p - p p^T) x = r, for a probability row p.
 
-
-def _base_cov(rep: RepresentationProcess, k: int, b: frozenset[int]):
-    """E[jump(W) jump(W)^T | base left-limit atom] from the child table.
-
-    W is a base martingale, so its conditional jump mean on b is zero and
-    the second moment needs no centring.
+    The kernel is the all-ones direction on the positive slots plus every
+    zero slot, so x is r / p less its unweighted mean on the positive
+    slots, and zero elsewhere.  The exact residual p_h (x_h - p.x) == r_h
+    is checked on every slot: r with a nonzero sum, or nonzero on a zero
+    slot, raises Unsolvable(message, **where).
     """
-    live = [(ph, kid) for ph, kid in zip(rep.probs[(k, b)], rep.children[(k, b)]) if kid]
-    return _jump_cov([ph for ph, _ in live],
-                     [rep.W.jump(min(kid), k) for _, kid in live], rep.width)
+    ratio = {h: rh / ph for h, (ph, rh) in enumerate(zip(p, r)) if ph}
+    mean = sum(ratio.values(), ZERO) / len(ratio)
+    x = tuple(ratio[h] - mean if h in ratio else ZERO for h in range(len(p)))
+    px = vec_dot(p, x)
+    if any(ph * (xh - px) != rh for ph, xh, rh in zip(p, x, r)):
+        raise Unsolvable(message, **where)
+    return x
 
 
 def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
                         c: frozenset[int]):
-    """(b, pbar, rows, gamma) for the enlarged left-limit atom c at tick k.
+    """(b, pbar, gamma) for the enlarged left-limit atom c at tick k.
 
-    b is the base atom holding c.  Per child slot of b: pbar, the
-    conditional probability of the child inside c, and rows, W's jump on
-    it (zero on a padding slot).  W's jump is constant on each base child,
-    so gamma = sum pbar_h rows_h is W's enlarged conditional jump mean on
-    c, exactly.
+    b is the base atom holding c and pbar, per child slot of b, the
+    conditional probability of the child inside c (zero on a padding
+    slot).  W jumps by 2^-k (e_h - p) on child h, so its enlarged
+    conditional jump mean on c is gamma = 2^-k (pbar - p), exactly.
     """
     b = eb.base.pre(k).block_of(min(c))
     mass = eb.space.mass(c)
-    kids = rep.children[(k, b)]
-    pbar = tuple(eb.space.mass(kid & c) / mass for kid in kids)
-    rows = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * rep.width for kid in kids)
-    gamma = tuple(sum((pb * w[h] for pb, w in zip(pbar, rows)), ZERO)
-                  for h in range(rep.width))
-    return b, pbar, rows, gamma
+    pbar = tuple(eb.space.mass(kid & c) / mass for kid in rep.children[(k, b)])
+    scale = Q(1, 2 ** k)
+    gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, rep.probs[(k, b)]))
+    return b, pbar, gamma
 
 
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
     """Minimum-norm multiplier per (tick, enlarged left-limit atom), and W minus its drift.
 
-    The target is the enlarged-side conditional jump mean of the driving
-    process; consistency of the linear system is a structural fact here
-    (the target is orthogonal to the covariance kernel), so a failed solve
-    is raised as an internal error rather than reported.
+    phi solves V phi = gamma, with V = 4^-k (diag p - p p^T), W's base jump
+    covariance, and gamma = 2^-k (pbar - p), its enlarged jump mean, so
+    phi_h = 2^k (pbar_h / p_h - mean of pbar / p over live slots) and
+    1 + phi.jump(W) = pbar_h / p_h, Jacod's conditional density.  The
+    system is consistent by construction, so a failed residual is raised
+    as an internal error rather than reported.
     """
     space, enlarged = eb.space, eb.enlarged
     width = rep.width
     phi_by_atom: dict = {}
     gamma_by_atom: dict = {}
     for k in range(1, eb.base.K + 1):
-        cov_cache: dict = {}
+        four_k = Q(4 ** k)
         for c in enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(c, k):
                 phi_by_atom[(k, c)] = gamma_by_atom[(k, c)] = (ZERO,) * width
                 continue
-            b, _, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
-            if b not in cov_cache:
-                cov_cache[b] = _base_cov(rep, k, b)
-            phi = min_norm_solve(cov_cache[b], gamma)
-            if phi is None:
-                raise Unsolvable("factor system inconsistent", tick=k, atom=sorted(c))
-            phi_by_atom[(k, c)] = tuple(phi)
+            b, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
+            phi_by_atom[(k, c)] = _multinomial_solve(
+                rep.probs[(k, b)], [four_k * g for g in gamma],
+                "factor system inconsistent", tick=k, atom=sorted(c))
             gamma_by_atom[(k, c)] = gamma
     drift = Process.from_jumps(space.n, eb.base.K,
                                lambda i, k: gamma_by_atom[(k, enlarged.pre(k).block_of(i))],

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
-Only what the engine needs: solving small symmetric systems with the
-minimum-norm solution picked from the row space.  Matrices are lists of
-lists of rationals; nothing here is performance-critical enough to warrant
-more structure.
+The engine itself needs only `vec_dot`: its covariance systems are
+multinomial and are inverted in closed form in `enlargement`.
+`min_norm_solve` stays as the general minimum-norm solver of small
+symmetric systems, which tests use to cross-check those closed forms.
+Matrices are lists of lists of rationals.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from .rational import ZERO, Q
 
 def vec_dot(a: Sequence[Q], b: Sequence[Q]) -> Q:
     return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
-def mat_vec(A: Sequence[Sequence[Q]], x: Sequence[Q]) -> list[Q]:
-    return [vec_dot(row, x) for row in A]
 
 
 def solve_linear(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]]:

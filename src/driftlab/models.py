@@ -506,9 +506,11 @@ def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
                                   factors: DriftFactors, D: Optional[Process],
                                   k: int, cblk: frozenset) -> AccessibleEventData:
     """Package one (tick, enlarged left-limit atom) as accessible event data."""
-    b, pbar, n_vals, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+    b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+    kids = rep.children[(k, b)]
+    n_vals = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * rep.width for kid in kids)
     d_vals = tuple(D.jump(min(kid), k)[0] if (kid and D is not None) else ZERO
-                   for kid in rep.children[(k, b)])
+                   for kid in kids)
     return AccessibleEventData(p=rep.probs[(k, b)], pbar=pbar, n_vals=n_vals, d_vals=d_vals,
                                phi=factors.phi.at(min(cblk), k), weight=Q(1, 2 ** k))
 

@@ -24,11 +24,11 @@ from typing import Optional
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, atom_split, cond_expect
 from .calculus import doleans_exp, is_adapted, stoch_integral, stop
-from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _base_cov,
-                          _enlarged_jump_mean, _jump_cov, check_condition_support,
-                          check_positivity, solve_factors)
-from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed, Unsolvable
-from .linalg import mat_vec, min_norm_solve, vec_dot
+from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
+                          _multinomial_solve, check_condition_support, check_positivity,
+                          solve_factors)
+from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed
+from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
 from .rational import ONE, ZERO
@@ -171,11 +171,13 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
                        factors: DriftFactors, D: Optional[Process] = None) -> Process:
     """Enlarged-predictable integrand K with K . factors.Wt matching jumps.
 
-    Requires the child-support condition; under it the centered enlarged
-    covariance of the driving jumps has the same row space as the base one,
-    so the minimum-norm solve below is always consistent.  D, when given,
-    must be a base connector (a base martingale); its representation
-    coefficients shift the target.
+    K solves Vt K = V x with x = phi + H_D, H_D the representation
+    coefficients of the base connector D (zero without D).  W's base and
+    enlarged jump covariances V and Vt are 4^-k times the multinomial
+    covariances of p and pbar, so K is the closed-form minimum-norm
+    inverse for pbar applied to r_h = p_h (x_h - p.x).  The child-support
+    condition, checked first, makes pbar positive exactly where p is, so
+    the solve is always consistent.
     """
     support = check_condition_support(eb)
     if not support.ok:
@@ -186,24 +188,19 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
 
     value_at: dict = {}
     for k in range(1, eb.base.K + 1):
-        cov_cache: dict = {}
         for cblk in eb.enlarged.pre(k).blocks:
             if not eb.horizon.alive_block(cblk, k):
                 value_at[(k, cblk)] = (ZERO,) * width
                 continue
-            b, pbar, w_rows, gamma = _enlarged_jump_mean(eb, rep, k, cblk)
-            if b not in cov_cache:
-                cov_cache[b] = _base_cov(rep, k, b)
-            Vt = _jump_cov(pbar, [[w[h] - gamma[h] for h in range(width)] for w in w_rows],
-                           width)
+            b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+            p = rep.probs[(k, b)]
             x = factors.phi.at(min(cblk), k)
             if HD is not None:
                 x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
-            sol = min_norm_solve(Vt, mat_vec(cov_cache[b], x))
-            if sol is None:
-                raise Unsolvable("integrand system inconsistent", tick=k,
-                                 atom=sorted(cblk))
-            value_at[(k, cblk)] = tuple(sol)
+            px = vec_dot(p, x)
+            value_at[(k, cblk)] = _multinomial_solve(
+                pbar, [ph * (xh - px) for ph, xh in zip(p, x)],
+                "integrand system inconsistent", tick=k, atom=sorted(cblk))
     return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, width)
 
 

@@ -52,7 +52,9 @@ def test_validate_flags_broken_instance(tmp_path):
     inp = write(tmp_path / "bad.json", doc)
     out = tmp_path / "r.json"
     assert main(["validate", "--input", inp, "--output", str(out)]) == 3
-    assert read(out)["ok"] is False
+    rep = read(out)
+    assert rep["ok"] is False and rep["errors"]
+    assert rep["error"] == "VALIDATION_FAILED"
 
 
 def test_schema_errors_exit_2(tmp_path):
@@ -200,6 +202,19 @@ def test_verify_theorems_forced(tmp_path):
     assert main(["verify-theorems", "--seed", "4", "--instances", "8",
                  "--force-failure", "--output", str(out)]) == 0
     assert read(out)["force_failure"] is True
+
+
+def test_verify_theorems_failure_reports_an_error(tmp_path, monkeypatch):
+    """A failing battery exits 3 with an "error" beside "ok": false."""
+    def failing(seed, instances, workers=None, force_failure=False):
+        result = {"battery": "jump-identity", "ok": False, "reasons": ["broken"]}
+        return {"ok": False, "results": [result]}
+    monkeypatch.setattr("driftlab.cli.run_verify", failing)
+    out = tmp_path / "f.json"
+    assert main(["verify-theorems", "--output", str(out)]) == 3
+    rep = read(out)
+    assert rep["ok"] is False
+    assert rep["error"] == "BATTERY_FAILED"
 
 
 def test_generate_round_trips(tmp_path):
@@ -370,8 +385,7 @@ def test_any_document_gives_a_report(command, data):
     """A valid document with one node replaced by any JSON never raises.
 
     The exit code is 0, 2 or 3 and a JSON report is written; it carries an
-    "error" exactly when the exit code is nonzero, except that `validate`
-    reports an invalid basis as `"ok": false` with exit 3.
+    "error" exactly when the exit code is nonzero.
     """
     doc = VALID_DOCUMENTS[command]
     path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
@@ -381,5 +395,4 @@ def test_any_document_gives_a_report(command, data):
         code = main([command, "--input", inp, "--output", str(out)])
         assert code in (0, 2, 3)
         rep = read(out)
-        failed = "error" in rep or (command == "validate" and rep.get("ok") is False)
-        assert failed == (code != 0)
+        assert ("error" in rep) == (code != 0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from driftlab.calculus import is_martingale, is_predictable
 from driftlab.enlargement import (
+    _multinomial_solve,
     check_condition_support,
     check_positivity,
     compensator_transfer_check,
@@ -14,7 +15,8 @@ from driftlab.enlargement import (
     solve_factors,
     validate_enlargement,
 )
-from driftlab.errors import NotAdapted, NotAMartingale
+from driftlab.errors import NotAdapted, NotAMartingale, Unsolvable
+from driftlab.linalg import min_norm_solve, vec_dot
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -23,8 +25,9 @@ from driftlab.models import (
     worked_four_point,
     worked_six_point,
 )
-from driftlab.rational import ZERO, Q
-from driftlab.representation import build_representation
+from driftlab.rational import ONE, ZERO, Q
+from driftlab.representation import build_representation, represent
+from driftlab.viability import solve_accessible_K
 
 KINDS = ("random", "initial", "progressive")
 
@@ -147,3 +150,95 @@ def test_positivity_on_clean_instances(seed):
     rep = build_representation(eb.space, eb.base)
     factors = solve_factors(eb, rep)
     assert check_positivity(eb, factors) is None
+
+
+def _cov(weights, rows, centre):
+    """Sum over rows of weight * (row - centre) (row - centre)^T."""
+    width = len(centre)
+    V = [[ZERO] * width for _ in range(width)]
+    for w, row in zip(weights, rows):
+        d = [a - c for a, c in zip(row, centre)]
+        for a in range(width):
+            for b in range(width):
+                V[a][b] += w * d[a] * d[b]
+    return V
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_closed_forms_match_general_min_norm_solves(force):
+    """phi and K are the minimum-norm solutions of their covariance systems.
+
+    V, Vt and V x are built here from W's jump rows and the masses of the
+    children, then solved by the general `min_norm_solve`: phi solves
+    V phi = gamma on every alive enlarged atom, and on support-clean
+    instances K solves Vt K = V (phi + H_D), for D = 0 and a random base
+    martingale.
+    """
+    transfers = 0
+    for seed in range(40):
+        eb = instance(seed, force)
+        rep = build_representation(eb.space, eb.base)
+        factors = solve_factors(eb, rep)
+        zero = (ZERO,) * rep.width
+        Ds = []
+        if check_condition_support(eb).ok:
+            D = random_martingale(random.Random(f"xcheck:{seed}"), eb.space, eb.base)
+            Ds = [(solve_accessible_K(eb, rep, factors), None),
+                  (solve_accessible_K(eb, rep, factors, D), represent(rep, D))]
+            transfers += 1
+        for k in range(1, eb.base.K + 1):
+            for c in eb.enlarged.pre(k).blocks:
+                if not eb.horizon.alive_block(c, k):
+                    continue
+                i = min(c)
+                b = eb.base.pre(k).block_of(i)
+                kids = rep.children[(k, b)]
+                rows = [rep.W.jump(min(kid), k) if kid else zero for kid in kids]
+                pbar = [eb.space.mass(kid & c) / eb.space.mass(c) for kid in kids]
+                gamma = [sum((pb * row[h] for pb, row in zip(pbar, rows)), ZERO)
+                         for h in range(rep.width)]
+                V = _cov(rep.probs[(k, b)], rows, zero)
+                phi = factors.phi.at(i, k)
+                assert list(phi) == min_norm_solve(V, gamma)
+                Vt = _cov(pbar, rows, gamma)
+                for K, HD in Ds:
+                    x = phi if HD is None else [a + h for a, h in zip(phi, HD.at(i, k))]
+                    assert list(K.at(i, k)) == min_norm_solve(Vt, [vec_dot(r, x) for r in V])
+    assert (transfers == 0) == force
+
+
+probability_rows = (st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5)
+                    .filter(any).map(lambda w: [Q(a, sum(w)) for a in w]))
+
+
+@given(probability_rows, st.data())
+def test_multinomial_solve_is_the_min_norm_inverse(p, data):
+    """Exact on the range of diag p - p p^T, and rejects anything outside it.
+
+    Zero entries of p stand for padding slots.  An r = M t round-trips to
+    the minimum-norm solution; an r with a nonzero sum, or with a nonzero
+    entry on a zero slot, raises Unsolvable.
+    """
+    width = len(p)
+    M = [[(p[a] if a == b else ZERO) - p[a] * p[b] for b in range(width)]
+         for a in range(width)]
+    t = data.draw(st.lists(st.integers(min_value=-5, max_value=5).map(Q),
+                           min_size=width, max_size=width), label="t")
+    r = [vec_dot(row, t) for row in M]
+    x = _multinomial_solve(p, r, "test")
+    assert [vec_dot(row, x) for row in M] == r
+    assert list(x) == min_norm_solve(M, r)
+
+    live = [h for h in range(width) if p[h]]
+    bump = data.draw(st.sampled_from(live), label="bump")
+    shifted = list(r)
+    shifted[bump] += Q(1, 3)
+    with pytest.raises(Unsolvable):
+        _multinomial_solve(p, shifted, "test")
+    dead = [h for h in range(width) if not p[h]]
+    if dead:
+        stray = list(r)
+        stray[data.draw(st.sampled_from(dead), label="dead")] += ONE
+        stray[bump] -= ONE
+        with pytest.raises(Unsolvable):
+            _multinomial_solve(p, stray, "test")
