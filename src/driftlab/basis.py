@@ -284,9 +284,15 @@ class StoppingTime:
         For a stopping time, {T >= k} is the complement of {T <= k - 1},
         which is at(k-1)-measurable; pre(k), at(k) and every later partition
         refine at(k-1), so an atom of any of them lies entirely inside or
-        entirely outside the event.
+        entirely outside the event.  An atom that straddles it shows the
+        time is not a stopping time of the atom's filtration, and raises
+        NotAStoppingTime.
         """
-        return all(self.geq(i, k) for i in b)
+        if all(self.geq(i, k) for i in b):
+            return True
+        if any(self.geq(i, k) for i in b):
+            raise NotAStoppingTime("atom straddles {T >= k}", tick=k, atom=sorted(b))
+        return False
 
     @staticmethod
     def constant(n: int, k: Optional[int]) -> "StoppingTime":
@@ -299,8 +305,12 @@ class Diagnostics:
     errors: tuple[str, ...]
 
 
-def validate(space: SampleSpace, filt: Filtration) -> Diagnostics:
-    """Check every structural invariant; reports the first broken refinement pair."""
+def validate(space: SampleSpace, *filts: Filtration) -> Diagnostics:
+    """Check every structural invariant of the space, once, and of each filtration on it.
+
+    Per filtration, the first broken refinement pair is reported when the
+    space and that filtration's partitions are sound.
+    """
     errors: list[str] = []
     if sum(space.prob, ZERO) != ONE:
         errors.append("BAD_PROBABILITY: total mass != 1")
@@ -308,15 +318,17 @@ def validate(space: SampleSpace, filt: Filtration) -> Diagnostics:
         errors.append("BAD_PROBABILITY: nonpositive outcome mass")
     if len(set(space.outcomes)) != space.n:
         errors.append("BAD_PROBABILITY: duplicate outcome labels")
-    chain = filt.chain()
-    for name, part in chain:
-        if not part.covers(space.n):
-            errors.append(f"REFINEMENT_BROKEN({name}): not a partition of the outcome set")
-    if not errors:
-        for (prev_name, prev), (name, part) in zip(chain, chain[1:]):
-            if not part.refines(prev):
-                errors.append(f"REFINEMENT_BROKEN({name}): does not refine {prev_name}")
-                break
+    space_ok = not errors
+    for filt in filts:
+        chain = filt.chain()
+        broken = [f"REFINEMENT_BROKEN({name}): not a partition of the outcome set"
+                  for name, part in chain if not part.covers(space.n)]
+        errors.extend(broken)
+        if space_ok and not broken:
+            for (prev_name, prev), (name, part) in zip(chain, chain[1:]):
+                if not part.refines(prev):
+                    errors.append(f"REFINEMENT_BROKEN({name}): does not refine {prev_name}")
+                    break
     return Diagnostics(ok=not errors, errors=tuple(errors))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Optional
 
@@ -308,7 +309,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Exact engine for filtration enlargement on finite bases.")

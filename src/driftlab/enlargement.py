@@ -41,9 +41,7 @@ class EnlargedBasis:
 
 
 def validate_enlargement(eb: EnlargedBasis) -> Diagnostics:
-    errors: list[str] = []
-    for diag in (validate(eb.space, eb.base), validate(eb.space, eb.enlarged)):
-        errors.extend(diag.errors)
+    errors = list(validate(eb.space, eb.base, eb.enlarged).errors)
     if not errors:
         pairs = [("at(0)", eb.enlarged.initial, eb.base.initial)]
         for k in range(1, min(eb.base.K, eb.enlarged.K) + 1):

@@ -92,6 +92,21 @@ def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: 
     return _connector_violation(space, filt, D, horizon, S)
 
 
+def _atom_program(p, s_jumps) -> tuple:
+    """(c, A_eq, b_eq, A_ub, b_ub) of one atom's martingale-measure program.
+
+    Columns q_1..q_m and the floor t; maximize t subject to sum q = 1,
+    sum q_h s_h = 0 per component and p_h t <= q_h.
+    """
+    m, dim = len(p), len(s_jumps[0])
+    A_eq = [[ONE] * m + [ZERO]]
+    A_eq += [[sj[c] for sj in s_jumps] + [ZERO] for c in range(dim)]
+    b_eq = [ONE] + [ZERO] * dim
+    A_ub = [[-ONE if j == h else ZERO for j in range(m)] + [p[h]] for h in range(m)]
+    b_ub = [ZERO] * m
+    return [ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub
+
+
 @dataclass
 class ConnectorSearch:
     """Outcome of the connector search: the process, or the atom that blocks one."""
@@ -117,6 +132,11 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     min_h (1 - jump_h(D)) below one.  A positive optimal floor on every
     alive atom assembles into a connector with jumps 1 - q_h / p_h; an
     infeasible program or a floor of zero rules one out.
+
+    An atom where S has no drift (sum p_h s_h = 0) poses no program:
+    summing p_h t <= q_h gives t <= sum q = 1, with equality iff q = p,
+    which is feasible there, so q = p (every jump of D zero) is the
+    unique optimum the program would return.
     """
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
@@ -127,14 +147,12 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
                 continue
             kids, p = atom_split(space, filt, k, b)
             s_jumps = [S.jump(min(kid), k) for kid in kids]
-            m = len(kids)
-            # columns: q (m), floor t; maximize t
-            A_eq = [[ONE] * m + [ZERO]]
-            A_eq += [[sj[c] for sj in s_jumps] + [ZERO] for c in range(S.dim)]
-            b_eq = [ONE] + [ZERO] * S.dim
-            A_ub = [[-ONE if j == h else ZERO for j in range(m)] + [p[h]] for h in range(m)]
-            b_ub = [ZERO] * m
-            res = solve_lp([ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub)
+            if all(sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO) == ZERO
+                   for c in range(S.dim)):
+                for kid in kids:
+                    jump_of[(k, kid)] = ZERO
+                continue
+            res = solve_lp(*_atom_program(p, s_jumps))
             if res.status == INFEASIBLE or res.value <= ZERO:
                 return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
             for h, kid in enumerate(kids):

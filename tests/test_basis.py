@@ -159,6 +159,15 @@ def test_stopping_time_accessible_case():
     assert classify_stopping_time(filt, v) == "predictable"
 
 
+def test_alive_block_refuses_a_straddling_atom():
+    t = StoppingTime((1, 2, 2, None))
+    assert t.alive_block(frozenset({1, 2, 3}), 2)
+    assert not t.alive_block(frozenset({0}), 2)
+    with pytest.raises(NotAStoppingTime) as exc:
+        t.alive_block(frozenset({0, 1}), 2)
+    assert exc.value.detail == {"tick": 2, "atom": [0, 1]}
+
+
 def test_stopping_time_events():
     t = StoppingTime((0, 1, None, 1))
     assert t.leq_event(1) == frozenset({0, 1, 3})

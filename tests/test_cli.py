@@ -53,8 +53,25 @@ def test_validate_flags_broken_instance(tmp_path):
     out = tmp_path / "r.json"
     assert main(["validate", "--input", inp, "--output", str(out)]) == 3
     rep = read(out)
-    assert rep["ok"] is False and rep["errors"]
+    assert rep["ok"] is False
+    assert rep["errors"] == ["BAD_PROBABILITY: total mass != 1"]  # listed once
     assert rep["error"] == "VALIDATION_FAILED"
+
+
+def test_requests_after_an_argument_error_are_unchanged(tmp_path):
+    """The parser is built once per process; a failed parse leaves it usable."""
+    six = worked_six_point()
+    inp = write(tmp_path / "i.json", instance_to_json(six["eb"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-viability", "--input", inp, "--no-such-flag"])
+    assert exc.value.code == 2
+    reports = []
+    for name in ("first.json", "second.json"):
+        out = tmp_path / name
+        assert main(["check-viability", "--input", inp, "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] is True
 
 
 def test_schema_errors_exit_2(tmp_path):

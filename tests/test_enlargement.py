@@ -44,6 +44,26 @@ def test_generated_instances_validate(seed):
     assert validate_enlargement(eb).ok
 
 
+def test_validate_enlargement_lists_each_error_once():
+    """The space is checked once; each filtration's own errors follow it."""
+    from dataclasses import replace
+
+    from driftlab.basis import Filtration, Partition, SampleSpace
+    eb = instance(0)
+    n = eb.space.n
+    bad_space = SampleSpace(eb.space.outcomes, (Q(1, 2),) * n)
+    assert validate_enlargement(replace(eb, space=bad_space)).errors == (
+        "BAD_PROBABILITY: total mass != 1",)
+    holed = Partition([[i] for i in range(1, n)])  # misses outcome 0
+    ticks = list(eb.enlarged.ticks)
+    ticks[0] = (ticks[0][0], holed)
+    broken = replace(eb, space=bad_space,
+                     enlarged=Filtration(eb.enlarged.initial, ticks))
+    assert validate_enlargement(broken).errors == (
+        "BAD_PROBABILITY: total mass != 1",
+        "REFINEMENT_BROKEN(at(1)): not a partition of the outcome set")
+
+
 @given(st.integers(min_value=0, max_value=200))
 def test_drift_makes_compensated_process_a_martingale(seed):
     eb = instance(seed)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from driftlab.basis import Process, StoppingTime
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.enlargement import solve_factors
-from driftlab.errors import ConnectorInvalid, SupportConditionFailed
+from driftlab.errors import ConnectorInvalid, NotAStoppingTime, SupportConditionFailed
+from driftlab.linfeas import OPTIMAL, solve_lp
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -26,6 +27,7 @@ from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation
 from driftlab.serialize import dumps, encode_exact, process_to_json, viability_report_to_json
 from driftlab.viability import (
+    _atom_program,
     deflator_from_connector,
     enlarged_connector,
     find_structure_connector,
@@ -258,3 +260,61 @@ def test_viability_reports_are_pinned():
                 records.append(process_to_json(Y))
     digest = hashlib.sha256(dumps(records).encode("utf-8")).hexdigest()
     assert digest == PINNED_VIABILITY_DIGEST
+
+
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_driftless_atom_program_returns_p(weights, dim, data):
+    """Where sum p_h s_h = 0 the atom's program has q = p, t = 1 as its optimum.
+
+    This is the closed form find_structure_connector uses instead of
+    posing the program on such atoms.
+    """
+    p = [Q(w, sum(weights)) for w in weights]
+    raw = [data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                              min_size=dim, max_size=dim)) for _ in p]
+    mean = [sum((ph * r[c] for ph, r in zip(p, raw)), ZERO) for c in range(dim)]
+    s_jumps = [tuple(r[c] - mean[c] for c in range(dim)) for r in raw]
+    res = solve_lp(*_atom_program(p, s_jumps))
+    assert res.status == OPTIMAL
+    assert res.value == ONE
+    assert list(res.x[:len(p)]) == p
+
+
+def test_martingale_asset_poses_no_program(monkeypatch):
+    """A base martingale has no drift on any atom: no LP, and D is zero."""
+    import driftlab.viability as viability
+    calls = []
+
+    def counting_solve_lp(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(viability, "solve_lp", counting_solve_lp)
+    for seed in range(20):
+        rng = random.Random(f"mart:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 9), rng.randint(1, 3), 3)
+        search = find_structure_connector(sp, filt, random_martingale(rng, sp, filt))
+        assert search.found
+        assert all(x == (ZERO,) for row in search.connector.values for x in row)
+    assert calls == []
+    # an asset with drift still reaches the program
+    from driftlab.basis import Filtration, Partition, SampleSpace
+    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    assert find_structure_connector(sp, filt, Process.from_scalar_paths([[0, 2], [0, -1]])).found
+    assert len(calls) == 1
+
+
+def test_a_horizon_that_is_not_a_stopping_time_is_refused():
+    """The progressive horizon of this instance straddles a base atom."""
+    eb = gen_random_instance(GeneratorConfig(seed=0, enlargement_kind="progressive"))
+    S = random_martingale(random.Random("straddle"), eb.space, eb.base)
+    D = Process.zeros(eb.space.n, eb.base.K)
+    for call in (lambda: find_structure_connector(eb.space, eb.base, S, eb.horizon),
+                 lambda: deflator_from_connector(eb.space, eb.base, D, eb.horizon),
+                 lambda: lp_deflator_oracle(eb.space, eb.base, S, eb.horizon)):
+        with pytest.raises(NotAStoppingTime) as exc:
+            call()
+        assert exc.value.detail == {"tick": 2, "atom": [3, 4, 5]}
