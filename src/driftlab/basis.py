@@ -245,14 +245,22 @@ class Process:
 
     @staticmethod
     def from_atom_table(n: int, filt: "Filtration", table: dict, dim: int) -> "Process":
-        """Predictable process worth table[(k, pre(k)-atom)] at ticks k >= 1, zero at 0."""
+        """Predictable, zero at 0, worth table[(k, pre(k)-atom)] at tick k >= 1 (0 if absent)."""
+        zero = (ZERO,) * dim
         rows = []
         for i in range(n):
-            row = [(ZERO,) * dim]
+            row = [zero]
             for k in range(1, filt.K + 1):
-                row.append(table[(k, filt.pre(k).block_of(i))])
+                row.append(table.get((k, filt.pre(k).block_of(i)), zero))
             rows.append(tuple(row))
         return Process(dim, tuple(rows))
+
+    @staticmethod
+    def from_jump_table(n: int, filt: "Filtration", table: dict, dim: int = 1) -> "Process":
+        """Adapted, null at 0, jumping by table[(k, at(k)-atom)] at tick k (0 if absent)."""
+        zero = (ZERO,) * dim
+        return Process.from_jumps(
+            n, filt.K, lambda i, k: table.get((k, filt.at(k).block_of(i)), zero), dim=dim)
 
 
 INF = None  # stopping-time value for "never"
@@ -330,6 +338,18 @@ def validate(space: SampleSpace, *filts: Filtration) -> Diagnostics:
                     errors.append(f"REFINEMENT_BROKEN({name}): does not refine {prev_name}")
                     break
     return Diagnostics(ok=not errors, errors=tuple(errors))
+
+
+def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
+    """(k, b) for every pre(k)-atom b alive at tick k, ticks ascending, then in block order.
+
+    Without a horizon every atom is alive; with one, an atom that straddles
+    {T >= k} raises NotAStoppingTime (see StoppingTime.alive_block).
+    """
+    for k in range(1, filt.K + 1):
+        for b in filt.pre(k).blocks:
+            if horizon is None or horizon.alive_block(b, k):
+                yield k, b
 
 
 def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -> tuple[Q, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, cond_expect
+from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
 from .errors import DimensionMismatch, NotAdapted, NotPredictable
 from .rational import ONE, ZERO
 
@@ -42,20 +42,17 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
                          horizon: Optional[StoppingTime] = None):
     """First (tick, atom, component) with a nonzero conditional increment, else None.
 
-    With a horizon, ticks after it are ignored outcome-wise (the process is
-    examined as stopped at the horizon).
+    With a horizon, atoms past it are ignored atom-wise (the process is
+    examined as stopped at the horizon).  X is checked adapted first, so
+    its jump takes one value per child.
     """
     _require_adapted(filt, X)
-    for k in range(1, filt.K + 1):
-        part = filt.pre(k)
-        for b in part.blocks:
-            if horizon is not None and not horizon.alive_block(b, k):
-                continue
-            mass = space.mass(b)
-            for c in range(X.dim):
-                tot = sum((space.prob[i] * X.jump(i, k)[c] for i in b), ZERO)
-                if tot / mass != ZERO:
-                    return (k, b, c)
+    for k, b in alive_atoms(filt, horizon):
+        kids, p = atom_split(space, filt, k, b)
+        jumps = [X.jump(min(kid), k) for kid in kids]
+        for c in range(X.dim):
+            if sum((ph * j[c] for ph, j in zip(p, jumps)), ZERO) != ZERO:
+                return (k, b, c)
     return None
 
 
@@ -65,19 +62,18 @@ def is_martingale(space: SampleSpace, filt: Filtration, X: Process,
 
 
 def compensator(space: SampleSpace, filt: Filtration, A: Process) -> Process:
-    """Predictable dual projection: cumulative E[jump | pre(k)], starting at 0."""
+    """Predictable dual projection: cumulative E[jump | pre(k)], starting at 0.
+
+    A is checked adapted first, so its jump takes one value per child.
+    """
     _require_adapted(filt, A)
-    jumps_cache = {}
-    for k in range(1, filt.K + 1):
-        part = filt.pre(k)
-        cols = []
-        for c in range(A.dim):
-            cols.append(cond_expect(space, part, [A.jump(i, k)[c] for i in range(A.n)]))
-        jumps_cache[k] = cols
-    return Process.from_jumps(
-        A.n, filt.K,
-        lambda i, k: tuple(jumps_cache[k][c][i] for c in range(A.dim)),
-        dim=A.dim)
+    table: dict = {}
+    for k, b in alive_atoms(filt):
+        kids, p = atom_split(space, filt, k, b)
+        jumps = [A.jump(min(kid), k) for kid in kids]
+        mean = tuple(sum((ph * j[c] for ph, j in zip(p, jumps)), ZERO) for c in range(A.dim))
+        table.update(((k, kid), mean) for kid in kids)
+    return Process.from_jump_table(A.n, filt, table, A.dim)
 
 
 @dataclass(frozen=True)

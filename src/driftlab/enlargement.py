@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
-                    cond_expect, is_stopping_time, validate)
+                    alive_atoms, cond_expect, is_stopping_time, validate)
 from .calculus import compensator, is_adapted, is_martingale, stop
 from .errors import FactorsMissing, NotAMartingale, NotAdapted, Unsolvable
 from .linalg import vec_dot
@@ -136,23 +136,16 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     space, enlarged = eb.space, eb.enlarged
     width = rep.width
     phi_by_atom: dict = {}
-    gamma_by_atom: dict = {}
-    for k in range(1, eb.base.K + 1):
-        four_k = Q(4 ** k)
-        for c in enlarged.pre(k).blocks:
-            if not eb.horizon.alive_block(c, k):
-                phi_by_atom[(k, c)] = gamma_by_atom[(k, c)] = (ZERO,) * width
-                continue
-            b, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
-            phi_by_atom[(k, c)] = _multinomial_solve(
-                rep.probs[(k, b)], [four_k * g for g in gamma],
-                "factor system inconsistent", tick=k, atom=sorted(c))
-            gamma_by_atom[(k, c)] = gamma
-    drift = Process.from_jumps(space.n, eb.base.K,
-                               lambda i, k: gamma_by_atom[(k, enlarged.pre(k).block_of(i))],
-                               dim=width)
+    minus_gamma: dict = {}  # the drift's jumps, negated, on the alive atoms' children
+    for k, c in alive_atoms(enlarged, eb.horizon):
+        b, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
+        phi_by_atom[(k, c)] = _multinomial_solve(
+            rep.probs[(k, b)], [Q(4 ** k) * g for g in gamma],
+            "factor system inconsistent", tick=k, atom=sorted(c))
+        down = tuple(-g for g in gamma)
+        minus_gamma.update(((k, kid), down) for kid in enlarged.child_map[(k, c)])
     return DriftFactors(N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width),
-                        Wt=rep.W - drift)
+                        Wt=rep.W + Process.from_jump_table(space.n, enlarged, minus_gamma, width))
 
 
 def factorization_check(eb: EnlargedBasis, factors: DriftFactors, X: Process):
@@ -212,15 +205,11 @@ def check_condition_support(eb: EnlargedBasis) -> SupportReport:
     with positive conditional probability must meet C.  (The reverse
     implication is automatic: outcomes carry positive mass.)
     """
-    base, enlarged = eb.base, eb.enlarged
-    for k in range(1, base.K + 1):
-        pre_b = base.pre(k)
-        for c in enlarged.pre(k).blocks:
-            if not eb.horizon.alive_block(c, k):
-                continue
-            for kid in base.child_map[(k, pre_b.block_of(min(c)))]:
-                if not (kid & c):
-                    return SupportReport(ok=False, tick=k, atom=c, child=kid)
+    base = eb.base
+    for k, c in alive_atoms(eb.enlarged, eb.horizon):
+        for kid in base.child_map[(k, base.pre(k).block_of(min(c)))]:
+            if not (kid & c):
+                return SupportReport(ok=False, tick=k, atom=c, child=kid)
     return SupportReport(ok=True)
 
 

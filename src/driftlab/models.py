@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
-                    atom_split, cond_expect, cond_prob)
+                    alive_atoms, atom_split, cond_expect, cond_prob)
 from .calculus import doleans_exp
 from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
                           solve_factors, validate_enlargement)
@@ -27,7 +27,7 @@ from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
 from .event_kernels import AccessibleEventData, InaccessibleEventData
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
-from .representation import RepresentationProcess, build_representation
+from .representation import RepresentationProcess, build_representation, fired_component
 
 
 @dataclass(frozen=True)
@@ -132,24 +132,19 @@ def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
                       cap: Optional[Q] = None) -> Process:
     """Scalar martingale null at zero; per-atom scaling keeps |jump| <= cap."""
     jump_of = {}
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            kids, p = atom_split(space, filt, k, b)
-            raw = [_rand_q(rng) for _ in kids]
-            mean = sum((ph * r for ph, r in zip(p, raw)), ZERO)
-            cent = [r - mean for r in raw]
-            if cap is not None:
-                peak = max((abs(v) for v in cent), default=ZERO)
-                if peak > cap:
-                    scale = cap / peak
-                    cent = [v * scale for v in cent]
-            for kid, v in zip(kids, cent):
-                jump_of[(k, kid)] = v
-
-    def jumps(i: int, k: int):
-        return (jump_of[(k, filt.at(k).block_of(i))],)
-
-    return Process.from_jumps(space.n, filt.K, jumps)
+    for k, b in alive_atoms(filt):
+        kids, p = atom_split(space, filt, k, b)
+        raw = [_rand_q(rng) for _ in kids]
+        mean = sum((ph * r for ph, r in zip(p, raw)), ZERO)
+        cent = [r - mean for r in raw]
+        if cap is not None:
+            peak = max((abs(v) for v in cent), default=ZERO)
+            if peak > cap:
+                scale = cap / peak
+                cent = [v * scale for v in cent]
+        for kid, v in zip(kids, cent):
+            jump_of[(k, kid)] = v
+    return Process.from_jump_table(space.n, filt, jump_of)
 
 
 def random_viable_asset(rng: random.Random, space: SampleSpace, filt: Filtration,
@@ -184,18 +179,10 @@ def tilted_component_assets(space: SampleSpace, filt: Filtration,
     if rep is None:
         rep = build_representation(space, filt)
     out = []
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            kids = [kid for kid in rep.children[(k, b)] if kid]
-            if len(kids) < 2:
-                continue
-            for slot in range(len(kids)):
-                def jumps(i: int, kk: int, k=k, b=b, slot=slot):
-                    if kk == k and i in b:
-                        return (rep.W.jump(i, kk)[slot],)
-                    return (ZERO,)
-                X = Process.from_jumps(space.n, filt.K, jumps)
-                out.append(doleans_exp(X))
+    for k, b in alive_atoms(filt):
+        live = sum(1 for kid in rep.children[(k, b)] if kid)
+        if live >= 2:
+            out.extend(doleans_exp(fired_component(rep, k, b, slot)) for slot in range(live))
     return out
 
 
@@ -283,13 +270,10 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
     """
     base, enlarged = eb.base, eb.enlarged
     candidates = []
-    for k in range(1, base.K + 1):
-        for c in enlarged.pre(k).blocks:
-            if not eb.horizon.alive_block(c, k):
-                continue
-            kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
-            if len(kids) >= 2 and sum(1 for kid in kids if kid & c) >= 2:
-                candidates.append((k, c, kids))
+    for k, c in alive_atoms(enlarged, eb.horizon):
+        kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
+        if len(kids) >= 2 and sum(1 for kid in kids if kid & c) >= 2:
+            candidates.append((k, c, kids))
     if not candidates:
         return None
     k, c, kids = candidates[rng.randrange(len(candidates))]

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, InternalInvariant, Process, SampleSpace, StoppingTime
+from .basis import (Filtration, InternalInvariant, Process, SampleSpace, StoppingTime,
+                    alive_atoms)
 from .linfeas import (INFEASIBLE, UNBOUNDED, check_bound_certificate,
                       check_infeasibility_certificate, solve_lp)
 from .rational import ONE, ZERO, Q, rat, rat_str
@@ -46,43 +47,39 @@ def _z_column(filt: Filtration, horizon: StoppingTime, var_index: dict, i: int, 
 
 def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
     """Rows and columns of the deflator feasibility program, deterministically ordered."""
-    K = filt.K
     var_index: dict = {}
-    for k in range(1, K + 1):
+    for k in range(1, filt.K + 1):
         for b in filt.at(k).blocks:
             if horizon.alive_block(b, k):
                 var_index[(k, b)] = len(var_index)
 
     nz = len(var_index)
     A_eq, b_eq, eq_desc = [], [], []
-    for k in range(1, K + 1):
-        for b in filt.pre(k).blocks:
-            if not horizon.alive_block(b, k):
-                continue
-            for comp in range(S.dim + 1):
-                row = [ZERO] * (nz + 1)  # last column is the gap variable
-                rhs = ZERO
-                for i in b:
-                    w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
-                    w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
-                    col = _z_column(filt, horizon, var_index, i, k)
-                    if col is not None:
-                        row[col] += w_now
-                    else:
-                        rhs -= w_now
-                    col = _z_column(filt, horizon, var_index, i, k - 1)
-                    if col is not None:
-                        row[col] -= w_prev
-                    else:
-                        rhs += w_prev
-                A_eq.append(row)
-                b_eq.append(rhs)
-                eq_desc.append({
-                    "kind": "martingale" if comp == 0 else "deflated-asset",
-                    "tick": k,
-                    "atom": sorted(b),
-                    "component": comp - 1 if comp else None,
-                })
+    for k, b in alive_atoms(filt, horizon):
+        for comp in range(S.dim + 1):
+            row = [ZERO] * (nz + 1)  # last column is the gap variable
+            rhs = ZERO
+            for i in b:
+                w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
+                w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
+                col = _z_column(filt, horizon, var_index, i, k)
+                if col is not None:
+                    row[col] += w_now
+                else:
+                    rhs -= w_now
+                col = _z_column(filt, horizon, var_index, i, k - 1)
+                if col is not None:
+                    row[col] -= w_prev
+                else:
+                    rhs += w_prev
+            A_eq.append(row)
+            b_eq.append(rhs)
+            eq_desc.append({
+                "kind": "martingale" if comp == 0 else "deflated-asset",
+                "tick": k,
+                "atom": sorted(b),
+                "component": comp - 1 if comp else None,
+            })
 
     A_ub, b_ub, ub_desc = [], [], []
     for (k, b), v in var_index.items():
@@ -163,18 +160,15 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
         for k in range(filt.K + 1):
             if Z.at(i, k)[0] <= ZERO:
                 return False
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            if not horizon.alive_block(b, k):
-                continue
-            for comp in range(S.dim + 1):
-                tot = ZERO
-                for i in b:
-                    s_now = ONE if comp == 0 else S.at(i, k)[comp - 1]
-                    s_prev = ONE if comp == 0 else S.at(i, k - 1)[comp - 1]
-                    tot += space.prob[i] * (Z.at(i, k)[0] * s_now - Z.at(i, k - 1)[0] * s_prev)
-                if tot != ZERO:
-                    return False
+    for k, b in alive_atoms(filt, horizon):
+        for comp in range(S.dim + 1):
+            tot = ZERO
+            for i in b:
+                s_now = ONE if comp == 0 else S.at(i, k)[comp - 1]
+                s_prev = ONE if comp == 0 else S.at(i, k - 1)[comp - 1]
+                tot += space.prob[i] * (Z.at(i, k)[0] * s_now - Z.at(i, k - 1)[0] * s_prev)
+            if tot != ZERO:
+                return False
     return True
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import Filtration, Process, SampleSpace, atom_split
+from .basis import Filtration, Process, SampleSpace, alive_atoms, atom_split
 from .calculus import is_martingale, stoch_integral
 from .errors import DimensionMismatch, NotAMartingale
 from .rational import ONE, ZERO, Q
@@ -38,24 +38,27 @@ def build_representation(space: SampleSpace, filt: Filtration) -> Representation
     width = multiplicity(space, filt)
     children: dict = {}
     probs: dict = {}
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            kids, p = atom_split(space, filt, k, b)
-            pad = width - len(kids)
-            children[(k, b)] = kids + (frozenset(),) * pad
-            probs[(k, b)] = p + (ZERO,) * pad
-
+    jump_of: dict = {}
     half = Q(1, 2)
-
-    def jumps(i: int, k: int):
-        b = filt.pre(k).block_of(i)
-        kids, p = children[(k, b)], probs[(k, b)]
+    for k, b in alive_atoms(filt):
+        kids, p = atom_split(space, filt, k, b)
+        pad = width - len(kids)
+        children[(k, b)] = kids + (frozenset(),) * pad
+        probs[(k, b)] = p + (ZERO,) * pad
         w = half ** k
-        return tuple(w * ((ONE if i in kid else ZERO) - ph) for kid, ph in zip(kids, p))
+        for h, kid in enumerate(kids):
+            jump_of[(k, kid)] = tuple(w * ((ONE if g == h else ZERO) - pg)
+                                      for g, pg in enumerate(probs[(k, b)]))
 
-    W = Process.from_jumps(space.n, filt.K, jumps, dim=width)
+    W = Process.from_jump_table(space.n, filt, jump_of, width)
     return RepresentationProcess(space=space, filt=filt, width=width,
                                  children=children, probs=probs, W=W)
+
+
+def fired_component(rep: RepresentationProcess, k: int, b: frozenset[int], slot: int) -> Process:
+    """Component `slot` of W fired only at tick k on the left-limit atom b, null elsewhere."""
+    table = {(k, kid): rep.W.jump(min(kid), k)[slot] for kid in rep.children[(k, b)] if kid}
+    return Process.from_jump_table(rep.space.n, rep.filt, table)
 
 
 def represent(rep: RepresentationProcess, X: Process) -> Process:
@@ -73,16 +76,14 @@ def represent(rep: RepresentationProcess, X: Process) -> Process:
 
     coeff: dict = {}
     two = Q(2)
-    for k in range(1, filt.K + 1):
-        pre = filt.pre(k)
-        for b in pre.blocks:
-            kids = rep.children[(k, b)]
-            live = [h for h, kid in enumerate(kids) if kid]
-            xs = {h: X.jump(min(kids[h]), k)[0] for h in live}
-            mean = sum((xs[h] for h in live), ZERO) / len(live)
-            scale = two ** k
-            coeff[(k, b)] = tuple(
-                scale * (xs[h] - mean) if h in live else ZERO for h in range(rep.width))
+    for k, b in alive_atoms(filt):
+        kids = rep.children[(k, b)]
+        live = [h for h, kid in enumerate(kids) if kid]
+        xs = {h: X.jump(min(kids[h]), k)[0] for h in live}
+        mean = sum((xs[h] for h in live), ZERO) / len(live)
+        scale = two ** k
+        coeff[(k, b)] = tuple(
+            scale * (xs[h] - mean) if h in live else ZERO for h in range(rep.width))
 
     H = Process.from_atom_table(space.n, filt, coeff, rep.width)
     rebuilt = stoch_integral(filt, H, rep.W)

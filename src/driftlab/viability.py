@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, atom_split, cond_expect
+from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split,
+                    cond_expect)
 from .calculus import doleans_exp, is_adapted, stoch_integral, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, check_condition_support, check_positivity,
@@ -32,7 +33,8 @@ from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
 from .rational import ONE, ZERO
-from .representation import RepresentationProcess, build_representation, represent
+from .representation import (RepresentationProcess, build_representation, fired_component,
+                             represent)
 
 
 def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
@@ -59,26 +61,23 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
         if D.at(i, 0)[0] != ZERO:
             return {"reason": "nonzero-start", "outcome": i}
     big_jump = identity = None
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            if not horizon.alive_block(b, k):
-                continue
-            kids, p = atom_split(space, filt, k, b)
-            d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
-            if sum((ph * dj for ph, dj in zip(p, d_jumps)), ZERO) != ZERO:
-                return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
-            for kid, dj in zip(kids, d_jumps):
-                if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
-                    big_jump = (min(kid), k)
-            if S is None or big_jump is not None or identity is not None:
-                continue
-            q = [ph * (ONE - dj) for ph, dj in zip(p, d_jumps)]
-            s_jumps = [S.jump(min(kid), k) for kid in kids]
-            for c in range(S.dim):
-                if sum((qh * sj[c] for qh, sj in zip(q, s_jumps)), ZERO) != ZERO:
-                    identity = {"reason": "identity-failed", "tick": k,
-                                "atom": sorted(b), "component": c}
-                    break
+    for k, b in alive_atoms(filt, horizon):
+        kids, p = atom_split(space, filt, k, b)
+        d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
+        if sum((ph * dj for ph, dj in zip(p, d_jumps)), ZERO) != ZERO:
+            return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
+        for kid, dj in zip(kids, d_jumps):
+            if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
+                big_jump = (min(kid), k)
+        if S is None or big_jump is not None or identity is not None:
+            continue
+        q = [ph * (ONE - dj) for ph, dj in zip(p, d_jumps)]
+        s_jumps = [S.jump(min(kid), k) for kid in kids]
+        for c in range(S.dim):
+            if sum((qh * sj[c] for qh, sj in zip(q, s_jumps)), ZERO) != ZERO:
+                identity = {"reason": "identity-failed", "tick": k,
+                            "atom": sorted(b), "component": c}
+                break
     if big_jump is not None:
         return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
     return identity
@@ -138,32 +137,19 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     which is feasible there, so q = p (every jump of D zero) is the
     unique optimum the program would return.
     """
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
     jump_of: dict = {}
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            if not horizon.alive_block(b, k):
-                continue
-            kids, p = atom_split(space, filt, k, b)
-            s_jumps = [S.jump(min(kid), k) for kid in kids]
-            if all(sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO) == ZERO
-                   for c in range(S.dim)):
-                for kid in kids:
-                    jump_of[(k, kid)] = ZERO
-                continue
-            res = solve_lp(*_atom_program(p, s_jumps))
-            if res.status == INFEASIBLE or res.value <= ZERO:
-                return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
-            for h, kid in enumerate(kids):
-                jump_of[(k, kid)] = ONE - res.x[h] / p[h]
-
-    def jumps(i: int, k: int):
-        if not horizon.geq(i, k):
-            return (ZERO,)
-        return (jump_of[(k, filt.at(k).block_of(i))],)
-
-    D = Process.from_jumps(space.n, filt.K, jumps)
+    for k, b in alive_atoms(filt, horizon):
+        kids, p = atom_split(space, filt, k, b)
+        s_jumps = [S.jump(min(kid), k) for kid in kids]
+        if all(sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO) == ZERO
+               for c in range(S.dim)):
+            continue
+        res = solve_lp(*_atom_program(p, s_jumps))
+        if res.status == INFEASIBLE or res.value <= ZERO:
+            return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
+        for h, kid in enumerate(kids):
+            jump_of[(k, kid)] = ONE - res.x[h] / p[h]
+    D = Process.from_jump_table(space.n, filt, jump_of)
     bad = is_structure_connector(space, filt, S, D, horizon)
     if bad is not None:
         raise InternalInvariant("assembled connector fails its own check", **bad)
@@ -201,25 +187,20 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
     if not support.ok:
         raise SupportConditionFailed(tick=support.tick, atom=sorted(support.atom),
                                      child=sorted(support.child))
-    width = rep.width
     HD = represent(rep, D) if D is not None else None
 
     value_at: dict = {}
-    for k in range(1, eb.base.K + 1):
-        for cblk in eb.enlarged.pre(k).blocks:
-            if not eb.horizon.alive_block(cblk, k):
-                value_at[(k, cblk)] = (ZERO,) * width
-                continue
-            b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
-            p = rep.probs[(k, b)]
-            x = factors.phi.at(min(cblk), k)
-            if HD is not None:
-                x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
-            px = vec_dot(p, x)
-            value_at[(k, cblk)] = _multinomial_solve(
-                pbar, [ph * (xh - px) for ph, xh in zip(p, x)],
-                "integrand system inconsistent", tick=k, atom=sorted(cblk))
-    return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, width)
+    for k, cblk in alive_atoms(eb.enlarged, eb.horizon):
+        b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+        p = rep.probs[(k, b)]
+        x = factors.phi.at(min(cblk), k)
+        if HD is not None:
+            x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
+        px = vec_dot(p, x)
+        value_at[(k, cblk)] = _multinomial_solve(
+            pbar, [ph * (xh - px) for ph, xh in zip(p, x)],
+            "integrand system inconsistent", tick=k, atom=sorted(cblk))
+    return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, rep.width)
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -304,16 +285,9 @@ def witness_asset(eb: EnlargedBasis, rep: RepresentationProcess,
     on that base atom, jumps strictly negative on the whole atom; any
     positive deflator would give it a negative conditional increment.
     """
-    k_star, cblk, kid = support.tick, support.atom, support.child
-    b = eb.base.pre(k_star).block_of(min(cblk))
-    slot = rep.children[(k_star, b)].index(kid)
-
-    def jumps(i: int, k: int):
-        if k == k_star and i in b:
-            return (rep.W.jump(i, k)[slot],)
-        return (ZERO,)
-
-    return Process.from_jumps(eb.space.n, eb.base.K, jumps)
+    k, cblk = support.tick, support.atom
+    b = eb.base.pre(k).block_of(min(cblk))
+    return fired_component(rep, k, b, rep.children[(k, b)].index(support.child))
 
 
 @dataclass

@@ -10,6 +10,7 @@ from driftlab.basis import (
     Process,
     SampleSpace,
     StoppingTime,
+    alive_atoms,
     atom_split,
     classify_stopping_time,
     cond_expect,
@@ -17,10 +18,16 @@ from driftlab.basis import (
     is_stopping_time,
     validate,
 )
+from driftlab.calculus import doleans_exp
+from driftlab.enlargement import check_condition_support
 from driftlab.errors import NotAStoppingTime
 from driftlab.models import (GeneratorConfig, gen_random_instance, gen_single_filtration,
-                             random_adapted)
+                             random_adapted, random_stopping_time, tilted_component_assets)
 from driftlab.rational import ONE, ZERO, Q
+from driftlab.representation import build_representation
+from driftlab.viability import witness_asset
+
+KINDS = ("random", "initial", "progressive")
 
 
 def space4():
@@ -195,3 +202,74 @@ def test_process_arithmetic():
     assert (X + Y).at(0, 1) == (Q(7),)
     assert (Y - X).at(0, 0) == (Q(2),)
     assert X.scale(Q(-2)).at(0, 1) == (Q(-4),)
+
+
+@given(st.integers(min_value=0, max_value=400))
+def test_alive_atoms_is_the_nested_alive_block_walk(seed):
+    rng = random.Random(f"alive:{seed}")
+    sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+    for horizon in (None, random_stopping_time(rng, sp, filt)):
+        expected = [(k, b) for k in range(1, filt.K + 1) for b in filt.pre(k).blocks
+                    if horizon is None or horizon.alive_block(b, k)]
+        assert list(alive_atoms(filt, horizon)) == expected
+    assert len(list(alive_atoms(filt))) == len(filt.child_map)
+
+
+def test_alive_atoms_refuses_a_horizon_that_is_not_a_stopping_time():
+    whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
+    filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
+    walk = alive_atoms(filt, StoppingTime((1, 2, 2, 2)))  # {T >= 2} splits {0, 1}
+    assert next(walk) == (1, frozenset(range(4)))
+    with pytest.raises(NotAStoppingTime) as exc:
+        list(walk)
+    assert exc.value.detail == {"tick": 2, "atom": [0, 1]}
+
+
+def test_from_jump_table_is_zero_on_absent_keys():
+    for seed in range(30):
+        rng = random.Random(f"jump-table:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        T = random_stopping_time(rng, sp, filt)
+        dim = rng.choice((1, 2))
+        table = {(k, kid): tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+                 for k, b in alive_atoms(filt, T) for kid in filt.child_map[(k, b)]}
+
+        def jumps(i, k):
+            if not T.geq(i, k):
+                return (ZERO,) * dim
+            return table[(k, filt.at(k).block_of(i))]
+
+        X = Process.from_jump_table(sp.n, filt, table, dim)
+        assert X == Process.from_jumps(sp.n, filt.K, jumps, dim=dim)
+        assert all(X.at(i, 0) == (ZERO,) * dim for i in range(sp.n))
+        assert Process.from_jump_table(sp.n, filt, {}, dim) == Process.zeros(sp.n, filt.K, dim)
+    scalar = {(1, frozenset({0, 1})): Q(1, 2)}
+    whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
+    filt = Filtration(whole, ((whole, halves),))
+    assert Process.from_jump_table(4, filt, scalar) == \
+        Process.from_scalar_paths([[0, Q(1, 2)], [0, Q(1, 2)], [0, 0], [0, 0]])
+
+
+def test_from_atom_table_reads_an_absent_key_as_zero():
+    whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
+    filt = Filtration(whole, ((whole, halves), (halves, halves)))
+    H = Process.from_atom_table(4, filt, {(2, frozenset({2, 3})): (Q(3), Q(-1))}, 2)
+    zero = (ZERO, ZERO)
+    assert H.values == ((zero, zero, zero),) * 2 + ((zero, zero, (Q(3), Q(-1))),) * 2
+
+
+def test_witness_asset_is_a_tilted_component_asset():
+    """Both build a driving component fired on one atom; the witness is among the family."""
+    for seed in range(12):
+        eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3],
+                                                 force_condition_failure=True))
+        rep = build_representation(eb.space, eb.base)
+        support = check_condition_support(eb)
+        witness = witness_asset(eb, rep, support)
+        b = eb.base.pre(support.tick).block_of(min(support.atom))
+        slot = rep.children[(support.tick, b)].index(support.child)
+        expected = Process.from_jumps(
+            eb.space.n, eb.base.K,
+            lambda i, k: (rep.W.jump(i, k)[slot] if k == support.tick and i in b else ZERO,))
+        assert witness == expected
+        assert doleans_exp(witness) in tilted_component_assets(eb.space, eb.base, rep)

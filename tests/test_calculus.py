@@ -1,15 +1,16 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.basis import Process, StoppingTime
+from driftlab.basis import Process, StoppingTime, cond_expect
 from driftlab.calculus import (
     bracket,
     canonical_decomposition,
     comp_bracket,
     compensator,
     doleans_exp,
+    is_adapted,
     is_martingale,
     is_predictable,
     martingale_violation,
@@ -17,6 +18,7 @@ from driftlab.calculus import (
     stoch_integral,
     stop,
 )
+from driftlab.errors import NotAdapted
 from driftlab.models import (
     gen_single_filtration,
     random_adapted,
@@ -136,3 +138,83 @@ def test_stop_freezes_paths():
     Y = stop(X, T)
     assert Y.at(0, 2) == (Q(1),)
     assert Y.at(1, 2) == (Q(7),)
+
+
+# Per-outcome references: the conditional increment summed over every
+# outcome of an atom, and the compensator as a per-component cond_expect.
+
+def reference_martingale_violation(space, filt, X, horizon=None):
+    if not is_adapted(filt, X):
+        raise NotAdapted()
+    for k in range(1, filt.K + 1):
+        for b in filt.pre(k).blocks:
+            if horizon is not None and not horizon.alive_block(b, k):
+                continue
+            for c in range(X.dim):
+                tot = sum((space.prob[i] * X.jump(i, k)[c] for i in b), ZERO)
+                if tot / space.mass(b) != ZERO:
+                    return (k, b, c)
+    return None
+
+
+def reference_compensator(space, filt, A):
+    if not is_adapted(filt, A):
+        raise NotAdapted()
+    means = {(k, c): cond_expect(space, filt.pre(k), [A.jump(i, k)[c] for i in range(A.n)])
+             for k in range(1, filt.K + 1) for c in range(A.dim)}
+    return Process.from_jumps(A.n, filt.K,
+                              lambda i, k: tuple(means[(k, c)][i] for c in range(A.dim)),
+                              dim=A.dim)
+
+
+def partly_centred(rng, sp, filt, dim, share):
+    """Adapted process whose jumps are centred on a `share` of the (tick, atom, component)s."""
+    jump_of = {}
+    for k in range(1, filt.K + 1):
+        for b in filt.pre(k).blocks:
+            kids = [c for c in filt.at(k).blocks if c <= b]
+            p = [sp.mass(c) / sp.mass(b) for c in kids]
+            cols = []
+            for _ in range(dim):
+                raw = [Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in kids]
+                if rng.random() < share:
+                    mean = sum((ph * r for ph, r in zip(p, raw)), ZERO)
+                    raw = [r - mean for r in raw]
+                cols.append(raw)
+            for h, kid in enumerate(kids):
+                jump_of[(k, kid)] = tuple(col[h] for col in cols)
+    start = {b: tuple(Q(rng.randint(-3, 3)) for _ in range(dim)) for b in filt.initial.blocks}
+    return Process.from_jumps(sp.n, filt.K, lambda i, k: jump_of[(k, filt.at(k).block_of(i))],
+                              start=lambda i: start[filt.initial.block_of(i)], dim=dim)
+
+
+def unadapted(rng, X, filt):
+    """X bumped on one outcome of a tick atom with several outcomes, if there is one."""
+    spots = [(min(c), k) for k in range(1, filt.K + 1) for c in filt.at(k).blocks if len(c) > 1]
+    if not spots:
+        return X
+    i, k = rng.choice(spots)
+    rows = [list(row) for row in X.values]
+    rows[i][k] = tuple(x + ONE for x in rows[i][k])
+    return Process(X.dim, rows)
+
+
+def result_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except NotAdapted:
+        return NotAdapted
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2000))
+def test_atom_wise_calculus_matches_the_per_outcome_reference(seed):
+    rng, sp, filt = draw(seed, "atomwise")
+    X = partly_centred(rng, sp, filt, rng.choice((1, 2)), rng.choice((0.0, 0.8, 0.95, 1.0)))
+    if rng.random() < 0.2:
+        X = unadapted(rng, X, filt)
+    horizon = random_stopping_time(rng, sp, filt) if rng.random() < 0.5 else None
+    assert result_or_refusal(martingale_violation, sp, filt, X, horizon) == \
+        result_or_refusal(reference_martingale_violation, sp, filt, X, horizon)
+    assert result_or_refusal(compensator, sp, filt, X) == \
+        result_or_refusal(reference_compensator, sp, filt, X)

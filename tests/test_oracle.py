@@ -144,6 +144,20 @@ def test_package_has_no_assert():
     assert asserts == []
 
 
+def test_alive_atoms_is_the_only_alive_walk():
+    """`.alive_block(` is called only by `basis.alive_atoms` and `oracle._build_lp`.
+
+    Every walk over the alive (tick, left-limit atom)s goes through
+    `alive_atoms`; the oracle keeps one walk of its own, over tick atoms,
+    for its column index, whose order the pinned results fix.
+    """
+    callers = [f"{path.stem}.{fn.name}" for path in package_modules()
+               for fn in ast.walk(parse(path)) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "alive_block"]
+    assert sorted(callers) == ["basis.alive_atoms", "oracle._build_lp"]
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 
