@@ -13,6 +13,7 @@ with equality, never with tolerances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -197,21 +198,28 @@ class Process:
         prev, cur = self.values[i][k - 1], self.values[i][k]
         return tuple(c - p for c, p in zip(cur, prev))
 
+    def child_jumps(self, k: int, kids: Sequence[frozenset[int]]) -> list[tuple[Q, ...]]:
+        """The jump at tick k on each child, read at its smallest outcome (X adapted)."""
+        return [self.jump(min(kid), k) for kid in kids]
+
     def component(self, h: int) -> "Process":
         return Process(1, tuple(tuple((x[h],) for x in row) for row in self.values))
 
     def components(self) -> list["Process"]:
         return [self.component(h) for h in range(self.dim)]
 
-    def __add__(self, other: "Process") -> "Process":
+    def _elementwise(self, other: "Process", op) -> "Process":
         if self.dim != other.dim:
             raise DimensionMismatch("process dims differ")
         return Process(self.dim, tuple(
-            tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(r1, r2))
+            tuple(tuple(op(a, b) for a, b in zip(x, y)) for x, y in zip(r1, r2))
             for r1, r2 in zip(self.values, other.values)))
 
+    def __add__(self, other: "Process") -> "Process":
+        return self._elementwise(other, operator.add)
+
     def __sub__(self, other: "Process") -> "Process":
-        return self + other.scale(Q(-1))
+        return self._elementwise(other, operator.sub)
 
     def __neg__(self) -> "Process":
         return self.scale(Q(-1))

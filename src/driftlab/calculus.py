@@ -4,16 +4,20 @@ Martingality means E[increment | pre-tick sigma-algebra] = 0 at every tick,
 exactly.  On a finite grid every local martingale is a martingale (the
 integrability conditions hold automatically), so no localization appears
 anywhere; this is reported rather than tested.
+
+An adapted process jumps by one value on each child of a left-limit atom, so
+every conditional jump mean in the engine is one per-child sum, jump_mean.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
 from .errors import DimensionMismatch, NotAdapted, NotPredictable
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, Q
 
 
 def is_adapted(filt: Filtration, X: Process) -> bool:
@@ -38,6 +42,11 @@ def _require_adapted(filt: Filtration, X: Process) -> None:
         raise NotAdapted()
 
 
+def jump_mean(weights: Sequence[Q], jumps: Sequence[tuple[Q, ...]]) -> tuple[Q, ...]:
+    """sum_h weights_h * jumps_h per component, over one atom's children."""
+    return tuple([sum(map(operator.mul, weights, col), ZERO) for col in zip(*jumps)])
+
+
 def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
                          horizon: Optional[StoppingTime] = None):
     """First (tick, atom, component) with a nonzero conditional increment, else None.
@@ -49,9 +58,8 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
     _require_adapted(filt, X)
     for k, b in alive_atoms(filt, horizon):
         kids, p = atom_split(space, filt, k, b)
-        jumps = [X.jump(min(kid), k) for kid in kids]
-        for c in range(X.dim):
-            if sum((ph * j[c] for ph, j in zip(p, jumps)), ZERO) != ZERO:
+        for c, mean in enumerate(jump_mean(p, X.child_jumps(k, kids))):
+            if mean != ZERO:
                 return (k, b, c)
     return None
 
@@ -70,8 +78,7 @@ def compensator(space: SampleSpace, filt: Filtration, A: Process) -> Process:
     table: dict = {}
     for k, b in alive_atoms(filt):
         kids, p = atom_split(space, filt, k, b)
-        jumps = [A.jump(min(kid), k) for kid in kids]
-        mean = tuple(sum((ph * j[c] for ph, j in zip(p, jumps)), ZERO) for c in range(A.dim))
+        mean = jump_mean(p, A.child_jumps(k, kids))
         table.update(((k, kid), mean) for kid in kids)
     return Process.from_jump_table(A.n, filt, table, A.dim)
 

@@ -12,7 +12,8 @@ W's conditional jump covariances are multinomial, 4^-k (diag p - p p^T),
 so phi per (tick, enlarged left-limit atom) has a closed form, read as a
 density: 1 + phi.jump(W) = pbar_h / p_h.  Its target, W's enlarged jump
 mean, also gives W minus its drift, the integrator of every enlarged
-connector.
+connector.  The compensator and connector transfer checks share one walk,
+comparing per-child jump means over an enlarged atom and its base atom.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
-                    alive_atoms, cond_expect, is_stopping_time, validate)
-from .calculus import compensator, is_adapted, is_martingale, stop
-from .errors import FactorsMissing, NotAMartingale, NotAdapted, Unsolvable
+                    alive_atoms, atom_split, is_stopping_time, validate)
+from .calculus import compensator, is_adapted, is_martingale, jump_mean, stop
+from .errors import NotAMartingale, NotAdapted, Unsolvable
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
 from .representation import RepresentationProcess
@@ -160,34 +161,47 @@ def factorization_check(eb: EnlargedBasis, factors: DriftFactors, X: Process):
     return compensator_transfer_check(eb, factors, X)
 
 
-def compensator_transfer_check(eb: EnlargedBasis, factors: Optional[DriftFactors], A: Process):
+def compensator_transfer_check(eb: EnlargedBasis, factors: DriftFactors, A: Process):
     """Enlarged-side compensator == base compensator + phi . [N, A]-compensator.
 
-    Checked incrementally on [0, horizon] for a base-adapted A; returns None
-    on success or the first mismatching (outcome, tick, component).
+    Checked per child on [0, horizon] for a base-adapted A (_transfer_mismatch);
+    returns None on success or the first mismatching (outcome, tick, component).
     """
-    if factors is None:
-        raise FactorsMissing()
     if not is_adapted(eb.base, A):
         raise NotAdapted()
-    n, K = eb.space.n, eb.base.K
-    for k in range(1, K + 1):
-        g_part = eb.enlarged.pre(k)
-        f_part = eb.base.pre(k)
-        for c in range(A.dim):
-            lhs = cond_expect(eb.space, g_part, [A.jump(i, k)[c] for i in range(n)])
-            base = cond_expect(eb.space, f_part, [A.jump(i, k)[c] for i in range(n)])
-            cols = [cond_expect(eb.space, f_part,
-                                [factors.N.jump(i, k)[h] * A.jump(i, k)[c] for i in range(n)])
-                    for h in range(factors.N.dim)]
-            for i in range(n):
-                if not eb.alive(i, k):
-                    continue
-                rhs = base[i] + vec_dot(factors.phi.at(i, k),
-                                        [cols[h][i] for h in range(factors.N.dim)])
-                if lhs[i] != rhs:
-                    return (i, k, c)
-    return None
+    return _transfer_mismatch(eb, factors, A, None)
+
+
+def _transfer_mismatch(eb: EnlargedBasis, factors: DriftFactors, X: Process,
+                       connector: Optional[tuple[Process, Process]]):
+    """First mismatching (outcome, tick, component) on [0, horizon], or None.
+
+    On each alive enlarged atom c inside the base atom b, X's jump mean over
+    c's children, weights pbar_e, must equal its mean over b's, weights
+    p_h (1 + phi.jump_h(N)).  Given connector = (Y, D) the weights are
+    pbar_e (y_e - mean) and p_h (d_h - mean), y = jump(Y) and
+    d = jump(D) + phi.jump(N), so both sides are jump covariances against X.
+    Both sides are constant on c.  Mismatches are ordered by tick, then
+    component, then outcome.
+    """
+    bad: list = []
+    for k, c in alive_atoms(eb.enlarged, eb.horizon):
+        ekids, pbar = atom_split(eb.space, eb.enlarged, k, c)
+        bkids, p = atom_split(eb.space, eb.base, k, eb.base.pre(k).block_of(min(c)))
+        phi = factors.phi.at(min(c), k)
+        tilt = [vec_dot(phi, nj) for nj in factors.N.child_jumps(k, bkids)]
+        if connector is None:
+            w_e, w_b = pbar, [ph * (ONE + t) for ph, t in zip(p, tilt)]
+        else:
+            Y, D = connector
+            y = [yj for (yj,) in Y.child_jumps(k, ekids)]
+            d = [dj + t for (dj,), t in zip(D.child_jumps(k, bkids), tilt)]
+            y_mean, d_mean = vec_dot(pbar, y), vec_dot(p, d)
+            w_e = [pe * (yj - y_mean) for pe, yj in zip(pbar, y)]
+            w_b = [ph * (dj - d_mean) for ph, dj in zip(p, d)]
+        lhs, rhs = jump_mean(w_e, X.child_jumps(k, ekids)), jump_mean(w_b, X.child_jumps(k, bkids))
+        bad += [(min(c), k, comp) for comp in range(len(lhs)) if lhs[comp] != rhs[comp]]
+    return min(bad, key=lambda r: (r[1], r[2], r[0]), default=None)
 
 
 @dataclass(frozen=True)
@@ -218,8 +232,6 @@ def check_positivity(eb: EnlargedBasis, factors: DriftFactors):
 
     Returns None or the first violating (outcome, tick).
     """
-    if factors is None:
-        raise FactorsMissing()
     for i in range(eb.space.n):
         for k in range(1, eb.base.K + 1):
             if not eb.alive(i, k):

@@ -37,10 +37,6 @@ class DimensionMismatch(EngineError):
     code = "DIMENSION_MISMATCH"
 
 
-class FactorsMissing(EngineError):
-    code = "FACTORS_MISSING"
-
-
 class Unsolvable(EngineError):
     code = "UNSOLVABLE"
 

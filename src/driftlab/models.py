@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                     alive_atoms, atom_split, cond_expect, cond_prob)
-from .calculus import doleans_exp
+from .calculus import doleans_exp, jump_mean
 from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
                           solve_factors, validate_enlargement)
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
@@ -551,8 +551,7 @@ def random_inaccessible_event_data(rng: random.Random) -> InaccessibleEventData:
         tilts = [ONE + vec_dot(phi, row) for row in scaled]
         if all(t > ZERO for t in tilts):
             break
-    drive_mean = tuple(sum((qk * row[h] for qk, row in zip(q, scaled)), ZERO)
-                       for h in range(width))
+    drive_mean = jump_mean(q, scaled)
     mean_tilt = ONE + vec_dot(phi, drive_mean)
     qbar = tuple(t * qk / mean_tilt for t, qk in zip(tilts, q))
     base_coeff = []

@@ -25,7 +25,7 @@ def dumps(doc) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")

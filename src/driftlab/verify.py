@@ -348,7 +348,8 @@ def run_verify(seed: int, instances: int, workers: Optional[int] = None,
                force_failure: bool = False) -> dict:
     """Run the battery rotation; the report is independent of pool size."""
     tasks = [(seed, i, force_failure) for i in range(instances)]
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, instances)  # a pool starts every worker up front
+    if workers > 1:
         chunk = max(1, instances // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, tasks, chunksize=chunk))

@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split,
-                    cond_expect)
-from .calculus import doleans_exp, is_adapted, stoch_integral, stop
+from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
+from .calculus import doleans_exp, is_adapted, jump_mean, stoch_integral, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
-                          _multinomial_solve, check_condition_support, check_positivity,
-                          solve_factors)
-from .errors import ConnectorInvalid, InternalInvariant, SupportConditionFailed
+                          _multinomial_solve, _transfer_mismatch, check_condition_support,
+                          check_positivity, solve_factors)
+from .errors import ConnectorInvalid, InternalInvariant, NotAdapted, SupportConditionFailed
 from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
@@ -63,21 +62,19 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
     big_jump = identity = None
     for k, b in alive_atoms(filt, horizon):
         kids, p = atom_split(space, filt, k, b)
-        d_jumps = [D.jump(min(kid), k)[0] for kid in kids]
-        if sum((ph * dj for ph, dj in zip(p, d_jumps)), ZERO) != ZERO:
+        d_jumps = D.child_jumps(k, kids)
+        if jump_mean(p, d_jumps)[0] != ZERO:
             return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
-        for kid, dj in zip(kids, d_jumps):
+        for kid, (dj,) in zip(kids, d_jumps):
             if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
                 big_jump = (min(kid), k)
         if S is None or big_jump is not None or identity is not None:
             continue
-        q = [ph * (ONE - dj) for ph, dj in zip(p, d_jumps)]
-        s_jumps = [S.jump(min(kid), k) for kid in kids]
-        for c in range(S.dim):
-            if sum((qh * sj[c] for qh, sj in zip(q, s_jumps)), ZERO) != ZERO:
-                identity = {"reason": "identity-failed", "tick": k,
-                            "atom": sorted(b), "component": c}
-                break
+        q = [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
+        failed = [c for c, mean in enumerate(jump_mean(q, S.child_jumps(k, kids))) if mean != ZERO]
+        if failed:
+            identity = {"reason": "identity-failed", "tick": k,
+                        "atom": sorted(b), "component": failed[0]}
     if big_jump is not None:
         return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
     return identity
@@ -140,9 +137,8 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     jump_of: dict = {}
     for k, b in alive_atoms(filt, horizon):
         kids, p = atom_split(space, filt, k, b)
-        s_jumps = [S.jump(min(kid), k) for kid in kids]
-        if all(sum((ph * sj[c] for ph, sj in zip(p, s_jumps)), ZERO) == ZERO
-               for c in range(S.dim)):
+        s_jumps = S.child_jumps(k, kids)
+        if all(mean == ZERO for mean in jump_mean(p, s_jumps)):
             continue
         res = solve_lp(*_atom_program(p, s_jumps))
         if res.status == INFEASIBLE or res.value <= ZERO:
@@ -232,45 +228,23 @@ def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
 
 def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFactors,
                 S: Process, D: Process) -> Process:
-    """Transfer a base connector D for S into an enlarged-filtration one.
+    """Transfer a base connector D for the base-adapted S into an enlarged-filtration one.
 
-    Builds Y = K . factors.Wt, then verifies exactly on [0, horizon]
-    that the jump covariance of Y against the enlarged martingale part of S
-    equals the base-side covariance of D plus the multiplier-weighted
-    covariance of the driving process, per component, and that Y is an
-    enlarged connector for S (every jump below one among its conditions).
-    Raises ConnectorInvalid on any mismatch (which would contradict the
-    construction).
+    Builds Y = K . factors.Wt, then verifies exactly on [0, horizon], per
+    child (_transfer_mismatch), that the jump covariance of Y against the
+    enlarged martingale part of S equals the base-side covariance of D plus
+    the multiplier-weighted covariance of the driving process, per component,
+    and that Y is an enlarged connector for S (every jump below one among its
+    conditions).  Raises ConnectorInvalid on a mismatch, which contradicts the construction.
     """
+    if not is_adapted(eb.base, S):
+        raise NotAdapted()
     _, Y = enlarged_connector(eb, rep, factors, D)
-    space, base, enlarged = eb.space, eb.base, eb.enlarged
-    n = space.n
-    for k in range(1, base.K + 1):
-        g_part = enlarged.pre(k)
-        f_part = base.pre(k)
-        y_jumps = [Y.jump(i, k)[0] for i in range(n)]
-        d_jumps = [D.jump(i, k)[0] for i in range(n)]
-        for c in range(S.dim):
-            s_jumps = [S.jump(i, k)[c] for i in range(n)]
-            s_mean_g = cond_expect(space, g_part, s_jumps)
-            s_mean_f = cond_expect(space, f_part, s_jumps)
-            lhs = cond_expect(space, g_part,
-                              [y_jumps[i] * (s_jumps[i] - s_mean_g[i]) for i in range(n)])
-            base_side = cond_expect(space, f_part,
-                                    [d_jumps[i] * (s_jumps[i] - s_mean_f[i]) for i in range(n)])
-            mult_side = [cond_expect(space, f_part,
-                                     [factors.N.jump(i, k)[h] * (s_jumps[i] - s_mean_f[i])
-                                      for i in range(n)])
-                         for h in range(factors.N.dim)]
-            for i in range(n):
-                if not eb.alive(i, k):
-                    continue
-                rhs = base_side[i] + vec_dot(factors.phi.at(i, k),
-                                             [mult_side[h][i] for h in range(factors.N.dim)])
-                if lhs[i] != rhs:
-                    raise ConnectorInvalid("transfer identity failed",
-                                           outcome=i, tick=k, component=c)
-    bad = is_structure_connector(space, enlarged, S, Y, eb.horizon)
+    bad = _transfer_mismatch(eb, factors, S, (Y, D))
+    if bad is not None:
+        raise ConnectorInvalid("transfer identity failed",
+                               outcome=bad[0], tick=bad[1], component=bad[2])
+    bad = is_structure_connector(eb.space, eb.enlarged, S, Y, eb.horizon)
     if bad is not None:
         raise ConnectorInvalid("transferred process is not a connector", **bad)
     return Y

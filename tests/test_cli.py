@@ -18,6 +18,7 @@ from driftlab.serialize import (
     instance_to_json,
     process_to_json,
 )
+from driftlab.verify import run_verify
 
 
 def write(path, doc):
@@ -81,6 +82,18 @@ def test_schema_errors_exit_2(tmp_path):
     bad = tmp_path / "x.json"
     bad.write_text("{{{", encoding="utf-8")
     assert main(["validate", "--input", str(bad), "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "deflator", "check-viability"])
+def test_deeply_nested_json_is_a_schema_error(tmp_path, command):
+    """Nesting past the parser's recursion limit exits 2 with a report, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main([command, "--input", str(deep), "--output", str(out)]) == 2
+    rep = read(out)
+    assert rep["error"] == "SCHEMA_ERROR"
+    assert "recursion" in rep["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,6 +225,31 @@ def test_verify_theorems_deterministic(tmp_path):
     rep = read(a)
     assert rep["ok"] is True
     assert rep["instances"] == 16
+
+
+def test_verify_pool_is_capped_at_the_instance_count(monkeypatch):
+    """--workers beyond --instances starts one worker per instance, and no more."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("driftlab.verify.ProcessPoolExecutor", RecordingPool)
+    pooled = run_verify(5, 3, workers=5000)
+    assert started == [3]
+    assert run_verify(5, 1, workers=5000) == run_verify(5, 1)
+    assert started == [3]
+    assert pooled == run_verify(5, 3)
 
 
 def test_verify_theorems_forced(tmp_path):

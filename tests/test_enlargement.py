@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.calculus import is_martingale, is_predictable
+from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
+                            alive_atoms, cond_expect)
+from driftlab.calculus import is_adapted, is_martingale, is_predictable
 from driftlab.enlargement import (
+    EnlargedBasis,
     _multinomial_solve,
     check_condition_support,
     check_positivity,
@@ -15,19 +19,25 @@ from driftlab.enlargement import (
     solve_factors,
     validate_enlargement,
 )
-from driftlab.errors import NotAdapted, NotAMartingale, Unsolvable
+from driftlab.errors import ConnectorInvalid, EngineError, NotAdapted, NotAMartingale, Unsolvable
 from driftlab.linalg import min_norm_solve, vec_dot
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
     random_adapted,
     random_martingale,
+    random_viable_asset,
     worked_four_point,
     worked_six_point,
 )
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation, represent
-from driftlab.viability import solve_accessible_K
+from driftlab.viability import (
+    enlarged_connector,
+    g_connector,
+    is_structure_connector,
+    solve_accessible_K,
+)
 
 KINDS = ("random", "initial", "progressive")
 
@@ -99,7 +109,6 @@ def test_drift_freezes_after_horizon():
 
 def test_drift_rejects_non_martingale():
     eb = instance(7)
-    from driftlab.basis import Process
     ramp = Process.from_scalar_paths(
         [list(range(eb.base.K + 1))] * eb.space.n)
     with pytest.raises(NotAMartingale):
@@ -112,7 +121,6 @@ def test_drift_rejects_non_martingale():
 def test_drift_rejects_non_adapted():
     """A path that reveals the outcome at tick 0 is not base-adapted."""
     eb = worked_six_point()["eb"]
-    from driftlab.basis import Process
     reveal = Process.from_scalar_paths(
         [[i] * (eb.base.K + 1) for i in range(eb.space.n)])
     with pytest.raises(NotAdapted):
@@ -262,3 +270,165 @@ def test_multinomial_solve_is_the_min_norm_inverse(p, data):
         stray[bump] -= ONE
         with pytest.raises(Unsolvable):
             _multinomial_solve(p, stray, "test")
+
+
+# Per-outcome references for the two transfer checks: every conditional
+# mean a per-component cond_expect over all outcomes, compared outcome by
+# outcome at every alive (outcome, tick).
+
+def reference_compensator_transfer_check(eb, factors, A):
+    if not is_adapted(eb.base, A):
+        raise NotAdapted()
+    n, K = eb.space.n, eb.base.K
+    for k in range(1, K + 1):
+        g_part = eb.enlarged.pre(k)
+        f_part = eb.base.pre(k)
+        for c in range(A.dim):
+            lhs = cond_expect(eb.space, g_part, [A.jump(i, k)[c] for i in range(n)])
+            base = cond_expect(eb.space, f_part, [A.jump(i, k)[c] for i in range(n)])
+            cols = [cond_expect(eb.space, f_part,
+                                [factors.N.jump(i, k)[h] * A.jump(i, k)[c] for i in range(n)])
+                    for h in range(factors.N.dim)]
+            for i in range(n):
+                if not eb.alive(i, k):
+                    continue
+                rhs = base[i] + vec_dot(factors.phi.at(i, k),
+                                        [cols[h][i] for h in range(factors.N.dim)])
+                if lhs[i] != rhs:
+                    return (i, k, c)
+    return None
+
+
+def reference_g_connector(eb, rep, factors, S, D):
+    _, Y = enlarged_connector(eb, rep, factors, D)
+    space, base, enlarged = eb.space, eb.base, eb.enlarged
+    n = space.n
+    for k in range(1, base.K + 1):
+        g_part = enlarged.pre(k)
+        f_part = base.pre(k)
+        y_jumps = [Y.jump(i, k)[0] for i in range(n)]
+        d_jumps = [D.jump(i, k)[0] for i in range(n)]
+        for c in range(S.dim):
+            s_jumps = [S.jump(i, k)[c] for i in range(n)]
+            s_mean_g = cond_expect(space, g_part, s_jumps)
+            s_mean_f = cond_expect(space, f_part, s_jumps)
+            lhs = cond_expect(space, g_part,
+                              [y_jumps[i] * (s_jumps[i] - s_mean_g[i]) for i in range(n)])
+            base_side = cond_expect(space, f_part,
+                                    [d_jumps[i] * (s_jumps[i] - s_mean_f[i]) for i in range(n)])
+            mult_side = [cond_expect(space, f_part,
+                                     [factors.N.jump(i, k)[h] * (s_jumps[i] - s_mean_f[i])
+                                      for i in range(n)])
+                         for h in range(factors.N.dim)]
+            for i in range(n):
+                if not eb.alive(i, k):
+                    continue
+                rhs = base_side[i] + vec_dot(factors.phi.at(i, k),
+                                             [mult_side[h][i] for h in range(factors.N.dim)])
+                if lhs[i] != rhs:
+                    raise ConnectorInvalid("transfer identity failed",
+                                           outcome=i, tick=k, component=c)
+    bad = is_structure_connector(space, enlarged, S, Y, eb.horizon)
+    if bad is not None:
+        raise ConnectorInvalid("transferred process is not a connector", **bad)
+    return Y
+
+
+def predictable_drift(rng, n, filt, width):
+    """A process null at 0 whose jump is one small row per left-limit atom."""
+    table = {}
+    for k, c in alive_atoms(filt):
+        row = tuple(Q(rng.randint(-2, 2), 8) for _ in range(width))
+        table.update(((k, kid), row) for kid in filt.child_map[(k, c)])
+    return Process.from_jump_table(n, filt, table, width)
+
+
+def perturbed(rng, eb, factors):
+    """The factors with phi bumped on some enlarged left-limit atoms, scaled, or kept.
+
+    Either way phi stays enlarged-predictable.  The connector transfer
+    holds for any such phi, since the integrand K is solved from it, so Wt
+    is scaled or given a drift on some draws, and N given a drift: only a
+    wrong integrator makes that transfer fail, and only a drift makes its
+    centring matter.
+    """
+    n, enlarged, width = eb.space.n, eb.enlarged, factors.N.dim
+    roll = rng.random()
+    if roll < 0.4:
+        table = {}
+        for k, c in alive_atoms(enlarged):
+            h = rng.randrange(width) if rng.random() < 0.5 else None
+            bump = Q(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            table[(k, c)] = tuple(x + bump if g == h else x
+                                  for g, x in enumerate(factors.phi.at(min(c), k)))
+        phi = Process.from_atom_table(n, enlarged, table, width)
+    elif roll < 0.7:
+        phi = factors.phi.scale(Q(rng.choice((-1, 0, 2, 3)), rng.randint(1, 2)))
+    else:
+        phi = factors.phi
+    roll = rng.random()
+    if roll < 0.2:
+        Wt = factors.Wt.scale(Q(rng.choice((-1, 1, 3)), 2))
+    elif roll < 0.4:
+        Wt = factors.Wt + predictable_drift(rng, n, enlarged, width)
+    else:
+        Wt = factors.Wt
+    N = factors.N + predictable_drift(rng, n, eb.base, width) if rng.random() < 0.2 else factors.N
+    return dataclasses.replace(factors, N=N, phi=phi, Wt=Wt)
+
+
+def sparse_adapted(rng, eb, dim):
+    """A base-adapted process with jumps in {-1, 0, 1}, often zero on a whole base atom."""
+    table = {}
+    for k, b in alive_atoms(eb.base):
+        live = [rng.random() < 0.5 for _ in range(dim)]
+        for kid in eb.base.child_map[(k, b)]:
+            table[(k, kid)] = tuple(Q(rng.choice((-1, 0, 0, 1))) if on else ZERO
+                                    for on in live)
+    return Process.from_jump_table(eb.space.n, eb.base, table, dim)
+
+
+def outcome_of(fn, *args):
+    """fn's result, or the type, message and detail of the engine error it raised."""
+    try:
+        return fn(*args)
+    except EngineError as exc:
+        return type(exc), str(exc), exc.detail
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=399), st.booleans())
+def test_transfer_checks_match_the_per_outcome_reference(seed, force):
+    eb = instance(seed, force)
+    rng = random.Random(f"transfer:{seed}:{force}")
+    rep = build_representation(eb.space, eb.base)
+    factors = perturbed(rng, eb, solve_factors(eb, rep))
+    A = sparse_adapted(rng, eb, rng.choice((1, 2, 3)))
+    assert outcome_of(compensator_transfer_check, eb, factors, A) == \
+        outcome_of(reference_compensator_transfer_check, eb, factors, A)
+    S, D, _ = random_viable_asset(rng, eb.space, eb.base, dim=rng.choice((1, 2)))
+    assert outcome_of(g_connector, eb, rep, factors, S, D) == \
+        outcome_of(reference_g_connector, eb, rep, factors, S, D)
+
+
+def test_transfer_mismatch_is_ordered_by_tick_then_component_then_outcome():
+    """The first mismatch of a tick is its lowest component, then its lowest outcome.
+
+    One tick, two base left-limit atoms, no enlargement.  phi is bumped on
+    both atoms; A jumps only in component 1 on {0, 1} and only in
+    component 0 on {2, 3}, so outcome 0 fails in component 1 and outcome 2
+    in component 0.
+    """
+    space = SampleSpace(("a", "b", "c", "d"), [Q(1, 4)] * 4)
+    base = Filtration(Partition([range(4)]),
+                      ((Partition([{0, 1}, {2, 3}]), Partition([[i] for i in range(4)])),))
+    eb = EnlargedBasis(space=space, base=base, enlarged=base, horizon=StoppingTime.constant(4, 1))
+    assert validate_enlargement(eb).ok
+    factors = solve_factors(eb, build_representation(space, base))
+    bumped = {(1, frozenset(b)): (ONE, ZERO) for b in ({0, 1}, {2, 3})}
+    factors = dataclasses.replace(factors, phi=Process.from_atom_table(4, base, bumped, 2))
+    jumps = {(1, frozenset({0})): (ZERO, ONE), (1, frozenset({1})): (ZERO, -ONE),
+             (1, frozenset({2})): (ONE, ZERO), (1, frozenset({3})): (-ONE, ZERO)}
+    A = Process.from_jump_table(4, base, jumps, 2)
+    assert compensator_transfer_check(eb, factors, A) == (2, 1, 0)
+    assert reference_compensator_transfer_check(eb, factors, A) == (2, 1, 0)

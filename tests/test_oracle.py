@@ -158,6 +158,21 @@ def test_alive_atoms_is_the_only_alive_walk():
     assert sorted(callers) == ["basis.alive_atoms", "oracle._build_lp"]
 
 
+def test_cond_expect_serves_only_cond_prob_and_the_crosschecks():
+    """`cond_expect(` is called only by `basis.cond_prob` and the two `models` cross-checks.
+
+    Every other conditional mean in the engine is a per-child sum through
+    `calculus.jump_mean`; the Jacod and Azema cross-checks stay per outcome
+    because they are independent recomputations.
+    """
+    callers = {f"{path.stem}.{fn.name}" for path in package_modules()
+               for fn in ast.walk(parse(path)) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cond_expect"}
+    assert sorted(callers) == ["basis.cond_prob", "models.azema_phi_crosscheck",
+                               "models.jacod_phi_crosscheck"]
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from driftlab.basis import Process, StoppingTime
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.enlargement import solve_factors
-from driftlab.errors import ConnectorInvalid, NotAStoppingTime, SupportConditionFailed
+from driftlab.errors import ConnectorInvalid, NotAdapted, NotAStoppingTime, SupportConditionFailed
 from driftlab.linfeas import OPTIMAL, solve_lp
 from driftlab.models import (
     GeneratorConfig,
@@ -154,6 +154,16 @@ def test_jump_identity_and_g_connector(seed):
     DG = g_connector(eb, rep, factors, S, D)
     assert is_structure_connector(eb.space, eb.enlarged, S, DG,
                                   horizon=eb.horizon) is None
+
+    # An asset bumped on one outcome of a tick atom is not base-adapted.
+    spots = [(max(b), k) for k in range(1, eb.base.K + 1) for b in eb.base.at(k).blocks
+             if len(b) > 1]
+    if spots:
+        i, k = rng.choice(spots)
+        rows = [list(row) for row in S.values]
+        rows[i][k] = tuple(x + ONE for x in rows[i][k])
+        with pytest.raises(NotAdapted):
+            g_connector(eb, rep, factors, Process(S.dim, rows), D)
 
 
 def test_witness_asset_separates_the_filtrations():
