@@ -20,7 +20,7 @@ from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
                           factorization_check, solve_factors, tilde,
                           validate_enlargement)
 from .errors import (AzemaDegenerate, BadGrid, ConnectorInvalid, DataInvariantViolated,
-                     DimensionMismatch, EngineError, InternalInvariant,
+                     DimensionMismatch, EngineError, InternalInvariant, InvalidDocument,
                      JacodDegenerate, NotAMartingale, NotARandomTime, NotAStoppingTime,
                      NotAdapted, NotPredictable, SchemaError, SupportConditionFailed,
                      Unsolvable, ZeroProbabilityBranch)

@@ -10,16 +10,13 @@ and its output is tagged approximate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from typing import Optional
 
 from . import serialize
-from .basis import StoppingTime, is_stopping_time, validate
-from .enlargement import (check_condition_support, check_positivity, drift_operator,
-                          solve_factors, validate_enlargement)
-from .errors import EngineError, SchemaError
+from .enlargement import check_condition_support, check_positivity, drift_operator, solve_factors
+from .errors import EngineError, InvalidDocument, SchemaError
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
                             accessible_jump_value, continuous_part_integrand,
                             inaccessible_jump_value, quotient_identity_holds,
@@ -56,71 +53,37 @@ def _read_input(path: Optional[str]) -> dict:
     return serialize.loads(text)
 
 
-def _flag_horizon(horizon_flag: Optional[int], n: int, K: int) -> Optional[StoppingTime]:
-    """The constant horizon a --horizon flag asks for, capped at K; None without the flag."""
-    if horizon_flag is None:
-        return None
-    if horizon_flag < 0:
-        raise SchemaError("--horizon must be a nonnegative tick")
-    return StoppingTime.constant(n, min(horizon_flag, K))
-
-
-def _load_instance(doc: dict, horizon_flag: Optional[int]):
-    eb = serialize.instance_from_json(doc)
-    flagged = _flag_horizon(horizon_flag, eb.space.n, eb.enlarged.K)
-    if flagged is not None:
-        eb = dataclasses.replace(eb, horizon=flagged)
-    diag = validate_enlargement(eb)
-    if not diag.ok:
-        raise SchemaError("invalid instance: " + "; ".join(diag.errors))
-    return eb
-
-
-def _rat_vec(raw, label: str) -> tuple:
-    if not isinstance(raw, list):
-        raise SchemaError(f"'{label}' must be a list of rationals")
-    return tuple(serialize._rat(v) for v in raw)
-
-
-def _rat_mat(raw, label: str) -> tuple:
-    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-        raise SchemaError(f"'{label}' must be a list of rational rows")
-    return tuple(tuple(serialize._rat(v) for v in r) for r in raw)
-
-
 # --- subcommands ---
 
 def _cmd_validate(args) -> int:
+    """Run the loader of the command whose document it is; list structural failures."""
     doc = _read_input(args.input)
-    if "enlargement" in doc:
-        eb = serialize.instance_from_json(doc)
-        diag = validate_enlargement(eb)
-    else:
-        space, filt = serialize.basis_from_json(doc)
-        diag = validate(space, filt)
-    report = {"command": "validate", "ok": diag.ok, "errors": list(diag.errors)}
-    if not diag.ok:
+    try:
+        if "enlargement" in doc:
+            serialize.load_instance(doc)
+        else:
+            serialize.load_basis(doc)
+        errors = ()
+    except InvalidDocument as exc:
+        errors = exc.detail["errors"]
+    report = {"command": "validate", "ok": not errors, "errors": list(errors)}
+    if errors:
         report["error"] = "VALIDATION_FAILED"
     _emit(report, args.output)
-    return 0 if diag.ok else 3
+    return 3 if errors else 0
 
 
 def _cmd_drift(args) -> int:
-    doc = _read_input(args.input)
-    eb = _load_instance(doc, args.horizon)
-    if "process" not in doc:
+    eb, X = serialize.load_instance(_read_input(args.input), args.horizon)
+    if X is None:
         raise SchemaError("drift requires a 'process' field")
-    X = serialize.process_from_json(doc["process"], n=eb.space.n,
-                                    ticks=eb.base.K)
-    drift = drift_operator(eb, X)
-    _emit({"command": "drift", "drift": serialize.process_to_json(drift)},
+    _emit({"command": "drift", "drift": serialize.process_to_json(drift_operator(eb, X))},
           args.output)
     return 0
 
 
 def _cmd_factors(args) -> int:
-    doc = _read_input(args.input)
-    eb = _load_instance(doc, args.horizon)
+    eb, _ = serialize.load_instance(_read_input(args.input), args.horizon)
     rep = build_representation(eb.space, eb.base)
     factors = solve_factors(eb, rep)
     support = check_condition_support(eb)
@@ -137,30 +100,16 @@ def _cmd_factors(args) -> int:
 
 
 def _cmd_check_viability(args) -> int:
-    doc = _read_input(args.input)
-    eb = _load_instance(doc, args.horizon)
-    report = full_viability_verdict(eb)
-    out = serialize.viability_report_to_json(report)
+    eb, _ = serialize.load_instance(_read_input(args.input), args.horizon)
+    out = serialize.viability_report_to_json(full_viability_verdict(eb))
     out["command"] = "check-viability"
     _emit(out, args.output)
     return 0
 
 
 def _cmd_deflator(args) -> int:
-    doc = _read_input(args.input)
-    space, filt = serialize.basis_from_json(doc)
-    diag = validate(space, filt)
-    if not diag.ok:
-        raise SchemaError("invalid basis: " + "; ".join(diag.errors))
-    if "asset" not in doc:
-        raise SchemaError("deflator requires an 'asset' field")
-    S = serialize.process_from_json(doc["asset"], n=space.n, ticks=filt.K)
-    horizon = _flag_horizon(args.horizon, space.n, filt.K)
-    if horizon is None:
-        horizon = (serialize.horizon_from_json(doc["horizon"], space.n, filt.K)
-                   if "horizon" in doc else StoppingTime.constant(space.n, filt.K))
-    if not is_stopping_time(filt, horizon):
-        raise SchemaError("invalid horizon: not a stopping time of the filtration")
+    space, filt, S, horizon = serialize.load_basis(_read_input(args.input), args.horizon,
+                                                   require_asset=True)
     search = find_structure_connector(space, filt, S, horizon)
     oracle = lp_deflator_oracle(space, filt, S, horizon)
     report = {
@@ -176,12 +125,11 @@ def _cmd_deflator(args) -> int:
     else:
         report["tick"] = search.tick
         report["atom"] = sorted(search.atom) if search.atom else None
-    if search.found != oracle.feasible:
+    agree = search.found == oracle.feasible
+    if not agree:
         report["error"] = "connector search and oracle disagree"
-        _emit(report, args.output)
-        return 3
     _emit(report, args.output)
-    return 0
+    return 0 if agree else 3
 
 
 def _cmd_verify(args) -> int:
@@ -206,84 +154,35 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _kernel_accessible(raw: dict) -> dict:
-    data = AccessibleEventData(
-        p=_rat_vec(raw.get("p"), "p"),
-        pbar=_rat_vec(raw.get("pbar"), "pbar"),
-        n_vals=_rat_mat(raw.get("n_vals"), "n_vals"),
-        d_vals=_rat_vec(raw.get("d_vals"), "d_vals"),
-        phi=_rat_vec(raw.get("phi"), "phi"),
-        weight=serialize._rat(raw.get("weight", "1/1")),
-    )
-    validate_accessible(data)
-    values = [rat_str(accessible_jump_value(data, h)) if data.p[h] > ZERO else None
-              for h in range(len(data.p))]
-    return {"kind": "accessible", "values": values}
-
-
-def _kernel_inaccessible(raw: dict) -> dict:
-    data = InaccessibleEventData(
-        q=_rat_vec(raw.get("q"), "q"),
-        qbar=_rat_vec(raw.get("qbar"), "qbar"),
-        jump_scale=_rat_vec(raw.get("jump_scale"), "jump_scale"),
-        base_coeff=_rat_vec(raw.get("base_coeff"), "base_coeff"),
-        pair_rows=_rat_mat(raw.get("pair_rows"), "pair_rows"),
-        drive_mean=_rat_vec(raw.get("drive_mean"), "drive_mean"),
-        phi=_rat_vec(raw.get("phi"), "phi"),
-    )
-    validate_inaccessible(data)
-    cells = len(data.q)
-    return {
-        "kind": "inaccessible",
-        "values": [rat_str(inaccessible_jump_value(data, k)) for k in range(cells)],
-        "reduced_equation": [reduced_equation_holds(data, k) for k in range(cells)],
-        "quotient_identity": [quotient_identity_holds(data, k) for k in range(cells)],
-    }
-
-
-def _kernel_continuous(raw: dict) -> dict:
-    values = continuous_part_integrand(
-        _rat_vec(raw.get("base_coeff"), "base_coeff"),
-        _rat_mat(raw.get("pair_rows"), "pair_rows"),
-        _rat_vec(raw.get("phi"), "phi"))
-    return {"kind": "continuous", "values": [rat_str(v) for v in values]}
-
-
 def _cmd_kernel_eval(args) -> int:
-    doc = _read_input(args.input)
-    if "accessible" in doc:
-        report = _kernel_accessible(serialize._get(doc, "accessible", dict))
-    elif "inaccessible" in doc:
-        report = _kernel_inaccessible(serialize._get(doc, "inaccessible", dict))
-    elif "continuous" in doc:
-        report = _kernel_continuous(serialize._get(doc, "continuous", dict))
+    kind, fields = serialize.load_kernel_event(_read_input(args.input))
+    if kind == "accessible":
+        data = AccessibleEventData(**fields)
+        validate_accessible(data)
+        report = {"values": [rat_str(accessible_jump_value(data, h)) if data.p[h] > ZERO
+                             else None for h in range(len(data.p))]}
+    elif kind == "inaccessible":
+        data = InaccessibleEventData(**fields)
+        validate_inaccessible(data)
+        cells = range(len(data.q))
+        report = {
+            "values": [rat_str(inaccessible_jump_value(data, k)) for k in cells],
+            "reduced_equation": [reduced_equation_holds(data, k) for k in cells],
+            "quotient_identity": [quotient_identity_holds(data, k) for k in cells],
+        }
     else:
-        raise SchemaError(
-            "kernel-eval input needs 'accessible', 'inaccessible', or 'continuous'")
-    report["command"] = "kernel-eval"
+        values = continuous_part_integrand(fields["base_coeff"], fields["pair_rows"],
+                                           fields["phi"])
+        report = {"values": [rat_str(v) for v in values]}
+    report.update(command="kernel-eval", kind=kind)
     _emit(report, args.output)
     return 0
 
 
-def _is_numbers(raw) -> bool:
-    """A JSON list of numbers (a bool is not one)."""
-    return isinstance(raw, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-
-
 def _cmd_diagnose_series(args) -> int:
-    doc = _read_input(args.input)
-    levels = doc.get("levels")
-    jumps = doc.get("jumps")
-    if levels is not None and not (isinstance(levels, list) and all(
-            isinstance(g, dict) and _is_numbers(g.get("t")) and _is_numbers(g.get("y"))
-            for g in levels)):
-        raise SchemaError("'levels' must be a list of {t, y} grids of numbers")
-    if jumps is not None and not _is_numbers(jumps):
-        raise SchemaError("'jumps' must be a list of numbers")
+    levels, jumps = serialize.load_series(_read_input(args.input))
     report = series_diagnostics(levels=levels, jumps=jumps)
-    report["command"] = "diagnose-series"
-    report["approximate"] = True
+    report.update(command="diagnose-series", approximate=True)
     _emit(report, args.output)
     return 0
 

@@ -77,6 +77,10 @@ class SchemaError(EngineError):
     code = "SCHEMA_ERROR"
 
 
+class InvalidDocument(SchemaError):
+    """A document that parses but breaks a structural invariant, listed in detail["errors"]."""
+
+
 class InternalInvariant(EngineError):
     """A guarantee the engine prints failed its own recheck: a bug, not bad input."""
 

@@ -1,20 +1,25 @@
 """JSON input and output for bases, processes, and reports.
 
 Rationals travel as "p/q" strings, never as floats; block structures as
-sorted index lists.  Loaders raise SchemaError on any malformed document
-so the CLI can map them to its schema exit code.  Dumps are canonical
-(sorted keys, fixed separators, trailing newline) to keep reports
-byte-deterministic.
+sorted index lists.  Every input schema lives here, with one loader per
+document kind: `load_instance`, `load_basis`, `load_kernel_event` and
+`load_series`.  Loaders raise SchemaError on any malformed document so the
+CLI can map them to its schema exit code, and InvalidDocument on one that
+parses but breaks a structural invariant.  Dumps are canonical (sorted
+keys, fixed separators, trailing newline) to keep reports byte-deterministic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Optional
 
-from .basis import Filtration, Partition, Process, SampleSpace, StoppingTime
-from .enlargement import EnlargedBasis
-from .errors import EngineError, SchemaError
+from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
+                    is_stopping_time, validate)
+from .calculus import is_adapted
+from .enlargement import EnlargedBasis, validate_enlargement
+from .errors import EngineError, InvalidDocument, SchemaError
 from .rational import Q, rat, rat_str
 
 
@@ -131,17 +136,13 @@ def horizon_to_json(T: StoppingTime) -> list:
 
 
 def horizon_from_json(raw, n: int, K: int) -> StoppingTime:
+    """One tick (or null, never) per outcome; a tick past K also means never."""
     if not isinstance(raw, list) or len(raw) != n:
         raise SchemaError("'horizon' must list one tick (or null) per outcome")
-    vals = []
     for v in raw:
-        if v is None:
-            vals.append(None)
-        elif isinstance(v, int) and not isinstance(v, bool) and 0 <= v:
-            vals.append(min(v, K) if v <= K else None)
-        else:
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
             raise SchemaError(f"bad horizon entry {v!r}")
-    return StoppingTime(tuple(vals))
+    return StoppingTime(tuple(None if v is None or v > K else v for v in raw))
 
 
 def instance_to_json(eb: EnlargedBasis) -> dict:
@@ -157,6 +158,56 @@ def instance_from_json(doc: dict) -> EnlargedBasis:
     enlarged = _filtration_from_json(_get(doc, "enlargement", dict), space.n)
     horizon = horizon_from_json(_get(doc, "horizon", list), space.n, enlarged.K)
     return EnlargedBasis(space=space, base=base, enlarged=enlarged, horizon=horizon)
+
+
+def _tick_horizon(tick: int, n: int, K: int) -> StoppingTime:
+    """The constant horizon a --horizon tick asks for, read as a document horizon."""
+    if tick < 0:
+        raise SchemaError("--horizon must be a nonnegative tick")
+    return horizon_from_json([tick] * n, n, K)
+
+
+def load_instance(doc: dict, horizon: Optional[int] = None) -> tuple:
+    """An enlarged-instance document: (EnlargedBasis, its 'process' or None).
+
+    The document's horizon is parsed, then a --horizon tick replaces it.
+    """
+    eb = instance_from_json(doc)
+    if horizon is not None:
+        eb = dataclasses.replace(eb, horizon=_tick_horizon(horizon, eb.space.n, eb.enlarged.K))
+    diag = validate_enlargement(eb)
+    if not diag.ok:
+        raise InvalidDocument("invalid instance: " + "; ".join(diag.errors), errors=diag.errors)
+    X = (process_from_json(doc["process"], n=eb.space.n, ticks=eb.base.K)
+         if "process" in doc else None)
+    return eb, X
+
+
+def load_basis(doc: dict, horizon: Optional[int] = None,
+               require_asset: bool = False) -> tuple:
+    """A basis document: (space, filtration, its 'asset' or None, horizon).
+
+    The document's horizon (the last tick when absent) is parsed, then a
+    --horizon tick replaces it; the asset must be adapted to the filtration.
+    """
+    space, filt = basis_from_json(doc)
+    diag = validate(space, filt)
+    if not diag.ok:
+        raise InvalidDocument("invalid basis: " + "; ".join(diag.errors), errors=diag.errors)
+    if require_asset and "asset" not in doc:
+        raise SchemaError("deflator requires an 'asset' field")
+    S = process_from_json(doc["asset"], n=space.n, ticks=filt.K) if "asset" in doc else None
+    T = horizon_from_json(doc.get("horizon", [filt.K] * space.n), space.n, filt.K)
+    if horizon is not None:
+        T = _tick_horizon(horizon, space.n, filt.K)
+    if not is_stopping_time(filt, T):
+        raise InvalidDocument(
+            "invalid horizon: not a stopping time of the filtration",
+            errors=("NOT_A_STOPPING_TIME: horizon not measurable in the filtration",))
+    if S is not None and not is_adapted(filt, S):
+        raise InvalidDocument("invalid asset: not adapted to the filtration",
+                              errors=("NOT_ADAPTED: asset not adapted to the filtration",))
+    return space, filt, S, T
 
 
 # --- processes ---
@@ -196,6 +247,62 @@ def process_from_json(doc: dict, n: Optional[int] = None,
     if ticks is not None and width != ticks + 1:
         raise SchemaError(f"process must have {ticks + 1} tick values per row")
     return Process(dim, tuple(rows))
+
+
+# --- kernel events and series ---
+
+def _rat_vec(raw, label: str) -> tuple:
+    if not isinstance(raw, list):
+        raise SchemaError(f"'{label}' must be a list of rationals")
+    return tuple(_rat(v) for v in raw)
+
+
+def _rat_mat(raw, label: str) -> tuple:
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise SchemaError(f"'{label}' must be a list of rational rows")
+    return tuple(tuple(_rat(v) for v in r) for r in raw)
+
+
+# Kernel-event fields per kind, in reading order, with their reader; a
+# field missing from the document reads as None, except a default here.
+_KERNEL_FIELDS = {
+    "accessible": (("p", _rat_vec), ("pbar", _rat_vec), ("n_vals", _rat_mat),
+                   ("d_vals", _rat_vec), ("phi", _rat_vec), ("weight", lambda raw, _: _rat(raw))),
+    "inaccessible": (("q", _rat_vec), ("qbar", _rat_vec), ("jump_scale", _rat_vec),
+                     ("base_coeff", _rat_vec), ("pair_rows", _rat_mat),
+                     ("drive_mean", _rat_vec), ("phi", _rat_vec)),
+    "continuous": (("base_coeff", _rat_vec), ("pair_rows", _rat_mat), ("phi", _rat_vec)),
+}
+_KERNEL_DEFAULTS = {"weight": "1/1"}
+
+
+def load_kernel_event(doc: dict) -> tuple:
+    """A kernel-eval document: (kind, {field: value}) for its first kind present."""
+    for kind, fields in _KERNEL_FIELDS.items():
+        if kind in doc:
+            raw = _get(doc, kind, dict)
+            return kind, {name: read(raw.get(name, _KERNEL_DEFAULTS.get(name)), name)
+                          for name, read in fields}
+    raise SchemaError("kernel-eval input needs 'accessible', 'inaccessible', or 'continuous'")
+
+
+def _is_numbers(raw) -> bool:
+    """A JSON list of numbers (a bool is not one)."""
+    return isinstance(raw, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+
+
+def load_series(doc: dict) -> tuple:
+    """A diagnose-series document: its optional (levels, jumps), each None when absent."""
+    levels = doc.get("levels")
+    jumps = doc.get("jumps")
+    if levels is not None and not (isinstance(levels, list) and all(
+            isinstance(g, dict) and _is_numbers(g.get("t")) and _is_numbers(g.get("y"))
+            for g in levels)):
+        raise SchemaError("'levels' must be a list of {t, y} grids of numbers")
+    if jumps is not None and not _is_numbers(jumps):
+        raise SchemaError("'jumps' must be a list of numbers")
+    return levels, jumps
 
 
 # --- reports ---

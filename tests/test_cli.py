@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from driftlab import cli, verify
 from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
 from driftlab.cli import main
 from driftlab.enlargement import EnlargedBasis, validate_enlargement
@@ -14,6 +17,7 @@ from driftlab.rational import Q, rat
 from driftlab.serialize import (
     basis_to_json,
     dumps,
+    horizon_to_json,
     instance_from_json,
     instance_to_json,
     process_to_json,
@@ -194,11 +198,19 @@ def test_deflator_command(tmp_path):
     ("deflator", {"horizon": [None, 0]}, []),
     ("deflator", {"asset": 3}, []),
     ("deflator", {"asset": "dim"}, []),
+    ("deflator", {"asset": process_to_json(Process.from_scalar_paths([[1, 1], [0, 2]]))}, []),
+    ("deflator", {"horizon": "x"}, ["--horizon", "1"]),
+    ("deflator", {"horizon": [1]}, ["--horizon", "1"]),
+    ("deflator", {"horizon": [True, 1]}, ["--horizon", "1"]),
     ("drift", {"process": None}, []),
 ], ids=["negative-horizon-flag", "total-mass-two", "horizon-not-a-stopping-time",
-        "asset-number", "asset-string", "drift-process-null"])
+        "asset-number", "asset-string", "asset-not-adapted", "flag-over-bad-horizon-string",
+        "flag-over-bad-horizon-length", "flag-over-bad-horizon-bool", "drift-process-null"])
 def test_deflator_rejects_malformed_input(tmp_path, command, edit, flags):
-    """Malformed deflator input, or a drift process that is no object, exits 2."""
+    """Malformed deflator input, or a drift process that is no object, exits 2.
+
+    The document's own horizon is checked even when --horizon overrides it.
+    """
     top = Partition([[0, 1]])
     filt = Filtration(top, ((top, Partition([[0], [1]])),))
     space = SampleSpace(("u", "d"), ("1/2", "1/2"))
@@ -228,7 +240,10 @@ def test_verify_theorems_deterministic(tmp_path):
 
 
 def test_verify_pool_is_capped_at_the_instance_count(monkeypatch):
-    """--workers beyond --instances starts one worker per instance, and no more."""
+    """--workers starts at most one worker per instance and per CPU, and no more.
+
+    A recording fake stands in for the pool, so no real pool is started.
+    """
     started = []
 
     class RecordingPool:
@@ -245,11 +260,48 @@ def test_verify_pool_is_capped_at_the_instance_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr("driftlab.verify.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: 8)
     pooled = run_verify(5, 3, workers=5000)
     assert started == [3]
     assert run_verify(5, 1, workers=5000) == run_verify(5, 1)
     assert started == [3]
     assert pooled == run_verify(5, 3)
+    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: 2)
+    assert run_verify(5, 3, workers=64) == pooled
+    assert started == [3, 2]
+    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: None)
+    assert run_verify(5, 3, workers=64) == pooled
+    assert started == [3, 2]
+
+
+def _doubled_at(Z, i):
+    """Z with outcome i's values doubled from tick 1 on."""
+    rows = list(Z.values)
+    rows[i] = rows[i][:1] + tuple(tuple(2 * v for v in x) for x in rows[i][1:])
+    return Process(Z.dim, tuple(rows))
+
+
+@pytest.mark.parametrize("outcome", range(4))
+def test_batteries_refuse_a_deflator_doubled_at_one_outcome(monkeypatch, outcome):
+    """A verdict or connector deflator off at one outcome fails its battery's recheck."""
+    true_verdict, found = 2, 0  # seeds: a true verdict on 4 outcomes, a found connector
+    assert verify.viability_battery(true_verdict)["ok"] is True
+    assert verify.connector_oracle_battery(found)["ok"] is True
+    real_verdict, real_deflator = verify.full_viability_verdict, verify.deflator_from_connector
+
+    def doubled_verdict(eb, rep):
+        report = real_verdict(eb, rep)
+        return dataclasses.replace(report, deflator=_doubled_at(report.deflator, outcome))
+
+    monkeypatch.setattr(verify, "full_viability_verdict", doubled_verdict)
+    monkeypatch.setattr(verify, "deflator_from_connector",
+                        lambda *args: _doubled_at(real_deflator(*args), outcome))
+    out = verify.viability_battery(true_verdict)
+    assert out["verdict"] is True
+    assert out["reasons"] == ["common deflator fails its plain-arithmetic recheck on the driver"]
+    out = verify.connector_oracle_battery(found)
+    assert out["found"] is True
+    assert out["reasons"] == ["deflator fails its plain-arithmetic recheck"]
 
 
 def test_verify_theorems_forced(tmp_path):
@@ -403,11 +455,14 @@ def _valid_documents():
         "factors": instance,
         "check-viability": instance,
         "deflator": {**basis_to_json(eb.space, eb.base),
-                     "asset": process_to_json(six["asset"])},
+                     "asset": process_to_json(six["asset"]),
+                     "horizon": horizon_to_json(eb.horizon)},
         "kernel-eval": {"accessible": {
             "p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"],
             "n_vals": [["1/1"], ["-1/1"]], "d_vals": ["0/1", "0/1"],
             "phi": ["1/2"], "weight": "1/1"}},
+        "diagnose-series": {"levels": [{"t": [0, 0.5, 1], "y": [1, 2, 3]}],
+                            "jumps": [0.5, 0.25, 0.125]},
     }
 
 
@@ -451,3 +506,53 @@ def test_any_document_gives_a_report(command, data):
         assert code in (0, 2, 3)
         rep = read(out)
         assert ("error" in rep) == (code != 0)
+
+
+@pytest.mark.parametrize("command", ["check-viability", "deflator"])
+@given(data=st.data())
+def test_validate_accepts_what_the_command_accepts(command, data):
+    """On a valid document with one node replaced, validate exits 0 exactly when the command does.
+
+    `validate` runs the loader of the command whose document it is, so a
+    document that passes it is one the command takes.
+    """
+    doc = VALID_DOCUMENTS[command]
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write(Path(tmp) / "in.json", _replace(doc, path, data.draw(json_values)))
+        out = str(Path(tmp) / "r.json")
+        checked = main(["validate", "--input", inp, "--output", out])
+        ran = main([command, "--input", inp, "--output", out])
+    assert (checked == 0) == (ran == 0)
+
+
+def test_validate_checks_a_basis_horizon_and_asset(tmp_path):
+    """validate lists a horizon that is not a stopping time, and rejects a malformed one."""
+    doc = VALID_DOCUMENTS["deflator"]
+    out = tmp_path / "r.json"
+    cases = [({"horizon": [0, 1, 1, 1, 1, 1]}, 3, "NOT_A_STOPPING_TIME"),
+             ({"horizon": [None, 0]}, 2, None),
+             ({"horizon": [True, 1, 1, 1, 1, 1]}, 2, None),
+             ({"asset": {"dim": 1, "values": []}}, 2, None)]
+    for edit, code, listed in cases:
+        inp = write(tmp_path / "b.json", {**doc, **edit})
+        assert main(["validate", "--input", inp, "--output", str(out)]) == code
+        rep = read(out)
+        if listed:
+            assert rep["ok"] is False
+            assert [e.split(":")[0] for e in rep["errors"]] == [listed]
+        else:
+            assert rep["error"] == "SCHEMA_ERROR"
+    instance = {**VALID_DOCUMENTS["check-viability"], "process": {"dim": 0, "values": []}}
+    inp = write(tmp_path / "i.json", instance)
+    assert main(["validate", "--input", inp, "--output", str(out)]) == 2
+
+
+def test_cli_reads_no_private_serialize_name():
+    """The schema lives in `serialize`; `cli` reaches it only through public loaders."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "serialize"}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "serialize" for alias in node.names}
+    assert sorted(name for name in named if name.startswith("_")) == []
