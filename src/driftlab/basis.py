@@ -55,6 +55,11 @@ class SampleSpace:
             out = self._masses[event] = sum((self.prob[i] for i in event), ZERO)
         return out
 
+    @cached_property
+    def _splits(self) -> dict[tuple[frozenset[int], ...], tuple[Q, ...]]:
+        """Children of an atom -> their probabilities conditional on the atom (atom_split)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -265,10 +270,23 @@ class Process:
 
     @staticmethod
     def from_jump_table(n: int, filt: "Filtration", table: dict, dim: int = 1) -> "Process":
-        """Adapted, null at 0, jumping by table[(k, at(k)-atom)] at tick k (0 if absent)."""
+        """Adapted, null at 0, jumping by table[(k, at(k)-atom)] at tick k (0 if absent).
+
+        Built atom by atom: at(k) refines at(k-1), so every outcome of an
+        at(k)-atom c holds the same value at k - 1, the one at min(c), and
+        the value at k is that plus the entry of c, shared by all of c.
+        """
         zero = (ZERO,) * dim
-        return Process.from_jumps(
-            n, filt.K, lambda i, k: table.get((k, filt.at(k).block_of(i)), zero), dim=dim)
+        rows = [[zero] * (filt.K + 1) for _ in range(n)]
+        for k in range(1, filt.K + 1):
+            for c in filt.at(k).blocks:
+                cur = rows[min(c)][k - 1]
+                entry = table.get((k, c))
+                if entry is not None:
+                    cur = tuple(a + b for a, b in zip(cur, _as_vector(entry)))
+                for i in c:
+                    rows[i][k] = cur
+        return Process(dim, rows)
 
 
 INF = None  # stopping-time value for "never"
@@ -373,10 +391,16 @@ def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -
 
 def atom_split(space: SampleSpace, filt: Filtration, k: int,
                b: frozenset[int]) -> tuple[tuple[frozenset[int], ...], tuple[Q, ...]]:
-    """The at(k)-children of the pre(k)-atom b and their conditional probabilities."""
+    """The at(k)-children of the pre(k)-atom b and their conditional probabilities.
+
+    The probabilities are cached on the space, keyed by the children.
+    """
     kids = filt.child_map[(k, b)]
-    mass = space.mass(b)
-    return kids, tuple(space.mass(kid) / mass for kid in kids)
+    p = space._splits.get(kids)
+    if p is None:
+        mass = space.mass(b)
+        p = space._splits[kids] = tuple(space.mass(kid) / mass for kid in kids)
+    return kids, p
 
 
 def cond_prob(space: SampleSpace, partition: Partition, event: frozenset[int]) -> tuple[Q, ...]:

@@ -151,7 +151,13 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
 
 def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
                    horizon: Optional[StoppingTime] = None) -> bool:
-    """Plain-arithmetic recheck: Z_0 = 1, Z > 0, Z and Z*S martingales on the horizon."""
+    """Plain-arithmetic recheck that Z is a positive deflator for S on the horizon.
+
+    Checked: Z_0 = 1 and Z > 0; Z adapted (on every at(k)-atom, each
+    outcome's Z at k equals that at the atom's smallest outcome); Z frozen
+    after the horizon (each outcome's Z keeps its value at T_i); Z and Z*S
+    martingales up to the horizon.
+    """
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
     for i in range(space.n):
@@ -160,6 +166,14 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
         for k in range(filt.K + 1):
             if Z.at(i, k)[0] <= ZERO:
                 return False
+    for k in range(filt.K + 1):
+        for c in filt.at(k).blocks:
+            z = Z.at(min(c), k)
+            if any(Z.at(i, k) != z for i in c):
+                return False
+    for i, t in enumerate(horizon.values):
+        if t is not None and any(Z.at(i, k) != Z.at(i, t) for k in range(t + 1, filt.K + 1)):
+            return False
     for k, b in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
             tot = ZERO

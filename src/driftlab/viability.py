@@ -36,6 +36,38 @@ from .representation import (RepresentationProcess, build_representation, fired_
                              represent)
 
 
+def _atom_rows_violation(rows) -> Optional[dict]:
+    """None if the atoms' jump tables pass the connector rows, else a violation record.
+
+    Each row is (k, b, kids, p, d_jumps, s_jumps) for one alive left-limit
+    atom b at tick k: its children, their conditional probabilities, the
+    jumps of D on them and, when checking a connector for S, the jumps of
+    S (None otherwise).  Rows: D is a martingale on the atom, every jump of
+    D is below one and sum_h q_h s_h = 0 with the weights
+    q_h = p_h (1 - jump_h(D)) of find_structure_connector.  A failed
+    martingale row is reported at once, the first big jump (by outcome,
+    then tick) and the first failed identity (by tick, atom, component)
+    only when nothing graver turns up.
+    """
+    big_jump = identity = None
+    for k, b, kids, p, d_jumps, s_jumps in rows:
+        if jump_mean(p, d_jumps)[0] != ZERO:
+            return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
+        for kid, (dj,) in zip(kids, d_jumps):
+            if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
+                big_jump = (min(kid), k)
+        if s_jumps is None or big_jump is not None or identity is not None:
+            continue
+        q = [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
+        failed = [c for c, mean in enumerate(jump_mean(q, s_jumps)) if mean != ZERO]
+        if failed:
+            identity = {"reason": "identity-failed", "tick": k,
+                        "atom": sorted(b), "component": failed[0]}
+    if big_jump is not None:
+        return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
+    return identity
+
+
 def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
                          horizon: StoppingTime, S: Optional[Process] = None) -> Optional[dict]:
     """None if D can make a deflator on [0, horizon], else a violation record.
@@ -45,12 +77,8 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
     up to the horizon, and every jump there strictly below one.  Given S,
     D must also be a connector for it: on every alive atom the jump
     covariance of D against each component of S equals that component's
-    conditional jump mean, that is sum_h q_h s_h = 0 with the weights
-    q_h = p_h (1 - jump_h(D)) of find_structure_connector.  The last three
-    properties are checked in one walk over the alive atoms' jump tables;
-    a failed martingale property is reported at once, the first big jump
-    (by outcome, then tick) and the first failed identity (by tick, atom,
-    component) only when nothing graver turns up.
+    conditional jump mean.  The last three properties are the rows of
+    _atom_rows_violation, read off D and S on each alive atom's children.
     """
     if D.dim != 1:
         return {"reason": "not-scalar"}
@@ -59,25 +87,34 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
     for i in range(space.n):
         if D.at(i, 0)[0] != ZERO:
             return {"reason": "nonzero-start", "outcome": i}
-    big_jump = identity = None
-    for k, b in alive_atoms(filt, horizon):
-        kids, p = atom_split(space, filt, k, b)
-        d_jumps = D.child_jumps(k, kids)
-        if jump_mean(p, d_jumps)[0] != ZERO:
-            return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
-        for kid, (dj,) in zip(kids, d_jumps):
-            if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
-                big_jump = (min(kid), k)
-        if S is None or big_jump is not None or identity is not None:
-            continue
-        q = [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
-        failed = [c for c, mean in enumerate(jump_mean(q, S.child_jumps(k, kids))) if mean != ZERO]
-        if failed:
-            identity = {"reason": "identity-failed", "tick": k,
-                        "atom": sorted(b), "component": failed[0]}
-    if big_jump is not None:
-        return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
-    return identity
+
+    def rows():
+        for k, b in alive_atoms(filt, horizon):
+            kids, p = atom_split(space, filt, k, b)
+            yield (k, b, kids, p, D.child_jumps(k, kids),
+                   None if S is None else S.child_jumps(k, kids))
+
+    return _atom_rows_violation(rows())
+
+
+def _path_violation(filt: Filtration, D: Process, table: dict) -> Optional[dict]:
+    """None if D is scalar, null at 0 and jumps by table[(k, at(k)-atom)] (0 if absent).
+
+    One pass over every outcome and tick.  Such a D is adapted, and frozen
+    wherever the table has no entry.
+    """
+    if D.dim != 1:
+        return {"reason": "not-scalar"}
+    for i, row in enumerate(D.values):
+        if row[0][0] != ZERO:
+            return {"reason": "nonzero-start", "outcome": i}
+    for k in range(1, filt.K + 1):
+        for c in filt.at(k).blocks:
+            dj = table.get((k, c), ZERO)
+            for i in c:
+                if D.values[i][k][0] - D.values[i][k - 1][0] != dj:
+                    return {"reason": "jump-off-table", "outcome": i, "tick": k}
+    return None
 
 
 def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: Process,
@@ -133,20 +170,31 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     summing p_h t <= q_h gives t <= sum q = 1, with equality iff q = p,
     which is feasible there, so q = p (every jump of D zero) is the
     unique optimum the program would return.
+
+    The assembled D is checked against the search's own atom table before
+    it is returned, in this order: D is scalar; in one pass over every
+    outcome and tick, D starts at zero and jumps by its table entry (zero
+    off the table), which makes it adapted and frozen after the horizon;
+    then on every alive atom, driftless ones included, the martingale row,
+    the jump bound and sum q_h s_h = 0, through _atom_rows_violation as in
+    is_structure_connector.  A failure raises InternalInvariant.
     """
     jump_of: dict = {}
+    rows = []
     for k, b in alive_atoms(filt, horizon):
         kids, p = atom_split(space, filt, k, b)
         s_jumps = S.child_jumps(k, kids)
         if all(mean == ZERO for mean in jump_mean(p, s_jumps)):
-            continue
-        res = solve_lp(*_atom_program(p, s_jumps))
-        if res.status == INFEASIBLE or res.value <= ZERO:
-            return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
-        for h, kid in enumerate(kids):
-            jump_of[(k, kid)] = ONE - res.x[h] / p[h]
+            d_jumps = [(ZERO,)] * len(kids)
+        else:
+            res = solve_lp(*_atom_program(p, s_jumps))
+            if res.status == INFEASIBLE or res.value <= ZERO:
+                return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
+            d_jumps = [(ONE - res.x[h] / p[h],) for h in range(len(kids))]
+            jump_of.update(((k, kid), dj) for kid, (dj,) in zip(kids, d_jumps))
+        rows.append((k, b, kids, p, d_jumps, s_jumps))
     D = Process.from_jump_table(space.n, filt, jump_of)
-    bad = is_structure_connector(space, filt, S, D, horizon)
+    bad = _path_violation(filt, D, jump_of) or _atom_rows_violation(rows)
     if bad is not None:
         raise InternalInvariant("assembled connector fails its own check", **bad)
     return ConnectorSearch(connector=D)

@@ -70,6 +70,7 @@ def assert_children_match_brute_force(space, filt):
         total = sum(space.prob[i] for i in b)
         assert list(p) == [sum(space.prob[i] for i in c) / total for c in kids]
         assert sum(p) == ONE
+        assert atom_split(space, filt, k, b) == (kids, p)  # the cached split
 
 
 def test_child_map_and_split_match_brute_force():
@@ -82,6 +83,25 @@ def test_child_map_and_split_match_brute_force():
                                                      force_condition_failure=seed % 2 == 1))
             assert_children_match_brute_force(eb.space, eb.base)
             assert_children_match_brute_force(eb.space, eb.enlarged)
+
+
+def test_split_cache_stays_on_its_space():
+    """Two spaces with the same outcomes and filtration but other masses split apart.
+
+    Each space caches its own conditional probabilities; a second call on
+    either returns the values of the first, interleaved or not.
+    """
+    for seed in range(20):
+        rng = random.Random(f"split-cache:{seed}")
+        first, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 3), 3)
+        weights = [rng.randint(1, 9) for _ in range(first.n)]
+        second = SampleSpace(first.outcomes, [Q(w, sum(weights)) for w in weights])
+        for k, b in alive_atoms(filt):
+            kids = filt.child_map[(k, b)]
+            splits = {space: tuple(space.mass(c) / space.mass(b) for c in kids)
+                      for space in (first, second)}
+            for space in (first, second, first, second):
+                assert atom_split(space, filt, k, b) == (kids, splits[space])
 
 
 def test_cond_expect_golden():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import driftlab
+from driftlab.basis import Process
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.errors import InternalInvariant
 from driftlab.models import (
@@ -19,7 +20,7 @@ from driftlab.models import (
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ZERO
 from driftlab.serialize import dumps, encode_exact
-from driftlab.viability import find_structure_connector
+from driftlab.viability import deflator_from_connector, find_structure_connector
 
 SRC = pathlib.Path(driftlab.__file__).parent
 
@@ -236,6 +237,63 @@ def test_failed_deflator_recheck_raises_internal_invariant(monkeypatch):
     monkeypatch.setattr("driftlab.oracle.check_deflator", lambda *args: False)
     with pytest.raises(InternalInvariant):
         lp_deflator_oracle(sp, filt, S)
+
+
+def stopped_deflators(count):
+    """(space, filt, S, Z, horizon): Z from a found connector, with a random horizon."""
+    for seed in range(count):
+        rng = random.Random(f"recheck:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 3), 3)
+        horizon = random_stopping_time(rng, sp, filt)
+        S, _, _ = random_viable_asset(rng, sp, filt, dim=rng.choice((1, 2)))
+        search = find_structure_connector(sp, filt, S, horizon)
+        yield sp, filt, S, deflator_from_connector(sp, filt, search.connector, horizon), horizon
+
+
+def with_values(Z, k, values):
+    """Z with its value at tick k replaced by values[i] for each outcome i in values."""
+    rows = [list(row) for row in Z.values]
+    for i, z in values.items():
+        rows[i][k] = (z,)
+    return Process(1, rows)
+
+
+def test_deflator_recheck_requires_z_frozen_after_the_horizon():
+    """Z doubled at the last tick on one atom past the horizon is refused.
+
+    The atom is a whole at(K)-atom, so Z stays adapted, and it is dead at
+    K, so no martingale row reads it: only the frozen row sees the move.
+    """
+    moved = 0
+    for sp, filt, S, Z, horizon in stopped_deflators(60):
+        assert check_deflator(sp, filt, S, Z, horizon)
+        K = filt.K
+        dead = [c for c in filt.at(K).blocks if not horizon.geq(min(c), K)]
+        if dead:
+            moved += 1
+            doubled = with_values(Z, K, {i: 2 * Z.scalar(i, K) for i in dead[0]})
+            assert not check_deflator(sp, filt, S, doubled, horizon)
+    assert moved >= 10
+
+
+def test_deflator_recheck_requires_z_adapted():
+    """Z moved between two outcomes of one alive last-tick atom is refused.
+
+    The move keeps sum P_i Z_i over the atom, and S takes one value on it,
+    so every martingale row still balances: only the adapted row sees it.
+    """
+    moved = 0
+    for sp, filt, S, Z, horizon in stopped_deflators(60):
+        K = filt.K
+        wide = [c for c in filt.at(K).blocks if len(c) > 1 and horizon.geq(min(c), K)]
+        if wide:
+            moved += 1
+            i, j = sorted(wide[0])[:2]
+            shift = sp.prob[j] * Z.scalar(j, K) / 2
+            skewed = with_values(Z, K, {i: Z.scalar(i, K) + shift / sp.prob[i],
+                                        j: Z.scalar(j, K) - shift / sp.prob[j]})
+            assert not check_deflator(sp, filt, S, skewed, horizon)
+    assert moved >= 10
 
 
 def test_oracle_results_are_pinned():

@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.basis import Process, StoppingTime
-from driftlab.calculus import is_martingale, pointwise_mul, stop
+from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
+                            alive_atoms, atom_split)
+from driftlab.calculus import is_adapted, is_martingale, jump_mean, pointwise_mul, stop
 from driftlab.enlargement import solve_factors
-from driftlab.errors import ConnectorInvalid, NotAdapted, NotAStoppingTime, SupportConditionFailed
+from driftlab.errors import (ConnectorInvalid, InternalInvariant, NotAdapted, NotAStoppingTime,
+                             SupportConditionFailed)
 from driftlab.linfeas import OPTIMAL, solve_lp
 from driftlab.models import (
     GeneratorConfig,
@@ -28,6 +32,7 @@ from driftlab.representation import build_representation
 from driftlab.serialize import dumps, encode_exact, process_to_json, viability_report_to_json
 from driftlab.viability import (
     _atom_program,
+    _connector_violation,
     deflator_from_connector,
     enlarged_connector,
     find_structure_connector,
@@ -328,3 +333,170 @@ def test_a_horizon_that_is_not_a_stopping_time_is_refused():
         with pytest.raises(NotAStoppingTime) as exc:
             call()
         assert exc.value.detail == {"tick": 2, "atom": [3, 4, 5]}
+
+
+def three_point_market():
+    """One tick, three children with p = (1/4, 1/4, 1/2); S drifts on the atom."""
+    sp = SampleSpace(("u", "m", "d"), (Q(1, 4), Q(1, 4), Q(1, 2)))
+    top = Partition([[0, 1, 2]])
+    filt = Filtration(top, ((top, Partition([[0], [1], [2]])),))
+    return sp, filt, Process.from_scalar_paths([[0, 2], [0, 1], [0, -1]])
+
+
+def broken_optimum(q_of):
+    """solve_lp, with the weights q of the optimum replaced by q_of(q, p)."""
+    def solve(c, A_eq, b_eq, A_ub, b_ub):
+        res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+        m = len(A_ub)
+        q = q_of(list(res.x[:m]), [row[-1] for row in A_ub])
+        return dataclasses.replace(res, x=q + list(res.x[m:]))
+    return solve
+
+
+def perturbed_path(edit):
+    """Process.from_jump_table, with the assembled process passed through edit()."""
+    build = Process.from_jump_table
+    return staticmethod(lambda n, filt, table, dim=1: edit(build(n, filt, table, dim)))
+
+
+def rows_of(X):
+    return [list(row) for row in X.values]
+
+
+def shifted(rows, i, k, delta):
+    rows[i][k] = tuple(x + delta for x in rows[i][k])
+    return rows
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (("solve_lp", broken_optimum(lambda q, p: [2 * qh for qh in q])), "not-martingale"),
+    (("solve_lp", broken_optimum(lambda q, p: [ZERO, q[0] + q[1]] + q[2:])),
+     "jump-at-least-one"),
+    (("solve_lp", broken_optimum(lambda q, p: p)), "identity-failed"),
+    (("from_jump_table", perturbed_path(lambda X: Process(1, shifted(rows_of(X), 1, 1, ONE)))),
+     "jump-off-table"),
+    (("from_jump_table", perturbed_path(
+        lambda X: Process(1, [[(ONE,)] + row[1:] for row in rows_of(X)]))), "nonzero-start"),
+    (("from_jump_table", perturbed_path(
+        lambda X: Process(2, [[x * 2 for x in row] for row in X.values]))), "not-scalar"),
+], ids=["sum-q", "q-not-positive", "sum-q-s", "path-value", "start", "dimension"])
+def test_search_self_check_catches_injected_faults(monkeypatch, patch, reason):
+    """The search's closing check refuses a broken atom optimum or a D off its table.
+
+    Broken optima keep the floor positive: sum q != 1 breaks the
+    martingale row, a zero q_h gives a jump of one, and q = p breaks
+    sum q s = 0 where S drifts.  The assembled D is perturbed at one
+    outcome, at its start, or in its dimension.
+    """
+    import driftlab.viability as viability
+    sp, filt, S = three_point_market()
+    assert find_structure_connector(sp, filt, S).found
+    name, fault = patch
+    monkeypatch.setattr(viability if name == "solve_lp" else Process, name, fault)
+    with pytest.raises(InternalInvariant) as exc:
+        find_structure_connector(sp, filt, S)
+    assert exc.value.detail["reason"] == reason
+
+
+def path_level_connector_violation(space, filt, D, horizon, S=None):
+    """The connector check read off path-level processes in one walk.
+
+    The reference that is_structure_connector and _connector_violation
+    must match, record for record: the same reason priority, with the
+    rows written out here rather than through _atom_rows_violation.
+    """
+    if D.dim != 1:
+        return {"reason": "not-scalar"}
+    if not is_adapted(filt, D):
+        return {"reason": "not-adapted"}
+    for i in range(space.n):
+        if D.at(i, 0)[0] != ZERO:
+            return {"reason": "nonzero-start", "outcome": i}
+    big_jump = identity = None
+    for k, b in alive_atoms(filt, horizon):
+        kids, p = atom_split(space, filt, k, b)
+        d_jumps = D.child_jumps(k, kids)
+        if jump_mean(p, d_jumps)[0] != ZERO:
+            return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
+        for kid, (dj,) in zip(kids, d_jumps):
+            if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
+                big_jump = (min(kid), k)
+        if S is None or big_jump is not None or identity is not None:
+            continue
+        q = [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
+        failed = [c for c, mean in enumerate(jump_mean(q, S.child_jumps(k, kids))) if mean != ZERO]
+        if failed:
+            identity = {"reason": "identity-failed", "tick": k,
+                        "atom": sorted(b), "component": failed[0]}
+    if big_jump is not None:
+        return {"reason": "jump-at-least-one", "outcome": big_jump[0], "tick": big_jump[1]}
+    return identity
+
+
+CONNECTOR_REASONS = {None, "not-scalar", "not-adapted", "nonzero-start", "not-martingale",
+                     "jump-at-least-one", "identity-failed"}
+DELTAS = (Q(-1, 2), Q(1, 3), ONE, Q(2))
+SCALES = (ZERO, Q(1, 2), Q(2), Q(5), Q(40))
+
+
+def perturbed_connectors(seed):
+    """(space, filt, S, horizon, Ds): a found connector, then its perturbations.
+
+    Perturbations: one child's jump moved (its outcomes shifted from that
+    tick on), every jump on one alive atom scaled, the start moved (on one
+    outcome's whole path, and on all paths), the dimension doubled, and
+    one path value moved.
+    """
+    rng = random.Random(f"census:{seed}")
+    sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 3), 3)
+    horizon = None if rng.random() < 0.5 else random_stopping_time(rng, sp, filt)
+    S, _, _ = random_viable_asset(rng, sp, filt, dim=rng.choice((1, 1, 2)))
+    D = find_structure_connector(sp, filt, S, horizon).connector
+    n, K = sp.n, filt.K
+
+    def moved(outcomes, k, delta):
+        rows = rows_of(D)
+        for i, d in zip(outcomes, delta):
+            for t in range(k, K + 1):
+                shifted(rows, i, t, d)
+        return Process(1, rows)
+
+    k = rng.randint(1, K)
+    child = rng.choice(filt.at(k).blocks)
+    Ds = [D, moved(child, k, [rng.choice(DELTAS)] * len(child))]
+    k, b = rng.choice(list(alive_atoms(filt, horizon)))
+    scale = rng.choice(SCALES)
+    outcomes = [i for kid in filt.child_map[(k, b)] for i in kid]
+    Ds.append(moved(outcomes, k, [(scale - ONE) * D.jump(i, k)[0] for i in outcomes]))
+    Ds.append(moved([rng.randrange(n)], 0, [rng.choice(DELTAS)]))
+    Ds.append(moved(range(n), 0, [rng.choice(DELTAS)] * n))
+    Ds.append(Process(2, [[x * 2 for x in row] for row in D.values]))
+    Ds.append(Process(1, shifted(rows_of(D), rng.randrange(n), rng.randint(0, K),
+                                 rng.choice(DELTAS))))
+    return sp, filt, S, horizon, Ds
+
+
+def connector_records(seed):
+    """(record, reference record) of each perturbed connector, with and without S."""
+    sp, filt, S, horizon, Ds = perturbed_connectors(seed)
+    T = StoppingTime.constant(sp.n, filt.K) if horizon is None else horizon
+    for D in Ds:
+        yield (is_structure_connector(sp, filt, S, D, horizon),
+               path_level_connector_violation(sp, filt, D, T, S))
+        yield _connector_violation(sp, filt, D, T), path_level_connector_violation(sp, filt, D, T)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_connector_check_matches_the_path_level_reference(seed):
+    for got, expected in connector_records(seed):
+        assert got == expected
+
+
+def test_connector_reason_census_reaches_every_reason():
+    """The reference comparison on 250 fixed seeds (3500 checks) hits every reason."""
+    census = Counter()
+    for seed in range(250):
+        for got, expected in connector_records(seed):
+            assert got == expected
+            census[None if got is None else got["reason"]] += 1
+    assert set(census) == CONNECTOR_REASONS, census
