@@ -27,7 +27,7 @@ from .calculus import compensator, is_adapted, is_martingale, jump_mean, stop
 from .errors import NotAMartingale, NotAdapted, Unsolvable
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
-from .representation import RepresentationProcess
+from .representation import RepresentationProcess, padded
 
 
 @dataclass(frozen=True)
@@ -109,19 +109,21 @@ def _multinomial_solve(p, r, message: str, **where) -> tuple:
 
 def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
                         c: frozenset[int]):
-    """(b, pbar, gamma) for the enlarged left-limit atom c at tick k.
+    """(b, p, pbar, gamma) for the enlarged left-limit atom c at tick k, as W-slot rows.
 
-    b is the base atom holding c and pbar, per child slot of b, the
-    conditional probability of the child inside c (zero on a padding
-    slot).  W jumps by 2^-k (e_h - p) on child h, so its enlarged
-    conditional jump mean on c is gamma = 2^-k (pbar - p), exactly.
+    b is the base atom holding c; p and pbar give, per child of b, its
+    conditional probability in b and inside c, zero past b's last child.
+    W jumps by 2^-k (e_h - p) on child h, so its enlarged conditional jump
+    mean on c is gamma = 2^-k (pbar - p), exactly.
     """
     b = eb.base.pre(k).block_of(min(c))
+    kids, p = atom_split(eb.space, eb.base, k, b)
     mass = eb.space.mass(c)
-    pbar = tuple(eb.space.mass(kid & c) / mass for kid in rep.children[(k, b)])
+    p = padded(rep.width, p)
+    pbar = padded(rep.width, [eb.space.mass(kid & c) / mass for kid in kids])
     scale = Q(1, 2 ** k)
-    gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, rep.probs[(k, b)]))
-    return b, pbar, gamma
+    gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, p))
+    return b, p, pbar, gamma
 
 
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
@@ -139,9 +141,9 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     phi_by_atom: dict = {}
     minus_gamma: dict = {}  # the drift's jumps, negated, on the alive atoms' children
     for k, c in alive_atoms(enlarged, eb.horizon):
-        b, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
+        _, p, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
         phi_by_atom[(k, c)] = _multinomial_solve(
-            rep.probs[(k, b)], [Q(4 ** k) * g for g in gamma],
+            p, [Q(4 ** k) * g for g in gamma],
             "factor system inconsistent", tick=k, atom=sorted(c))
         down = tuple(-g for g in gamma)
         minus_gamma.update(((k, kid), down) for kid in enlarged.child_map[(k, c)])

@@ -180,7 +180,7 @@ def tilted_component_assets(space: SampleSpace, filt: Filtration,
         rep = build_representation(space, filt)
     out = []
     for k, b in alive_atoms(filt):
-        live = sum(1 for kid in rep.children[(k, b)] if kid)
+        live = len(filt.child_map[(k, b)])
         if live >= 2:
             out.extend(doleans_exp(fired_component(rep, k, b, slot)) for slot in range(live))
     return out
@@ -489,13 +489,12 @@ def azema_phi_crosscheck(eb: EnlargedBasis, tau: Sequence) -> bool:
 def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
                                   factors: DriftFactors, D: Optional[Process],
                                   k: int, cblk: frozenset) -> AccessibleEventData:
-    """Package one (tick, enlarged left-limit atom) as accessible event data."""
-    b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
-    kids = rep.children[(k, b)]
-    n_vals = tuple(rep.W.jump(min(kid), k) if kid else (ZERO,) * rep.width for kid in kids)
-    d_vals = tuple(D.jump(min(kid), k)[0] if (kid and D is not None) else ZERO
-                   for kid in kids)
-    return AccessibleEventData(p=rep.probs[(k, b)], pbar=pbar, n_vals=n_vals, d_vals=d_vals,
+    """Package one (tick, enlarged left-limit atom) as accessible event data, a slot per child."""
+    b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+    kids = eb.base.child_map[(k, b)]
+    d_vals = (ZERO,) * len(kids) if D is None else tuple(d for (d,) in D.child_jumps(k, kids))
+    return AccessibleEventData(p=p[:len(kids)], pbar=pbar[:len(kids)],
+                               n_vals=tuple(rep.W.child_jumps(k, kids)), d_vals=d_vals,
                                phi=factors.phi.at(min(cblk), k), weight=Q(1, 2 ** k))
 
 

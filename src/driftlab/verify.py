@@ -171,9 +171,7 @@ def accessible_battery(seed: int) -> dict:
         if jump_identity_check(eb, rep, factors, K, D) is not None:
             _fail(out, f"jump identity broke ({tag})")
         engine_sq = kernel_sq = ZERO
-        for h, kid in enumerate(rep.children[(1, b)]):
-            if not kid:
-                continue
+        for h, kid in enumerate(eb.base.child_map[(1, b)]):
             val_kernel = accessible_jump_value(data, h)
             i = min(kid & inst["atom"])
             val_engine = vec_dot(K.at(i, 1), factors.Wt.jump(i, 1))

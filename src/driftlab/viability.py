@@ -235,8 +235,7 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
 
     value_at: dict = {}
     for k, cblk in alive_atoms(eb.enlarged, eb.horizon):
-        b, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
-        p = rep.probs[(k, b)]
+        _, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
         x = factors.phi.at(min(cblk), k)
         if HD is not None:
             x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
@@ -309,7 +308,7 @@ def witness_asset(eb: EnlargedBasis, rep: RepresentationProcess,
     """
     k, cblk = support.tick, support.atom
     b = eb.base.pre(k).block_of(min(cblk))
-    return fired_component(rep, k, b, rep.children[(k, b)].index(support.child))
+    return fired_component(rep, k, b, eb.base.child_map[(k, b)].index(support.child))
 
 
 @dataclass

@@ -287,7 +287,7 @@ def test_witness_asset_is_a_tilted_component_asset():
         support = check_condition_support(eb)
         witness = witness_asset(eb, rep, support)
         b = eb.base.pre(support.tick).block_of(min(support.atom))
-        slot = rep.children[(support.tick, b)].index(support.child)
+        slot = eb.base.child_map[(support.tick, b)].index(support.child)
         expected = Process.from_jumps(
             eb.space.n, eb.base.K,
             lambda i, k: (rep.W.jump(i, k)[slot] if k == support.tick and i in b else ZERO,))

@@ -9,6 +9,7 @@ from driftlab.basis import (Filtration, Partition, Process, SampleSpace, Stoppin
                             alive_atoms, cond_expect)
 from driftlab.calculus import is_adapted, is_martingale, is_predictable
 from driftlab.enlargement import (
+    DriftFactors,
     EnlargedBasis,
     _multinomial_solve,
     check_condition_support,
@@ -36,6 +37,7 @@ from driftlab.viability import (
     enlarged_connector,
     g_connector,
     is_structure_connector,
+    jump_identity_check,
     solve_accessible_K,
 )
 
@@ -220,12 +222,13 @@ def test_closed_forms_match_general_min_norm_solves(force):
                     continue
                 i = min(c)
                 b = eb.base.pre(k).block_of(i)
-                kids = rep.children[(k, b)]
-                rows = [rep.W.jump(min(kid), k) if kid else zero for kid in kids]
+                kids = eb.base.child_map[(k, b)]
+                rows = [rep.W.jump(min(kid), k) for kid in kids]
+                p = [eb.space.mass(kid) / eb.space.mass(b) for kid in kids]
                 pbar = [eb.space.mass(kid & c) / eb.space.mass(c) for kid in kids]
                 gamma = [sum((pb * row[h] for pb, row in zip(pbar, rows)), ZERO)
                          for h in range(rep.width)]
-                V = _cov(rep.probs[(k, b)], rows, zero)
+                V = _cov(p, rows, zero)
                 phi = factors.phi.at(i, k)
                 assert list(phi) == min_norm_solve(V, gamma)
                 Vt = _cov(pbar, rows, gamma)
@@ -432,3 +435,77 @@ def test_transfer_mismatch_is_ordered_by_tick_then_component_then_outcome():
     A = Process.from_jump_table(4, base, jumps, 2)
     assert compensator_transfer_check(eb, factors, A) == (2, 1, 0)
     assert reference_compensator_transfer_check(eb, factors, A) == (2, 1, 0)
+
+
+def scaled_on_atoms(rng, eb, P):
+    """The enlarged-predictable P, scaled by a random factor on one or two alive pre(k)-atoms.
+
+    The atoms are drawn among those where P is not zero, when there are any.
+    """
+    table = {(k, c): P.at(min(c), k)
+             for k in range(1, eb.enlarged.K + 1) for c in eb.enlarged.pre(k).blocks}
+    alive = list(alive_atoms(eb.enlarged, eb.horizon))
+    alive = [a for a in alive if any(table[a])] or alive
+    for k, c in rng.sample(alive, min(len(alive), rng.randint(1, 2))):
+        s = Q(rng.choice((-8, -3, -1, 0, 2, 5, 9)), rng.randint(1, 2))
+        table[(k, c)] = tuple(s * x for x in table[(k, c)])
+    return Process.from_atom_table(eb.space.n, eb.enlarged, table, P.dim)
+
+
+def reference_check_positivity(eb, factors):
+    """First (outcome, tick <= horizon), outcome-major, with 1 + phi.jump(N) <= 0."""
+    for i in range(eb.space.n):
+        for k in range(1, eb.base.K + 1):
+            if eb.horizon.geq(i, k) and \
+                    ONE + vec_dot(factors.phi.at(i, k), factors.N.jump(i, k)) <= ZERO:
+                return (i, k)
+    return None
+
+
+def reference_jump_identity_check(eb, factors, K, D):
+    """First (outcome, tick <= horizon), outcome-major, where
+    jump(K . Wt) (1 + phi.jump(N)) != jump(D) + phi.jump(N)."""
+    for i in range(eb.space.n):
+        for k in range(1, eb.base.K + 1):
+            if not eb.horizon.geq(i, k):
+                continue
+            tilt = vec_dot(factors.phi.at(i, k), factors.N.jump(i, k))
+            d = D.jump(i, k)[0] if D is not None else ZERO
+            if vec_dot(K.at(i, k), factors.Wt.jump(i, k)) * (ONE + tilt) != d + tilt:
+                return (i, k)
+    return None
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_enlarged_checks_fail_where_the_per_outcome_reference_does(force):
+    """phi or K scaled on random enlarged atoms: each check returns the reference's record.
+
+    Positivity is checked on every instance, the jump identity on the
+    support-clean ones (where K exists), against factors with a scaled phi
+    and against a scaled K.  Both checks must be driven to fail, and to
+    pass, somewhere, so the pinned record order is exercised.
+    """
+    positivity = identity = clean = 0
+    for seed in range(60):
+        eb = instance(seed, force)
+        rng = random.Random(f"scaled:{seed}:{force}")
+        rep = build_representation(eb.space, eb.base)
+        factors = solve_factors(eb, rep)
+        tilted = DriftFactors(N=factors.N, phi=scaled_on_atoms(rng, eb, factors.phi),
+                              Wt=factors.Wt)
+        bad = check_positivity(eb, tilted)
+        assert bad == reference_check_positivity(eb, tilted)
+        positivity += bad is not None
+        if not check_condition_support(eb).ok:
+            continue
+        clean += 1
+        D = random_martingale(rng, eb.space, eb.base) if rng.random() < 0.5 else None
+        K = solve_accessible_K(eb, rep, factors, D)
+        for fac, K_ in ((tilted, K), (factors, scaled_on_atoms(rng, eb, K))):
+            bad = jump_identity_check(eb, rep, fac, K_, D)
+            assert bad == reference_jump_identity_check(eb, fac, K_, D)
+            identity += bad is not None
+    assert 0 < positivity < 60
+    assert (clean == 0) == force
+    if not force:
+        assert 0 < identity < 2 * clean

@@ -89,7 +89,7 @@ def test_tilted_assets_are_positive_and_viable(seed):
     sp, filt = gen_single_filtration(rng, rng.randint(3, 8), rng.randint(1, 2), 3)
     family = tilted_component_assets(sp, filt)
     from driftlab.representation import multiplicity
-    if multiplicity(sp, filt) > 1:
+    if multiplicity(filt) > 1:
         assert family
     for S in family:
         assert all(S.scalar(i, k) > ZERO

@@ -174,6 +174,26 @@ def test_cond_expect_serves_only_cond_prob_and_the_crosschecks():
                                "models.jacod_phi_crosscheck"]
 
 
+def test_children_have_one_home():
+    """An atom's children come from `child_map`, their probabilities from `atom_split`.
+
+    No package module reads a second copy (an attribute named `children`
+    or `probs`).  W-slot rows are padded past an atom's last child only
+    by `representation.padded`, called in `representation` and in
+    `enlargement._enlarged_jump_mean`.
+    """
+    reads = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr in ("children", "probs")]
+    assert reads == []
+    callers = {f"{path.stem}.{getattr(top, 'name', '<module>')}" for path in package_modules()
+               for top in parse(path).body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "padded"}
+    assert {c for c in callers if not c.startswith("representation.")} == \
+        {"enlargement._enlarged_jump_mean"}
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 

@@ -22,7 +22,7 @@ def test_width_is_max_branching():
     mid = Partition([[0, 1], [2], [3]])
     fine = Partition([[0], [1], [2], [3]])
     filt = Filtration(top, ((top, mid), (mid, fine)))
-    assert multiplicity(sp, filt) == 3
+    assert multiplicity(filt) == 3
     assert build_representation(sp, filt).width == 3
 
 
@@ -42,7 +42,7 @@ def test_driver_jump_golden():
 def test_driver_components_are_martingales(seed):
     _, sp, filt = draw(seed)
     rep = build_representation(sp, filt)
-    assert rep.W.dim == multiplicity(sp, filt)
+    assert rep.W.dim == multiplicity(filt)
     for comp in rep.W.components():
         assert is_martingale(sp, filt, comp)
 
@@ -79,10 +79,8 @@ def test_integrand_is_centered_with_dead_slots_zeroed(seed):
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
             i = min(b)
-            kids = rep.children[(k, b)]
-            live = [h for h, kid in enumerate(kids) if kid]
+            live = range(len(filt.child_map[(k, b)]))
             vals = H.at(i, k)
             assert sum((vals[h] for h in live), ZERO) == ZERO
-            for h, kid in enumerate(kids):
-                if not kid:
-                    assert vals[h] == ZERO
+            for h in range(len(live), rep.width):
+                assert vals[h] == ZERO
