@@ -158,12 +158,8 @@ def random_viable_asset(rng: random.Random, space: SampleSpace, filt: Filtration
     cap = Q(7, 8)
     D = random_martingale(rng, space, filt, cap=cap)
     Z = doleans_exp(-D)
-    rows = [[] for _ in range(space.n)]
-    for _ in range(dim):
-        U = doleans_exp(random_martingale(rng, space, filt, cap=cap))
-        for i in range(space.n):
-            rows[i].append([U.at(i, k)[0] / Z.at(i, k)[0] for k in range(filt.K + 1)])
-    values = tuple(tuple(tuple(rows[i][c][k] for c in range(dim))
+    Us = [doleans_exp(random_martingale(rng, space, filt, cap=cap)) for _ in range(dim)]
+    values = tuple(tuple(tuple(U.at(i, k)[0] / Z.at(i, k)[0] for U in Us)
                          for k in range(filt.K + 1)) for i in range(space.n))
     return Process(dim, values), D, Z
 

@@ -167,7 +167,7 @@ def accessible_battery(seed: int) -> dict:
         except DataInvariantViolated as exc:
             _fail(out, f"extracted event data invalid ({tag}): {exc}")
             continue
-        K = solve_accessible_K(eb, rep, factors, D)
+        K = solve_accessible_K(eb, rep, D)
         if jump_identity_check(eb, rep, factors, K, D) is not None:
             _fail(out, f"jump identity broke ({tag})")
         engine_sq = kernel_sq = ZERO
@@ -207,7 +207,7 @@ def jump_identity_battery(seed: int) -> dict:
     factors = solve_factors(eb, rep)
     for D, tag in ((None, "zero"),
                    (random_martingale(rng, eb.space, eb.base, cap=Q(7, 8)), "random")):
-        K = solve_accessible_K(eb, rep, factors, D)
+        K = solve_accessible_K(eb, rep, D)
         bad = jump_identity_check(eb, rep, factors, K, D)
         if bad is not None:
             _fail(out, f"jump identity broke ({tag}) at {bad}")

@@ -10,7 +10,9 @@ making D-deflated prices martingales, and conversely.
 On an enlarged basis the same machinery transfers: given the drift
 multiplier row phi and a base connector D, the enlarged connector is an
 integral K . (W - drift(W)), the factors' Wt, whose jumps equal
-(jump(D) + phi.jump(W)) / (1 + phi.jump(W)) pointwise.  The verdict that
+(jump(D) + phi.jump(W)) / (1 + phi.jump(W)) = 1 - q_h / pbar_h on child h,
+q_h = p_h (1 - jump_h(D)) being D's martingale weights; K is a closed-form
+inverse applied to r_h = 2^k (pbar_h - q_h).  The verdict that
 every base-viable asset stays viable in the enlarged filtration reduces to
 a child-support condition between the two filtrations; when it fails, a
 single localized component of the driving process already loses viability,
@@ -20,20 +22,21 @@ and a witness asset with an oracle infeasibility certificate is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
-from .calculus import doleans_exp, is_adapted, jump_mean, stoch_integral, stop
+from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stoch_integral, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, _transfer_mismatch, check_condition_support,
                           check_positivity, solve_factors)
-from .errors import ConnectorInvalid, InternalInvariant, NotAdapted, SupportConditionFailed
+from .errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant, NotAdapted,
+                     NotAMartingale, SupportConditionFailed)
 from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import lp_deflator_oracle
 from .rational import ONE, ZERO
-from .representation import (RepresentationProcess, build_representation, fired_component,
-                             represent)
+from .representation import RepresentationProcess, build_representation, fired_component
 
 
 def _atom_rows_violation(rows) -> Optional[dict]:
@@ -216,40 +219,40 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
 
 
 def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
-                       factors: DriftFactors, D: Optional[Process] = None) -> Process:
+                       D: Optional[Process] = None) -> Process:
     """Enlarged-predictable integrand K with K . factors.Wt matching jumps.
 
-    K solves Vt K = V x with x = phi + H_D, H_D the representation
-    coefficients of the base connector D (zero without D).  W's base and
-    enlarged jump covariances V and Vt are 4^-k times the multinomial
-    covariances of p and pbar, so K is the closed-form minimum-norm
-    inverse for pbar applied to r_h = p_h (x_h - p.x).  The child-support
-    condition, checked first, makes pbar positive exactly where p is, so
-    the solve is always consistent.
+    K solves Vt K = V (phi + H_D), H_D the representation coefficients of the
+    base connector D (zero without D).  With Jacod's 1 + phi.jump(W) =
+    pbar_h / p_h and q_h = p_h (1 - jump_h(D)), K is the closed-form
+    multinomial inverse for pbar applied to r_h = 2^k (pbar_h - q_h).
+    Checked first: the child-support condition, which makes pbar positive
+    exactly where p is, then that D is a scalar base martingale.
     """
     support = check_condition_support(eb)
     if not support.ok:
         raise SupportConditionFailed(tick=support.tick, atom=sorted(support.atom),
                                      child=sorted(support.child))
-    HD = represent(rep, D) if D is not None else None
+    if D is not None and D.dim != 1:
+        raise DimensionMismatch("the base connector D is scalar")
+    if D is not None and not is_martingale(eb.space, eb.base, D):
+        raise NotAMartingale()
 
     value_at: dict = {}
     for k, cblk in alive_atoms(eb.enlarged, eb.horizon):
-        _, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
-        x = factors.phi.at(min(cblk), k)
-        if HD is not None:
-            x = [xi + hi for xi, hi in zip(x, HD.at(min(cblk), k))]
-        px = vec_dot(p, x)
+        b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+        q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip_longest(
+            p, D.child_jumps(k, eb.base.child_map[(k, b)]), fillvalue=(ZERO,))]
         value_at[(k, cblk)] = _multinomial_solve(
-            pbar, [ph * (xh - px) for ph, xh in zip(p, x)],
+            pbar, [2 ** k * (pb - qh) for pb, qh in zip(pbar, q)],
             "integrand system inconsistent", tick=k, atom=sorted(cblk))
     return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, rep.width)
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
                        factors: DriftFactors, D: Optional[Process] = None):
-    """(K, Y): the integrand from solve_accessible_K and Y = K . factors.Wt."""
-    K = solve_accessible_K(eb, rep, factors, D)
+    """(K, Y): K from solve_accessible_K and Y = K . factors.Wt, jumping 1 - q_h / pbar_h."""
+    K = solve_accessible_K(eb, rep, D)
     return K, stoch_integral(eb.enlarged, K, factors.Wt)
 
 

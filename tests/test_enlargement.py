@@ -202,7 +202,8 @@ def test_closed_forms_match_general_min_norm_solves(force):
     children, then solved by the general `min_norm_solve`: phi solves
     V phi = gamma on every alive enlarged atom, and on support-clean
     instances K solves Vt K = V (phi + H_D), for D = 0 and a random base
-    martingale.
+    martingale, and K . Wt jumps by 1 - q_h / pbar_h on every child of the
+    atom, q_h = p_h (1 - jump_h(D)) on the base child h holding it.
     """
     transfers = 0
     for seed in range(40):
@@ -213,8 +214,8 @@ def test_closed_forms_match_general_min_norm_solves(force):
         Ds = []
         if check_condition_support(eb).ok:
             D = random_martingale(random.Random(f"xcheck:{seed}"), eb.space, eb.base)
-            Ds = [(solve_accessible_K(eb, rep, factors), None),
-                  (solve_accessible_K(eb, rep, factors, D), represent(rep, D))]
+            Ds = [(solve_accessible_K(eb, rep), None),
+                  (solve_accessible_K(eb, rep, D), represent(rep, D))]
             transfers += 1
         for k in range(1, eb.base.K + 1):
             for c in eb.enlarged.pre(k).blocks:
@@ -235,6 +236,11 @@ def test_closed_forms_match_general_min_norm_solves(force):
                 for K, HD in Ds:
                     x = phi if HD is None else [a + h for a, h in zip(phi, HD.at(i, k))]
                     assert list(K.at(i, k)) == min_norm_solve(Vt, [vec_dot(r, x) for r in V])
+                    for e in eb.enlarged.child_map[(k, c)]:
+                        h = next(h for h, kid in enumerate(kids) if e <= kid)
+                        d = ZERO if HD is None else D.jump(min(e), k)[0]
+                        assert vec_dot(K.at(i, k), factors.Wt.jump(min(e), k)) == \
+                            ONE - p[h] * (ONE - d) / pbar[h]
     assert (transfers == 0) == force
 
 
@@ -500,7 +506,7 @@ def test_enlarged_checks_fail_where_the_per_outcome_reference_does(force):
             continue
         clean += 1
         D = random_martingale(rng, eb.space, eb.base) if rng.random() < 0.5 else None
-        K = solve_accessible_K(eb, rep, factors, D)
+        K = solve_accessible_K(eb, rep, D)
         for fac, K_ in ((tilted, K), (factors, scaled_on_atoms(rng, eb, K))):
             bad = jump_identity_check(eb, rep, fac, K_, D)
             assert bad == reference_jump_identity_check(eb, fac, K_, D)

@@ -174,6 +174,19 @@ def test_cond_expect_serves_only_cond_prob_and_the_crosschecks():
                                "models.jacod_phi_crosscheck"]
 
 
+def test_represent_serves_no_package_module():
+    """No package module calls `represent(`.
+
+    The enlarged connector integrand reads D's jumps per child through the
+    weights q_h = p_h (1 - jump_h(D)); `represent` stays public API and the
+    tests' reference.
+    """
+    calls = [f"{path.stem}:{node.lineno}" for path in package_modules()
+             for node in ast.walk(parse(path)) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "represent"]
+    assert calls == []
+
+
 def test_children_have_one_home():
     """An atom's children come from `child_map`, their probabilities from `atom_split`.
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                             alive_atoms, atom_split)
 from driftlab.calculus import is_adapted, is_martingale, jump_mean, pointwise_mul, stop
-from driftlab.enlargement import solve_factors
-from driftlab.errors import (ConnectorInvalid, InternalInvariant, NotAdapted, NotAStoppingTime,
+from driftlab.enlargement import check_condition_support, solve_factors
+from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
+                             NotAdapted, NotAMartingale, NotAStoppingTime,
                              SupportConditionFailed)
 from driftlab.linfeas import OPTIMAL, solve_lp
 from driftlab.models import (
@@ -95,9 +96,45 @@ def test_four_point_verdict_false_with_witness():
 def test_accessible_solver_gates_on_support():
     four = worked_four_point()
     rep = build_representation(four["eb"].space, four["eb"].base)
-    factors = solve_factors(four["eb"], rep)
     with pytest.raises(SupportConditionFailed):
-        solve_accessible_K(four["eb"], rep, factors)
+        solve_accessible_K(four["eb"], rep)
+
+
+def test_accessible_solver_gates_on_the_base_connector():
+    """After the support condition, D must be scalar, then base-adapted, then a base martingale.
+
+    A vector D raises DimensionMismatch even when it is not adapted; a
+    martingale of the enlarged filtration that the base cannot see raises
+    NotAdapted; an adapted D with a unit drift per tick raises
+    NotAMartingale.  On an instance failing the support condition, even a
+    vector D raises SupportConditionFailed.
+    """
+    seen = Counter()
+    for seed in range(60):
+        eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3]))
+        rng = random.Random(f"gates:{seed}")
+        rep = build_representation(eb.space, eb.base)
+        hidden = random_martingale(rng, eb.space, eb.enlarged)
+        vector = Process(2, tuple(tuple(x + x for x in row) for row in hidden.values))
+        if not check_condition_support(eb).ok:
+            with pytest.raises(SupportConditionFailed):
+                solve_accessible_K(eb, rep, vector)
+            seen["support"] += 1
+            continue
+        D = random_martingale(rng, eb.space, eb.base)
+        solve_accessible_K(eb, rep, D)
+        with pytest.raises(DimensionMismatch):
+            solve_accessible_K(eb, rep, vector)
+        if not is_adapted(eb.base, hidden):
+            with pytest.raises(NotAdapted):
+                solve_accessible_K(eb, rep, hidden)
+            seen["hidden"] += 1
+        drifting = Process(1, tuple(tuple((x + k,) for k, (x,) in enumerate(row))
+                                    for row in D.values))
+        with pytest.raises(NotAMartingale):
+            solve_accessible_K(eb, rep, drifting)
+        seen["clean"] += 1
+    assert min(seen["support"], seen["hidden"], seen["clean"]) >= 5, seen
 
 
 @given(st.integers(min_value=0, max_value=250))
