@@ -207,6 +207,23 @@ def test_children_have_one_home():
         {"enlargement._enlarged_jump_mean"}
 
 
+def test_rational_backend_is_chosen_in_one_place():
+    """Only `rational` imports a number backend; every other module uses its `Q`."""
+    backends = {"fractions", "gmpy2"}
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in backends for name in names):
+                importers.add(path.name)
+    assert importers == {"rational.py"}
+
+
 def test_oracle_path_is_independent():
     """The cross-check only shares the foundations with the engine.
 
