@@ -133,8 +133,7 @@ def _cmd_deflator(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(args.seed, args.instances, workers=args.workers,
-                        force_failure=args.force_failure)
+    report = run_verify(args.seed, args.instances, force_failure=args.force_failure)
     if not report["ok"]:
         report["error"] = "BATTERY_FAILED"
         sys.stderr.write(serialize.dumps(first_failure(report)))
@@ -230,15 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instances", type=_positive_int, default=100)
             p.add_argument("--force-failure", action="store_true",
                            dest="force_failure")
-        return p
 
     add("validate", "check a basis or enlarged instance")
     add("drift", "drift of a base martingale under the enlargement", horizon=True)
     add("factors", "drift-multiplier factorization of an instance", horizon=True)
     add("check-viability", "full viability verdict with certificate", horizon=True)
     add("deflator", "connector search plus deflator oracle on one basis", horizon=True)
-    verify = add("verify-theorems", "run the seeded property suite", seeded=True)
-    verify.add_argument("--workers", type=_positive_int, default=None)
+    add("verify-theorems", "run the seeded property suite", seeded=True)
     add("generate", "emit seeded random instances", seeded=True)
     add("kernel-eval", "evaluate per-event kernel formulas")
     add("diagnose-series", "classify integral refinements and jump series")

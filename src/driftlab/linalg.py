@@ -49,57 +49,16 @@ def solve_linear(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]]:
     return x
 
 
-def row_space_basis(A: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    """Independent rows spanning the row space (row-reduced form)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [list(r) for r in A]
-    basis: list[list[Q]] = []
-    col = 0
-    r0 = 0
-    while r0 < m and col < n:
-        sel = next((r for r in range(r0, m) if rows[r][col] != ZERO), None)
-        if sel is None:
-            col += 1
-            continue
-        rows[r0], rows[sel] = rows[sel], rows[r0]
-        pv = rows[r0][col]
-        rows[r0] = [x / pv for x in rows[r0]]
-        for r in range(m):
-            if r != r0 and rows[r][col] != ZERO:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
-        basis.append(rows[r0])
-        r0 += 1
-        col += 1
-    return basis
-
-
-def project_onto_span(x: Sequence[Q], basis: Sequence[Sequence[Q]]) -> list[Q]:
-    """Orthogonal projection via unnormalized Gram-Schmidt (stays rational)."""
-    ortho: list[list[Q]] = []
-    for v in basis:
-        u = list(v)
-        for w in ortho:
-            c = vec_dot(u, w) / vec_dot(w, w)
-            u = [a - c * b for a, b in zip(u, w)]
-        if any(a != ZERO for a in u):
-            ortho.append(u)
-    out = [ZERO] * len(x)
-    for w in ortho:
-        c = vec_dot(x, w) / vec_dot(w, w)
-        out = [a + c * b for a, b in zip(out, w)]
-    return out
-
-
 def min_norm_solve(V: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]]:
     """Minimum-norm solution of V x = b for symmetric V, or None.
 
-    The solution set is (particular + kernel); for symmetric V the row space
-    is the orthogonal complement of the kernel, so projecting any solution
-    onto the row space gives the norm minimizer.
+    The solution set is (particular + kernel), and for symmetric V the
+    range is the orthogonal complement of the kernel, so the minimizer is
+    the one solution x = V y in the range.  V V y = b is consistent
+    exactly when V x = b is, since V V and V share their range.
     """
-    x = solve_linear(V, b)
-    if x is None:
+    VV = [[vec_dot(row, col) for col in V] for row in V]
+    y = solve_linear(VV, b)
+    if y is None:
         return None
-    return project_onto_span(x, row_space_basis(V))
+    return [vec_dot(row, y) for row in V]

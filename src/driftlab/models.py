@@ -33,20 +33,11 @@ from .representation import RepresentationProcess, build_representation, fired_c
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
-    outcomes: tuple = (4, 9)
-    ticks: tuple = (1, 3)
-    max_children: int = 3
     enlargement_kind: str = "random"
     force_condition_failure: bool = False
 
 
 def _check_cfg(cfg: GeneratorConfig) -> None:
-    if cfg.outcomes[0] > cfg.outcomes[1] or cfg.outcomes[0] < 2:
-        raise DataInvariantViolated("outcome range empty or too small")
-    if cfg.ticks[0] > cfg.ticks[1] or cfg.ticks[0] < 1:
-        raise DataInvariantViolated("tick range empty")
-    if cfg.max_children < 2:
-        raise DataInvariantViolated("need at least binary splits")
     if cfg.enlargement_kind not in ("random", "initial", "progressive"):
         raise DataInvariantViolated("unknown enlargement kind")
 
@@ -284,12 +275,13 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
 
 
 def gen_random_instance(cfg: GeneratorConfig) -> EnlargedBasis:
+    """A valid enlarged instance: 4..9 outcomes, 1..3 ticks, at most 3 children an atom."""
     _check_cfg(cfg)
     rng = random.Random(cfg.seed)
     while True:
-        n = rng.randint(*cfg.outcomes)
-        ticks = rng.randint(*cfg.ticks)
-        space, base = gen_single_filtration(rng, n, ticks, cfg.max_children)
+        n = rng.randint(4, 9)
+        ticks = rng.randint(1, 3)
+        space, base = gen_single_filtration(rng, n, ticks, 3)
         if cfg.enlargement_kind == "initial":
             xi = [rng.randint(0, 1) for _ in range(n)]
             eb = gen_initial_enlargement(space, base, xi)
@@ -297,7 +289,7 @@ def gen_random_instance(cfg: GeneratorConfig) -> EnlargedBasis:
             tau = [rng.choice([None] + list(range(1, ticks + 1))) for _ in range(n)]
             eb = gen_progressive_enlargement(space, base, tau)
         else:
-            enlarged = _overlay_filtration(rng, base, cfg.max_children)
+            enlarged = _overlay_filtration(rng, base, 3)
             horizon = (StoppingTime.constant(n, ticks) if rng.random() < 0.6
                        else random_stopping_time(rng, space, enlarged))
             eb = EnlargedBasis(space=space, base=base, enlarged=enlarged,

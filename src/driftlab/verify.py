@@ -3,16 +3,14 @@
 Each battery draws one instance from its seed, checks one cluster of
 exact statements, and returns a JSON-able result dict with an "ok" flag
 and, on failure, the offending instance serialized for reproduction.
-run_verify fans a master seed out over the battery rotation, optionally
-across worker processes; results are keyed and ordered by instance
-index, so reports are identical whatever the pool size.
+run_verify fans a master seed out over the battery rotation in one
+process; results are keyed and ordered by instance index, so a seed
+names its report byte for byte.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import serialize
@@ -320,8 +318,7 @@ BATTERIES = (
 )
 
 
-def run_one(task) -> dict:
-    master, index, force = task
+def run_one(master: int, index: int, force: bool) -> dict:
     name, fn = BATTERIES[index % len(BATTERIES)]
     sub = master + index
     res = fn(sub, force) if name == "full-viability" else fn(sub)
@@ -329,18 +326,9 @@ def run_one(task) -> dict:
     return res
 
 
-def run_verify(seed: int, instances: int, workers: Optional[int] = None,
-               force_failure: bool = False) -> dict:
-    """Run the battery rotation; the report is independent of pool size."""
-    tasks = [(seed, i, force_failure) for i in range(instances)]
-    # A pool starts every worker up front; more than the CPUs only queue.
-    workers = min(workers or 1, instances, os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, instances // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, tasks, chunksize=chunk))
-    else:
-        results = [run_one(t) for t in tasks]
+def run_verify(seed: int, instances: int, force_failure: bool = False) -> dict:
+    """Run the battery rotation, instance by instance in index order."""
+    results = [run_one(seed, i, force_failure) for i in range(instances)]
     summary: dict = {}
     for r in results:
         s = summary.setdefault(r["battery"], {"instances": 0, "failures": 0})

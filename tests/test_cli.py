@@ -22,7 +22,6 @@ from driftlab.serialize import (
     instance_to_json,
     process_to_json,
 )
-from driftlab.verify import run_verify
 
 
 def write(path, doc):
@@ -109,6 +108,7 @@ def test_deeply_nested_json_is_a_schema_error(tmp_path, command):
     ["generate", "--input", "/nonexistent"],
     ["verify-theorems", "--input", "/nonexistent"],
     ["generate", "--workers", "4"],
+    ["verify-theorems", "--workers", "2"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
 def test_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -121,8 +121,6 @@ def test_flags_a_command_ignores_are_rejected(argv):
     ["verify-theorems", "--instances", "0"],
     ["generate", "--instances", "-3"],
     ["generate", "--instances", "0"],
-    ["verify-theorems", "--workers", "0"],
-    ["verify-theorems", "--workers", "-2"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_counts_below_one_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -228,50 +226,14 @@ def test_deflator_rejects_malformed_input(tmp_path, command, edit, flags):
 
 
 def test_verify_theorems_deterministic(tmp_path):
-    a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    a, b = (tmp_path / n for n in ("a.json", "b.json"))
     argv = ["verify-theorems", "--seed", "9", "--instances", "16"]
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
-    assert main(argv + ["--workers", "2", "--output", str(c)]) == 0
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
     rep = read(a)
     assert rep["ok"] is True
     assert rep["instances"] == 16
-
-
-def test_verify_pool_is_capped_at_the_instance_count(monkeypatch):
-    """--workers starts at most one worker per instance and per CPU, and no more.
-
-    A recording fake stands in for the pool, so no real pool is started.
-    """
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("driftlab.verify.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: 8)
-    pooled = run_verify(5, 3, workers=5000)
-    assert started == [3]
-    assert run_verify(5, 1, workers=5000) == run_verify(5, 1)
-    assert started == [3]
-    assert pooled == run_verify(5, 3)
-    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: 2)
-    assert run_verify(5, 3, workers=64) == pooled
-    assert started == [3, 2]
-    monkeypatch.setattr("driftlab.verify.os.cpu_count", lambda: None)
-    assert run_verify(5, 3, workers=64) == pooled
-    assert started == [3, 2]
 
 
 def _doubled_at(Z, i):
@@ -313,7 +275,7 @@ def test_verify_theorems_forced(tmp_path):
 
 def test_verify_theorems_failure_reports_an_error(tmp_path, monkeypatch):
     """A failing battery exits 3 with an "error" beside "ok": false."""
-    def failing(seed, instances, workers=None, force_failure=False):
+    def failing(seed, instances, force_failure=False):
         result = {"battery": "jump-identity", "ok": False, "reasons": ["broken"]}
         return {"ok": False, "results": [result]}
     monkeypatch.setattr("driftlab.cli.run_verify", failing)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from driftlab.basis import is_stopping_time, validate
 from driftlab.calculus import is_martingale
 from driftlab.enlargement import check_condition_support, validate_enlargement
-from driftlab.errors import JacodDegenerate, NotARandomTime
+from driftlab.errors import DataInvariantViolated, JacodDegenerate, NotARandomTime
 from driftlab.event_kernels import validate_accessible, validate_inaccessible
 from driftlab.models import (
     GeneratorConfig,
@@ -41,6 +41,8 @@ def test_generated_enlargements_validate(seed):
     diag = validate_enlargement(eb)
     assert diag.ok, diag.errors
     assert is_stopping_time(eb.enlarged, eb.horizon)
+    assert 4 <= eb.space.n <= 9 and 1 <= eb.base.K <= 3
+    assert all(len(kids) <= 3 for kids in eb.base.child_map.values())
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -50,6 +52,11 @@ def test_forced_instances_fail_support(seed):
         seed=seed, enlargement_kind=kind, force_condition_failure=True))
     assert validate_enlargement(eb).ok
     assert not check_condition_support(eb).ok
+
+
+def test_unknown_enlargement_kind_is_rejected():
+    with pytest.raises(DataInvariantViolated):
+        gen_random_instance(GeneratorConfig(seed=0, enlargement_kind="bogus"))
 
 
 @given(st.integers(min_value=0, max_value=300))

@@ -77,6 +77,17 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def absolute_imports(path):
+    """Top-level names of the modules a package module imports by absolute name."""
+    names = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def package_modules():
     return [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
 
@@ -210,18 +221,21 @@ def test_children_have_one_home():
 def test_rational_backend_is_chosen_in_one_place():
     """Only `rational` imports a number backend; every other module uses its `Q`."""
     backends = {"fractions", "gmpy2"}
-    importers = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] in backends for name in names):
-                importers.add(path.name)
+    importers = {path.name for path in SRC.glob("*.py")
+                 if absolute_imports(path) & backends}
     assert importers == {"rational.py"}
+
+
+def test_package_starts_no_processes():
+    """No package module imports a process, thread or pool module.
+
+    Every command runs in the caller's process, so a seed's report never
+    hangs on how work was spread.
+    """
+    spawners = {"concurrent", "multiprocessing", "subprocess", "threading"}
+    importers = {path.name for path in SRC.glob("*.py")
+                 if absolute_imports(path) & spawners}
+    assert importers == set()
 
 
 def test_oracle_path_is_independent():
