@@ -119,6 +119,10 @@ def test_flags_a_command_ignores_are_rejected(argv):
 @pytest.mark.parametrize("argv", [
     ["verify-theorems", "--instances", "-3"],
     ["verify-theorems", "--instances", "0"],
+    # verify-theorems has no --workers option any more; a worker count
+    # below one is still refused, now as an unknown flag.
+    ["verify-theorems", "--workers", "-2"],
+    ["verify-theorems", "--workers", "0"],
     ["generate", "--instances", "-3"],
     ["generate", "--instances", "0"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
