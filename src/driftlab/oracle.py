@@ -186,9 +186,24 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
     return True
 
 
+# The fields each no-deflator reason of lp_deflator_oracle carries.
+_NO_DEFLATOR_FIELDS = {
+    "martingale-system-infeasible": ("multipliers_eq", "multipliers_ub"),
+    "positivity-unreachable": ("gap_bound", "multipliers_eq", "multipliers_ub"),
+}
+
+
 def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime], certificate: dict) -> bool:
-    """Re-verify an infeasibility certificate by rebuilding the program."""
+    """Re-verify an infeasibility certificate by rebuilding the program.
+
+    False for anything but a no-deflator certificate with one of
+    lp_deflator_oracle's two reasons and the fields that reason carries.
+    """
+    fields = _NO_DEFLATOR_FIELDS.get(certificate.get("reason"))
+    if certificate.get("status") != "no-deflator" or fields is None or \
+            any(f not in certificate for f in fields):
+        return False
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
     c, A_eq, b_eq, A_ub, b_ub, *_ = _build_lp(space, filt, S, horizon)

@@ -143,6 +143,45 @@ def _atom_program(p, s_jumps) -> tuple:
     return [ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub
 
 
+def _atom_weights(p, s_jumps) -> Optional[list]:
+    """The optimal weights q of one atom's program, or None if the atom blocks a connector.
+
+    The atom blocks when the program is infeasible or its optimal floor t
+    is zero.  Two cases have a closed form and pose no program.  Where S
+    has no drift (sum p_h s_h = 0), summing p_h t <= q_h gives
+    t <= sum q = 1, with equality iff q = p, which is feasible there: q = p
+    is the unique optimum.  Where a scalar S drifts by mu, take e = min s
+    if mu > 0 and e = max s if mu < 0.  Write q = t p + r with r >= 0 and
+    sum r = 1 - t: then 0 = sum q s = t mu + sum r s.  For mu > 0,
+    sum r s >= (1 - t) e, so t (mu - e) <= -e; for mu < 0 both inequalities
+    flip.  Hence the atom blocks iff mu e >= 0, and otherwise the floor is
+    t = e / (e - mu), in (0, 1), reached only with all of r on children
+    where s = e.  When a single child h* attains e,
+    q = t p + (1 - t) 1_{h*} is the unique optimum, so it is the one the
+    simplex returns.  Ties at e, and S of dimension two or more, go to the
+    simplex: on a tie the optimum is a face, and the pinned connector
+    digest fixes Bland's-rule vertex on it.
+    """
+    mean = jump_mean(p, s_jumps)
+    if all(mu == ZERO for mu in mean):
+        return p  # p itself, so the caller can tell that every jump of D is zero
+    if len(mean) == 1:
+        mu, s = mean[0], [sj[0] for sj in s_jumps]
+        e = min(s) if mu > ZERO else max(s)
+        if mu * e >= ZERO:
+            return None
+        extreme = [h for h, sh in enumerate(s) if sh == e]
+        if len(extreme) == 1:
+            t = e / (e - mu)
+            q = [t * ph for ph in p]
+            q[extreme[0]] += ONE - t
+            return q
+    res = solve_lp(*_atom_program(p, s_jumps))
+    if res.status == INFEASIBLE or res.value <= ZERO:
+        return None
+    return list(res.x[:len(p)])
+
+
 @dataclass
 class ConnectorSearch:
     """Outcome of the connector search: the process, or the atom that blocks one."""
@@ -163,16 +202,17 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     with children h, conditional probabilities p_h and jumps s_h of S, the
     weights q_h = p_h (1 - jump_h(D)) turn them into a one-period
     martingale measure: sum q_h = 1, sum q_h s_h = 0 and every q_h > 0
-    (Harrison-Pliska; Dalang-Morton-Willinger).  Each atom gets a program
+    (Harrison-Pliska; Dalang-Morton-Willinger).  Each atom has a program
     over q and a floor t with p_h t <= q_h, maximizing t, so t is the gap
     min_h (1 - jump_h(D)) below one.  A positive optimal floor on every
     alive atom assembles into a connector with jumps 1 - q_h / p_h; an
     infeasible program or a floor of zero rules one out.
 
-    An atom where S has no drift (sum p_h s_h = 0) poses no program:
-    summing p_h t <= q_h gives t <= sum q = 1, with equality iff q = p,
-    which is feasible there, so q = p (every jump of D zero) is the
-    unique optimum the program would return.
+    _atom_weights gives each atom's optimum.  Only two kinds of atom pose
+    the program to the simplex: a scalar S whose drift-opposing extreme
+    jump is attained on two or more children (a tie), and S of dimension
+    two or more.  Driftless atoms (q = p, every jump of D zero) and the
+    other scalar atoms, blocked or not, take the closed form.
 
     The assembled D is checked against the search's own atom table before
     it is returned, in this order: D is scalar; in one pass over every
@@ -187,13 +227,13 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     for k, b in alive_atoms(filt, horizon):
         kids, p = atom_split(space, filt, k, b)
         s_jumps = S.child_jumps(k, kids)
-        if all(mean == ZERO for mean in jump_mean(p, s_jumps)):
+        q = _atom_weights(p, s_jumps)
+        if q is None:
+            return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
+        if q is p:
             d_jumps = [(ZERO,)] * len(kids)
         else:
-            res = solve_lp(*_atom_program(p, s_jumps))
-            if res.status == INFEASIBLE or res.value <= ZERO:
-                return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
-            d_jumps = [(ONE - res.x[h] / p[h],) for h in range(len(kids))]
+            d_jumps = [(ONE - qh / ph,) for qh, ph in zip(q, p)]
             jump_of.update(((k, kid), dj) for kid, (dj,) in zip(kids, d_jumps))
         rows.append((k, b, kids, p, d_jumps, s_jumps))
     D = Process.from_jump_table(space.n, filt, jump_of)

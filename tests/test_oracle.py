@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import driftlab
-from driftlab.basis import Process
+from driftlab.basis import Filtration, Partition, Process, SampleSpace
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.errors import InternalInvariant
 from driftlab.models import (
@@ -18,7 +18,7 @@ from driftlab.models import (
     random_viable_asset,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
-from driftlab.rational import ZERO
+from driftlab.rational import ZERO, Q
 from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import deflator_from_connector, find_structure_connector
 
@@ -185,6 +185,19 @@ def test_cond_expect_serves_only_cond_prob_and_the_crosschecks():
                                "models.jacod_phi_crosscheck"]
 
 
+def test_atom_weights_is_the_connector_programs_one_home():
+    """Within `viability`, `solve_lp(` is called only by `_atom_weights`.
+
+    The atom program's optimum, closed form or simplex, has one home; the
+    connector search reads q from it.
+    """
+    callers = [fn.name for fn in ast.walk(parse(SRC / "viability.py"))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_lp"]
+    assert callers == ["_atom_weights"]
+
+
 def test_represent_serves_no_package_module():
     """No package module calls `represent(`.
 
@@ -291,6 +304,33 @@ def test_certificates_serialize():
     res = lp_deflator_oracle(sp, filt, S)
     blob = dumps(encode_exact(res.certificate))
     assert "status" in blob
+
+
+@pytest.mark.parametrize("paths, reason", [
+    ([[0, 1], [0, 2]], "martingale-system-infeasible"),
+    ([[0, 1], [0, 0]], "positivity-unreachable"),
+], ids=["infeasible", "zero-gap"])
+def test_verify_no_deflator_refuses_other_certificates(paths, reason):
+    """Only a no-deflator certificate with a known reason and its fields re-verifies.
+
+    A feasible certificate, an unknown reason (its multiplier lengths still
+    match) or a missing field is refused with False, not an exception.
+    """
+    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    S = Process.from_scalar_paths(paths)
+    cert = lp_deflator_oracle(sp, filt, S).certificate
+    assert cert["reason"] == reason
+    assert verify_no_deflator(sp, filt, S, None, cert)
+    viable = Process.from_scalar_paths([[0, 1], [0, -1]])
+    feasible = lp_deflator_oracle(sp, filt, viable).certificate
+    assert feasible["status"] == "deflator"
+    dropped = [{k: v for k, v in cert.items() if k != field} for field in
+               sorted(set(cert) & {"gap_bound", "multipliers_eq", "multipliers_ub"})]
+    for bad in [feasible, {**cert, "status": "deflator"}, {**cert, "reason": "other"}] + dropped:
+        assert verify_no_deflator(sp, filt, S, None, bad) is False
+    assert verify_no_deflator(sp, filt, viable, None, feasible) is False
 
 
 def test_failed_deflator_recheck_raises_internal_invariant(monkeypatch):

@@ -1,10 +1,9 @@
-import dataclasses
 import hashlib
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
@@ -14,7 +13,7 @@ from driftlab.enlargement import check_condition_support, solve_factors
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
                              NotAdapted, NotAMartingale, NotAStoppingTime,
                              SupportConditionFailed)
-from driftlab.linfeas import OPTIMAL, solve_lp
+from driftlab.linfeas import INFEASIBLE, OPTIMAL, solve_lp
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -33,6 +32,7 @@ from driftlab.representation import build_representation
 from driftlab.serialize import dumps, encode_exact, process_to_json, viability_report_to_json
 from driftlab.viability import (
     _atom_program,
+    _atom_weights,
     _connector_violation,
     deflator_from_connector,
     enlarged_connector,
@@ -333,8 +333,34 @@ def test_driftless_atom_program_returns_p(weights, dim, data):
     assert list(res.x[:len(p)]) == p
 
 
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=6), st.data())
+def test_scalar_atom_weights_agree_with_the_simplex(weights, data):
+    """On a drifting scalar atom the closed form decides as the program does.
+
+    Jumps come from a small grid, so ties at the extreme jump and a zero
+    extreme (a zero floor) both occur.  Where one child attains the
+    extreme jump the optimum is unique, so the closed-form q must equal
+    the simplex's; on a tie q is the simplex's vertex itself.
+    """
+    p = [Q(w, sum(weights)) for w in weights]
+    grid = [Q(-2), -ONE, Q(-1, 2), ZERO, Q(1, 2), ONE, Q(3)]
+    s = data.draw(st.lists(st.sampled_from(grid), min_size=len(p), max_size=len(p)))
+    mu = sum((ph * sh for ph, sh in zip(p, s)), ZERO)
+    assume(mu != ZERO)
+    s_jumps = [(sh,) for sh in s]
+    q = _atom_weights(p, s_jumps)
+    res = solve_lp(*_atom_program(p, s_jumps))
+    assert (q is None) == (res.status == INFEASIBLE or res.value <= ZERO)
+    if q is not None:
+        assert q == list(res.x[:len(p)])
+
+
 def test_martingale_asset_poses_no_program(monkeypatch):
-    """A base martingale has no drift on any atom: no LP, and D is zero."""
+    """A base martingale has no drift on any atom: no LP, and D is zero.
+
+    A drifting scalar atom poses a program only when two children tie at
+    the extreme jump; a drifting atom of dimension two always poses one.
+    """
     import driftlab.viability as viability
     calls = []
 
@@ -350,13 +376,19 @@ def test_martingale_asset_poses_no_program(monkeypatch):
         assert search.found
         assert all(x == (ZERO,) for row in search.connector.values for x in row)
     assert calls == []
-    # an asset with drift still reaches the program
-    from driftlab.basis import Filtration, Partition, SampleSpace
-    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
-    top = Partition([[0, 1]])
-    filt = Filtration(top, ((top, Partition([[0], [1]])),))
-    assert find_structure_connector(sp, filt, Process.from_scalar_paths([[0, 2], [0, -1]])).found
+    # a unique extreme child: the closed form, no program
+    sp, filt, _ = three_point_market()
+    assert find_structure_connector(sp, filt, Process.from_scalar_paths(
+        [[0, 2], [0, -1], [0, 3]])).found
+    assert calls == []
+    # two children tie at the extreme jump: one program
+    assert find_structure_connector(*tied_market()).found
     assert len(calls) == 1
+    # a drifting atom of dimension two: one program
+    S = Process(2, [[(ZERO, ZERO), (Q(2), ONE)], [(ZERO, ZERO), (-ONE, Q(-3))],
+                    [(ZERO, ZERO), (ZERO, ONE)]])
+    assert find_structure_connector(sp, filt, S).found
+    assert len(calls) == 2
 
 
 def test_a_horizon_that_is_not_a_stopping_time_is_refused():
@@ -380,14 +412,16 @@ def three_point_market():
     return sp, filt, Process.from_scalar_paths([[0, 2], [0, 1], [0, -1]])
 
 
+def tied_market():
+    """three_point_market's space; S drifts and its two smallest jumps tie, so a program is posed."""
+    sp, filt, _ = three_point_market()
+    return sp, filt, Process.from_scalar_paths([[0, -1], [0, -1], [0, 2]])
+
+
 def broken_optimum(q_of):
-    """solve_lp, with the weights q of the optimum replaced by q_of(q, p)."""
-    def solve(c, A_eq, b_eq, A_ub, b_ub):
-        res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
-        m = len(A_ub)
-        q = q_of(list(res.x[:m]), [row[-1] for row in A_ub])
-        return dataclasses.replace(res, x=q + list(res.x[m:]))
-    return solve
+    """_atom_weights, with the optimal weights q replaced by q_of(q, p)."""
+    weights = _atom_weights
+    return lambda p, s_jumps: q_of(weights(p, s_jumps), p)
 
 
 def perturbed_path(edit):
@@ -406,10 +440,10 @@ def shifted(rows, i, k, delta):
 
 
 @pytest.mark.parametrize("patch, reason", [
-    (("solve_lp", broken_optimum(lambda q, p: [2 * qh for qh in q])), "not-martingale"),
-    (("solve_lp", broken_optimum(lambda q, p: [ZERO, q[0] + q[1]] + q[2:])),
+    (("_atom_weights", broken_optimum(lambda q, p: [2 * qh for qh in q])), "not-martingale"),
+    (("_atom_weights", broken_optimum(lambda q, p: [ZERO, q[0] + q[1]] + q[2:])),
      "jump-at-least-one"),
-    (("solve_lp", broken_optimum(lambda q, p: p)), "identity-failed"),
+    (("_atom_weights", broken_optimum(lambda q, p: p)), "identity-failed"),
     (("from_jump_table", perturbed_path(lambda X: Process(1, shifted(rows_of(X), 1, 1, ONE)))),
      "jump-off-table"),
     (("from_jump_table", perturbed_path(
@@ -423,16 +457,20 @@ def test_search_self_check_catches_injected_faults(monkeypatch, patch, reason):
     Broken optima keep the floor positive: sum q != 1 breaks the
     martingale row, a zero q_h gives a jump of one, and q = p breaks
     sum q s = 0 where S drifts.  The assembled D is perturbed at one
-    outcome, at its start, or in its dimension.
+    outcome, at its start, or in its dimension.  Each fault is injected
+    on both routes to the optimum: the closed form (three_point_market)
+    and the simplex (tied_market).
     """
     import driftlab.viability as viability
-    sp, filt, S = three_point_market()
-    assert find_structure_connector(sp, filt, S).found
+    markets = (three_point_market(), tied_market())
+    for sp, filt, S in markets:
+        assert find_structure_connector(sp, filt, S).found
     name, fault = patch
-    monkeypatch.setattr(viability if name == "solve_lp" else Process, name, fault)
-    with pytest.raises(InternalInvariant) as exc:
-        find_structure_connector(sp, filt, S)
-    assert exc.value.detail["reason"] == reason
+    monkeypatch.setattr(viability if name == "_atom_weights" else Process, name, fault)
+    for sp, filt, S in markets:
+        with pytest.raises(InternalInvariant) as exc:
+            find_structure_connector(sp, filt, S)
+        assert exc.value.detail["reason"] == reason
 
 
 def path_level_connector_violation(space, filt, D, horizon, S=None):
