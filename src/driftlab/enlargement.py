@@ -11,14 +11,17 @@ with N the canonical representation process W of the base filtration.
 W's conditional jump covariances are multinomial, 4^-k (diag p - p p^T),
 so phi per (tick, enlarged left-limit atom) has a closed form, read as a
 density: 1 + phi.jump(W) = pbar_h / p_h.  Its target, W's enlarged jump
-mean, also gives W minus its drift, the integrator of every enlarged
-connector.  The compensator and connector transfer checks share one walk,
+mean, also gives W minus its drift, against which the enlarged connector
+is an integral (viability builds that connector from its closed form).
+The per-atom rows and the support report are cached on the enlarged
+basis.  The compensator and connector transfer checks share one walk,
 comparing per-child jump means over an enlarged atom and its base atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
@@ -39,6 +42,21 @@ class EnlargedBasis:
 
     def alive(self, i: int, k: int) -> bool:
         return self.horizon.geq(i, k)
+
+    @cached_property
+    def _splits(self) -> dict:
+        """(width, k, enlarged atom) -> (b, p, pbar, gamma) of _enlarged_jump_mean."""
+        return {}
+
+    @cached_property
+    def _support(self) -> "SupportReport":
+        """check_condition_support's report: a set test per (alive atom, base child)."""
+        base = self.base
+        for k, c in alive_atoms(self.enlarged, self.horizon):
+            for kid in base.child_map[(k, base.pre(k).block_of(min(c)))]:
+                if not (kid & c):
+                    return SupportReport(ok=False, tick=k, atom=c, child=kid)
+        return SupportReport(ok=True)
 
 
 def validate_enlargement(eb: EnlargedBasis) -> Diagnostics:
@@ -114,16 +132,21 @@ def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
     b is the base atom holding c; p and pbar give, per child of b, its
     conditional probability in b and inside c, zero past b's last child.
     W jumps by 2^-k (e_h - p) on child h, so its enlarged conditional jump
-    mean on c is gamma = 2^-k (pbar - p), exactly.
+    mean on c is gamma = 2^-k (pbar - p), exactly.  The four are cached on
+    eb, keyed by the row width, k and c.
     """
-    b = eb.base.pre(k).block_of(min(c))
-    kids, p = atom_split(eb.space, eb.base, k, b)
-    mass = eb.space.mass(c)
-    p = padded(rep.width, p)
-    pbar = padded(rep.width, [eb.space.mass(kid & c) / mass for kid in kids])
-    scale = Q(1, 2 ** k)
-    gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, p))
-    return b, p, pbar, gamma
+    key = (rep.width, k, c)
+    out = eb._splits.get(key)
+    if out is None:
+        b = eb.base.pre(k).block_of(min(c))
+        kids, p = atom_split(eb.space, eb.base, k, b)
+        mass = eb.space.mass(c)
+        p = padded(rep.width, p)
+        pbar = padded(rep.width, [eb.space.mass(kid & c) / mass for kid in kids])
+        scale = Q(1, 2 ** k)
+        gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, p))
+        out = eb._splits[key] = (b, p, pbar, gamma)
+    return out
 
 
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
@@ -219,14 +242,10 @@ def check_condition_support(eb: EnlargedBasis) -> SupportReport:
 
     For every alive enlarged atom C inside a base atom B, every child of B
     with positive conditional probability must meet C.  (The reverse
-    implication is automatic: outcomes carry positive mass.)
+    implication is automatic: outcomes carry positive mass.)  The report
+    is computed once per basis and cached on it.
     """
-    base = eb.base
-    for k, c in alive_atoms(eb.enlarged, eb.horizon):
-        for kid in base.child_map[(k, base.pre(k).block_of(min(c)))]:
-            if not (kid & c):
-                return SupportReport(ok=False, tick=k, atom=c, child=kid)
-    return SupportReport(ok=True)
+    return eb._support
 
 
 def check_positivity(eb: EnlargedBasis, factors: DriftFactors):

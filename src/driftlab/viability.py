@@ -7,12 +7,16 @@ part of each component reproduces that component's compensator increment.
 The stochastic exponential of -D is then a strictly positive deflator
 making D-deflated prices martingales, and conversely.
 
-On an enlarged basis the same machinery transfers: given the drift
-multiplier row phi and a base connector D, the enlarged connector is an
-integral K . (W - drift(W)), the factors' Wt, whose jumps equal
-(jump(D) + phi.jump(W)) / (1 + phi.jump(W)) = 1 - q_h / pbar_h on child h,
-q_h = p_h (1 - jump_h(D)) being D's martingale weights; K is a closed-form
-inverse applied to r_h = 2^k (pbar_h - q_h).  The verdict that
+On an enlarged basis the same machinery transfers.  Given a base
+connector D with martingale weights q_h = p_h (1 - jump_h(D)), the
+enlarged connector Y jumps on every enlarged child inside the base child h
+of an alive enlarged atom by 1 - q_h / pbar_h: Jacod's conditional density
+pbar_h / p_h tilts the weights q_h, and the jump equals
+(jump(D) + phi.jump(W)) / (1 + phi.jump(W)) for the drift multiplier row
+phi.  Y is built from that closed form.  Y = K . (W - drift(W)), the
+factors' Wt, holds for the integrand K that solve_accessible_K gives, a
+closed-form inverse applied to r_h = 2^k (pbar_h - q_h); K is solved only
+where a caller reads it.  The verdict that
 every base-viable asset stays viable in the enlarged filtration reduces to
 a child-support condition between the two filtrations; when it fails, a
 single localized component of the driving process already loses viability,
@@ -26,7 +30,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
-from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stoch_integral, stop
+from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, _transfer_mismatch, check_condition_support,
                           check_positivity, solve_factors)
@@ -258,16 +262,15 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
     return doleans_exp(-stop(D, horizon))
 
 
-def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
-                       D: Optional[Process] = None) -> Process:
-    """Enlarged-predictable integrand K with K . factors.Wt matching jumps.
+def _connector_atoms(eb: EnlargedBasis, rep: RepresentationProcess,
+                     D: Optional[Process]) -> list:
+    """(k, c, b, pbar, q) per alive enlarged atom c inside the base atom b, after the gates.
 
-    K solves Vt K = V (phi + H_D), H_D the representation coefficients of the
-    base connector D (zero without D).  With Jacod's 1 + phi.jump(W) =
-    pbar_h / p_h and q_h = p_h (1 - jump_h(D)), K is the closed-form
-    multinomial inverse for pbar applied to r_h = 2^k (pbar_h - q_h).
-    Checked first: the child-support condition, which makes pbar positive
-    exactly where p is, then that D is a scalar base martingale.
+    pbar and q are W-slot rows over the children h of b: the conditional
+    probability of h inside c, and D's martingale weight q_h = p_h (1 - jump_h(D))
+    (q = p without D).  The gates run once, first, in this order: the
+    child-support condition, which makes pbar positive exactly where p is,
+    then that D is scalar, then that it is a base martingale.
     """
     support = check_condition_support(eb)
     if not support.ok:
@@ -277,23 +280,70 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
         raise DimensionMismatch("the base connector D is scalar")
     if D is not None and not is_martingale(eb.space, eb.base, D):
         raise NotAMartingale()
-
-    value_at: dict = {}
-    for k, cblk in alive_atoms(eb.enlarged, eb.horizon):
-        b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
+    atoms = []
+    for k, c in alive_atoms(eb.enlarged, eb.horizon):
+        b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, c)
         q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip_longest(
             p, D.child_jumps(k, eb.base.child_map[(k, b)]), fillvalue=(ZERO,))]
-        value_at[(k, cblk)] = _multinomial_solve(
-            pbar, [2 ** k * (pb - qh) for pb, qh in zip(pbar, q)],
-            "integrand system inconsistent", tick=k, atom=sorted(cblk))
+        atoms.append((k, c, b, pbar, q))
+    return atoms
+
+
+def _integrand(eb: EnlargedBasis, rep: RepresentationProcess, atoms: list) -> Process:
+    """K on each atom of _connector_atoms: the multinomial inverse for pbar at 2^k (pbar - q)."""
+    value_at = {(k, c): _multinomial_solve(
+        pbar, [2 ** k * (pb - qh) for pb, qh in zip(pbar, q)],
+        "integrand system inconsistent", tick=k, atom=sorted(c))
+        for k, c, _, pbar, q in atoms}
     return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, rep.width)
+
+
+def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
+    """Y jumping by 1 - q_h / pbar_h on every enlarged child inside base child h.
+
+    Each atom's exact row sum_h pbar_h y_h = 1 - sum_h q_h = 0 is checked;
+    a failure raises InternalInvariant.
+    """
+    base, enlarged = eb.base, eb.enlarged
+    jump_of: dict = {}
+    for k, c, b, pbar, q in atoms:
+        kids = base.child_map[(k, b)]
+        y = [ONE - qh / pb for qh, pb, _ in zip(q, pbar, kids)]
+        if vec_dot(pbar, y) != ZERO:
+            raise InternalInvariant("connector row fails", tick=k, atom=sorted(c))
+        y_of = dict(zip(kids, y))
+        at_k = base.at(k)
+        jump_of.update(((k, e), y_of[at_k.block_of(min(e))])
+                       for e in enlarged.child_map[(k, c)])
+    return Process.from_jump_table(eb.space.n, enlarged, jump_of)
+
+
+def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
+                       D: Optional[Process] = None) -> Process:
+    """Enlarged-predictable integrand K with K . factors.Wt the enlarged connector.
+
+    K solves Vt K = V (phi + H_D), H_D the representation coefficients of the
+    base connector D (zero without D).  With Jacod's 1 + phi.jump(W) =
+    pbar_h / p_h and q_h = p_h (1 - jump_h(D)), K is the closed-form
+    multinomial inverse for pbar applied to r_h = 2^k (pbar_h - q_h), checked
+    by its exact residual (Unsolvable on a failure).  Checked first: the
+    child-support condition, which makes pbar positive exactly where p is,
+    then that D is a scalar base martingale.
+    """
+    return _integrand(eb, rep, _connector_atoms(eb, rep, D))
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
                        factors: DriftFactors, D: Optional[Process] = None):
-    """(K, Y): K from solve_accessible_K and Y = K . factors.Wt, jumping 1 - q_h / pbar_h."""
-    K = solve_accessible_K(eb, rep, D)
-    return K, stoch_integral(eb.enlarged, K, factors.Wt)
+    """(K, Y): K from solve_accessible_K and Y jumping 1 - q_h / pbar_h, so Y = K . factors.Wt.
+
+    Y is built from its closed form, not by integrating K, so factors is
+    not read; it stays for callers that pass it positionally.  The gates
+    run once for both; K is solved first, so an atom whose weights do not
+    sum to one raises K's Unsolvable.
+    """
+    atoms = _connector_atoms(eb, rep, D)
+    return _integrand(eb, rep, atoms), _closed_form_connector(eb, atoms)
 
 
 def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -320,8 +370,9 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
                 S: Process, D: Process) -> Process:
     """Transfer a base connector D for the base-adapted S into an enlarged-filtration one.
 
-    Builds Y = K . factors.Wt, then verifies exactly on [0, horizon], per
-    child (_transfer_mismatch), that the jump covariance of Y against the
+    Builds Y from its closed form, as enlarged_connector does but solving
+    no K, then verifies exactly on [0, horizon], per child
+    (_transfer_mismatch), that the jump covariance of Y against the
     enlarged martingale part of S equals the base-side covariance of D plus
     the multiplier-weighted covariance of the driving process, per component,
     and that Y is an enlarged connector for S (every jump below one among its
@@ -329,7 +380,7 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
     """
     if not is_adapted(eb.base, S):
         raise NotAdapted()
-    _, Y = enlarged_connector(eb, rep, factors, D)
+    Y = _closed_form_connector(eb, _connector_atoms(eb, rep, D))
     bad = _transfer_mismatch(eb, factors, S, (Y, D))
     if bad is not None:
         raise ConnectorInvalid("transfer identity failed",
@@ -373,10 +424,11 @@ def full_viability_verdict(eb: EnlargedBasis,
     The verdict equals the child-support condition; jump positivity of the
     multiplier pairing is evaluated alongside and reported.  When the
     verdict holds the report carries the multiplier row, the connector for
-    the bare driving process, and the common deflator exp(-Y).  When it
-    fails the report carries a witness: a base martingale built from the
-    violating (tick, atom, child), confirmed unpriceable in the enlarged
-    filtration by the independent oracle, whose certificate is attached.
+    the bare driving process (from its closed form; no K is solved), and
+    the common deflator exp(-Y).  When it fails the report carries a
+    witness: a base martingale built from the violating (tick, atom,
+    child), confirmed unpriceable in the enlarged filtration by the
+    independent oracle, whose certificate is attached.
     """
     if rep is None:
         rep = build_representation(eb.space, eb.base)
@@ -399,7 +451,7 @@ def full_viability_verdict(eb: EnlargedBasis,
     if bad is not None:
         raise InternalInvariant("multiplier pairing not positive under support",
                                 outcome=bad[0], tick=bad[1])
-    _, Y = enlarged_connector(eb, rep, factors, None)
+    Y = _closed_form_connector(eb, _connector_atoms(eb, rep, None))
     Z = doleans_exp(-Y)
     return ViabilityReport(verdict=True, condition_support=True, positivity=True,
                            support=support, factors=factors, connector=Y, deflator=Z)

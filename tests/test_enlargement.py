@@ -24,6 +24,7 @@ from driftlab.errors import ConnectorInvalid, EngineError, NotAdapted, NotAMarti
 from driftlab.linalg import min_norm_solve, vec_dot
 from driftlab.models import (
     GeneratorConfig,
+    extract_accessible_event_data,
     gen_random_instance,
     random_adapted,
     random_martingale,
@@ -170,6 +171,65 @@ def test_support_condition_goldens():
 def test_forced_failure_breaks_support(seed):
     eb = instance(seed, force=True)
     assert not check_condition_support(eb).ok
+
+
+def reference_support(eb):
+    """(ok, tick, atom, child): the first alive enlarged atom missing a child of its base atom.
+
+    Atoms by tick, then block order; children in at(k) block order.
+    """
+    for k in range(1, eb.base.K + 1):
+        for c in eb.enlarged.pre(k).blocks:
+            if not eb.horizon.alive_block(c, k):
+                continue
+            b = eb.base.pre(k).block_of(min(c))
+            for kid in eb.base.at(k).blocks:
+                if kid <= b and eb.space.mass(kid) > ZERO and not (kid & c):
+                    return False, k, c, kid
+    return True, None, None, None
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_support_report_is_cached_and_matches_a_per_child_reference(force):
+    """check_condition_support's report, cached on the basis, is the per-child reference's.
+
+    A second call returns the same report object.
+    """
+    failed = 0
+    for seed in range(400):
+        eb = instance(seed, force)
+        report = check_condition_support(eb)
+        assert (report.ok, report.tick, report.atom, report.child) == reference_support(eb)
+        assert check_condition_support(eb) is report
+        failed += not report.ok
+    assert (failed == 400) if force else (0 < failed < 400)
+
+
+def test_factors_and_event_data_read_one_cached_split(monkeypatch):
+    """solve_factors fills the basis's per-atom split cache; the event data reads it back.
+
+    Once the factors are solved, SampleSpace.mass refuses every call:
+    extracting the accessible event data of every alive enlarged atom
+    recomputes no split, its p and pbar are the cached rows cut to the
+    atom's children, and the cache keeps the very same entries.
+    """
+    def refuse(space, event):
+        raise AssertionError("a split was recomputed")
+
+    for seed in range(40):
+        eb = instance(seed)
+        rep = build_representation(eb.space, eb.base)
+        factors = solve_factors(eb, rep)
+        cached = dict(eb._splits)
+        assert set(cached) == {(rep.width, k, c) for k, c in alive_atoms(eb.enlarged, eb.horizon)}
+        with monkeypatch.context() as patch:
+            patch.setattr(SampleSpace, "mass", refuse)
+            for (_, k, c), (b, p, pbar, _) in cached.items():
+                m = len(eb.base.child_map[(k, b)])
+                data = extract_accessible_event_data(eb, rep, factors, None, k, c)
+                assert (data.p, data.pbar) == (p[:m], pbar[:m])
+        assert eb._splits.keys() == cached.keys()
+        assert all(eb._splits[key] is split for key, split in cached.items())
 
 
 @given(st.integers(min_value=0, max_value=150))

@@ -211,6 +211,35 @@ def test_represent_serves_no_package_module():
     assert calls == []
 
 
+def test_stoch_integral_serves_only_represent():
+    """In the package, `stoch_integral(` is called only by `representation.represent`.
+
+    The enlarged connector is built from its closed form, jumps
+    1 - q_h / pbar_h per atom; the general integral stays for `represent`,
+    the tests' reference path.
+    """
+    callers = [f"{path.stem}.{fn.name}" for path in package_modules()
+               for fn in ast.walk(parse(path)) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "stoch_integral"]
+    assert callers == ["representation.represent"]
+
+
+def test_enlarged_split_has_one_home():
+    """An enlarged atom's split, `mass(kid & c) / mass(c)`, is computed in one place.
+
+    Every `.mass(` call on an intersection is in
+    `enlargement._enlarged_jump_mean`, which caches the split on the basis.
+    """
+    callers = [f"{path.stem}.{fn.name}" for path in package_modules()
+               for fn in ast.walk(parse(path)) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "mass"
+               and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.BitAnd)
+                       for arg in node.args)]
+    assert callers == ["enlargement._enlarged_jump_mean"]
+
+
 def test_children_have_one_home():
     """An atom's children come from `child_map`, their probabilities from `atom_split`.
 

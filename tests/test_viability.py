@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                             alive_atoms, atom_split)
-from driftlab.calculus import is_adapted, is_martingale, jump_mean, pointwise_mul, stop
+from driftlab.calculus import (is_adapted, is_martingale, jump_mean, pointwise_mul,
+                               stoch_integral, stop)
 from driftlab.enlargement import check_condition_support, solve_factors
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
                              NotAdapted, NotAMartingale, NotAStoppingTime,
-                             SupportConditionFailed)
+                             SupportConditionFailed, Unsolvable)
 from driftlab.linfeas import INFEASIBLE, OPTIMAL, solve_lp
 from driftlab.models import (
     GeneratorConfig,
@@ -135,6 +136,80 @@ def test_accessible_solver_gates_on_the_base_connector():
             solve_accessible_K(eb, rep, drifting)
         seen["clean"] += 1
     assert min(seen["support"], seen["hidden"], seen["clean"]) >= 5, seen
+
+
+def test_closed_form_connector_is_the_integral_of_K():
+    """Y built from its closed form equals K . factors.Wt, value for value.
+
+    On the support-clean `gen_random_instance` draws of seeds 0-399, all
+    three kinds: enlarged_connector's Y for D = 0 and for a random base
+    martingale (jumps capped at 7/8), the verdict's connector, and
+    g_connector's Y for a viable asset's base connector.  The reference is
+    the general per-outcome integral of solve_accessible_K's K against the
+    factors' Wt, the route the engine took before Y had its closed form.
+    """
+    clean = 0
+    for seed in range(400):
+        for kind in KINDS:
+            eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=kind))
+            if not check_condition_support(eb).ok:
+                continue
+            clean += 1
+            rep = build_representation(eb.space, eb.base)
+            factors = solve_factors(eb, rep)
+            rng = random.Random(f"closed-form:{seed}:{kind}")
+            D = random_martingale(rng, eb.space, eb.base, cap=Q(7, 8))
+            S, D_S, _ = random_viable_asset(rng, eb.space, eb.base)
+
+            def integral(D_):
+                return stoch_integral(eb.enlarged, solve_accessible_K(eb, rep, D_), factors.Wt)
+
+            for D_ in (None, D):
+                K, Y = enlarged_connector(eb, rep, factors, D_)
+                assert K == solve_accessible_K(eb, rep, D_)
+                assert Y == integral(D_)
+            assert full_viability_verdict(eb, rep).connector == integral(None)
+            assert g_connector(eb, rep, factors, S, D_S) == integral(D_S)
+    assert clean >= 300, clean
+
+
+def unit_sum_broken(atoms_of):
+    """_connector_atoms with q_0 raised by 1/7 on the first atom, so sum q != 1 there."""
+    def broken(eb, rep, D):
+        atoms = atoms_of(eb, rep, D)
+        k, c, b, pbar, q = atoms[0]
+        atoms[0] = (k, c, b, pbar, (q[0] + Q(1, 7), *q[1:]))
+        return atoms
+    return broken
+
+
+def test_connector_row_check_catches_a_broken_unit_sum(monkeypatch):
+    """With sum q != 1 on one atom, every path that builds Y refuses it.
+
+    The verdict and g_connector solve no K, so Y's row check
+    sum_h pbar_h y_h = 0 raises InternalInvariant; enlarged_connector and
+    solve_accessible_K solve K first, whose residual raises Unsolvable.
+    """
+    import driftlab.viability as viability
+    cases = []
+    for seed in range(30):
+        eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3]))
+        if check_condition_support(eb).ok:
+            rng = random.Random(f"row-check:{seed}")
+            rep = build_representation(eb.space, eb.base)
+            cases.append((eb, rep, solve_factors(eb, rep), random_viable_asset(rng, eb.space, eb.base)))
+    assert len(cases) >= 5
+    monkeypatch.setattr(viability, "_connector_atoms", unit_sum_broken(viability._connector_atoms))
+    for eb, rep, factors, (S, D_S, _) in cases:
+        with pytest.raises(InternalInvariant):
+            full_viability_verdict(eb, rep)
+        with pytest.raises(InternalInvariant):
+            g_connector(eb, rep, factors, S, D_S)
+        for D in (None, D_S):
+            with pytest.raises(Unsolvable):
+                enlarged_connector(eb, rep, factors, D)
+            with pytest.raises(Unsolvable):
+                solve_accessible_K(eb, rep, D)
 
 
 @given(st.integers(min_value=0, max_value=250))
