@@ -13,9 +13,10 @@ so phi per (tick, enlarged left-limit atom) has a closed form, read as a
 density: 1 + phi.jump(W) = pbar_h / p_h.  Its target, W's enlarged jump
 mean, also gives W minus its drift, against which the enlarged connector
 is an integral (viability builds that connector from its closed form).
-The per-atom rows and the support report are cached on the enlarged
-basis.  The compensator and connector transfer checks share one walk,
-comparing per-child jump means over an enlarged atom and its base atom.
+The per-atom rows, the support report, the factors and the connector for
+the bare driving process are cached on the enlarged basis.  The
+compensator and connector transfer checks share one walk, comparing
+per-child jump means over an enlarged atom and its base atom.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ from .representation import RepresentationProcess, padded
 
 @dataclass(frozen=True)
 class EnlargedBasis:
+    """A base and an enlarged filtration on one space, with a horizon stopping time.
+
+    Facts that depend only on the basis (and the row width) are computed
+    once and cached on it, lazily, each written by one function: the
+    per-atom splits, the support report, solve_factors' DriftFactors and
+    the connector for the bare driving process (viability._bare_connector).
+    An entry is written only once its value is complete, so a call that
+    raises leaves none for it.  The caches are not init fields, so a basis
+    rebuilt from its fields starts without them.
+    """
+
     space: SampleSpace
     base: Filtration
     enlarged: Filtration
@@ -46,6 +58,16 @@ class EnlargedBasis:
     @cached_property
     def _splits(self) -> dict:
         """(width, k, enlarged atom) -> (b, p, pbar, gamma) of _enlarged_jump_mean."""
+        return {}
+
+    @cached_property
+    def _factors(self) -> dict:
+        """width -> solve_factors' DriftFactors, valid for the rep whose W is its N."""
+        return {}
+
+    @cached_property
+    def _connectors(self) -> dict:
+        """width -> the enlarged connector Y for D = None (viability._bare_connector)."""
         return {}
 
     @cached_property
@@ -158,9 +180,16 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     1 + phi.jump(W) = pbar_h / p_h, Jacod's conditional density.  The
     system is consistent by construction, so a failed residual is raised
     as an internal error rather than reported.
+
+    The factors are solved once per basis and width and cached on eb.  The
+    cached entry is returned only to a rep whose W is its N; any other rep
+    is solved afresh and replaces it.
     """
-    space, enlarged = eb.space, eb.enlarged
     width = rep.width
+    cached = eb._factors.get(width)
+    if cached is not None and cached.N is rep.W:
+        return cached
+    space, enlarged = eb.space, eb.enlarged
     phi_by_atom: dict = {}
     minus_gamma: dict = {}  # the drift's jumps, negated, on the alive atoms' children
     for k, c in alive_atoms(enlarged, eb.horizon):
@@ -170,8 +199,10 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
             "factor system inconsistent", tick=k, atom=sorted(c))
         down = tuple(-g for g in gamma)
         minus_gamma.update(((k, kid), down) for kid in enlarged.child_map[(k, c)])
-    return DriftFactors(N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width),
-                        Wt=rep.W + Process.from_jump_table(space.n, enlarged, minus_gamma, width))
+    factors = eb._factors[width] = DriftFactors(
+        N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width),
+        Wt=rep.W + Process.from_jump_table(space.n, enlarged, minus_gamma, width))
+    return factors
 
 
 def factorization_check(eb: EnlargedBasis, factors: DriftFactors, X: Process):

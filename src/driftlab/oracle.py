@@ -33,16 +33,19 @@ class OracleResult:
     certificate: dict
 
 
-def _z_column(filt: Filtration, horizon: StoppingTime, var_index: dict, i: int, k: int):
-    """The column holding outcome i's Z at tick k, or None where Z is the constant 1.
+def _z_columns(filt: Filtration, horizon: StoppingTime, var_index: dict) -> list:
+    """columns[i][k]: the column holding outcome i's Z at tick k, or None where Z is 1.
 
     Z is frozen after the horizon, so its value at k is the one at
     t = min(k, T_i).  The horizon is a stopping time, so the at(t)-atom of
     i is alive at t and has a column; at t = 0, Z_0 = 1.
     """
-    t = horizon.values[i]
-    t = k if t is None else min(k, t)
-    return None if t == 0 else var_index[(t, filt.at(t).block_of(i))]
+    columns = []
+    for i, T in enumerate(horizon.values):
+        last = filt.K if T is None else min(filt.K, T)
+        row = [None] + [var_index[(t, filt.at(t).block_of(i))] for t in range(1, last + 1)]
+        columns.append(row + row[-1:] * (filt.K - last))
+    return columns
 
 
 def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
@@ -53,6 +56,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
             if horizon.alive_block(b, k):
                 var_index[(k, b)] = len(var_index)
 
+    columns = _z_columns(filt, horizon, var_index)
     nz = len(var_index)
     A_eq, b_eq, eq_desc = [], [], []
     for k, b in alive_atoms(filt, horizon):
@@ -62,12 +66,12 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
             for i in b:
                 w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
                 w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
-                col = _z_column(filt, horizon, var_index, i, k)
+                col = columns[i][k]
                 if col is not None:
                     row[col] += w_now
                 else:
                     rhs -= w_now
-                col = _z_column(filt, horizon, var_index, i, k - 1)
+                col = columns[i][k - 1]
                 if col is not None:
                     row[col] -= w_prev
                 else:
@@ -97,22 +101,20 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
 
     c = [ZERO] * (nz + 1)
     c[nz] = ONE
-    return c, A_eq, b_eq, A_ub, b_ub, var_index, eq_desc, ub_desc
+    return c, A_eq, b_eq, A_ub, b_ub, columns, eq_desc, ub_desc
 
 
-def _deflator_from_solution(space, filt, horizon, var_index, x) -> Process:
-    def z(i: int, k: int):
-        col = _z_column(filt, horizon, var_index, i, k)
-        return (ONE if col is None else x[col],)
-
-    return Process(1, tuple(tuple(z(i, k) for k in range(filt.K + 1)) for i in range(space.n)))
+def _deflator_from_solution(columns: list, x) -> Process:
+    """Z from the program's solution x, read through _build_lp's column table."""
+    return Process(1, tuple(tuple((ONE if col is None else x[col],) for col in row)
+                            for row in columns))
 
 
 def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    c, A_eq, b_eq, A_ub, b_ub, var_index, eq_desc, ub_desc = _build_lp(space, filt, S, horizon)
+    c, A_eq, b_eq, A_ub, b_ub, columns, eq_desc, ub_desc = _build_lp(space, filt, S, horizon)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     if res.status == UNBOUNDED:  # impossible: the gap is capped
         raise InternalInvariant("gap program cannot be unbounded")
@@ -142,7 +144,7 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
             "rows_ub": ub_desc,
         }
         return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
-    Z = _deflator_from_solution(space, filt, horizon, var_index, res.x)
+    Z = _deflator_from_solution(columns, res.x)
     if not check_deflator(space, filt, S, Z, horizon):
         raise InternalInvariant("oracle deflator fails its recheck")
     cert = {"status": "deflator", "gap": rat_str(res.value)}

@@ -318,6 +318,22 @@ def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
     return Process.from_jump_table(eb.space.n, enlarged, jump_of)
 
 
+def _bare_connector(eb: EnlargedBasis, rep: RepresentationProcess,
+                    atoms: Optional[list] = None) -> Process:
+    """The closed-form connector Y for D = None, built once per basis and width.
+
+    Y depends only on the basis (its weights are q = p), so it is cached on
+    eb, keyed by the row width.  atoms, when given, are _connector_atoms'
+    rows for D = None; otherwise they are built here, behind the gates.
+    """
+    Y = eb._connectors.get(rep.width)
+    if Y is None:
+        if atoms is None:
+            atoms = _connector_atoms(eb, rep, None)
+        Y = eb._connectors[rep.width] = _closed_form_connector(eb, atoms)
+    return Y
+
+
 def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
                        D: Optional[Process] = None) -> Process:
     """Enlarged-predictable integrand K with K . factors.Wt the enlarged connector.
@@ -340,10 +356,12 @@ def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
     Y is built from its closed form, not by integrating K, so factors is
     not read; it stays for callers that pass it positionally.  The gates
     run once for both; K is solved first, so an atom whose weights do not
-    sum to one raises K's Unsolvable.
+    sum to one raises K's Unsolvable.  For D = None, Y is then read from
+    the basis's cache (_bare_connector), the verdict's connector object.
     """
     atoms = _connector_atoms(eb, rep, D)
-    return _integrand(eb, rep, atoms), _closed_form_connector(eb, atoms)
+    K = _integrand(eb, rep, atoms)
+    return K, _bare_connector(eb, rep, atoms) if D is None else _closed_form_connector(eb, atoms)
 
 
 def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -425,7 +443,10 @@ def full_viability_verdict(eb: EnlargedBasis,
     multiplier pairing is evaluated alongside and reported.  When the
     verdict holds the report carries the multiplier row, the connector for
     the bare driving process (from its closed form; no K is solved), and
-    the common deflator exp(-Y).  When it fails the report carries a
+    the common deflator exp(-Y).  The factors and Y are the ones cached on
+    eb: a caller that already ran solve_factors(eb, rep) with the same rep
+    gets its own factors back, not a second solve.  Positivity is checked
+    on every call.  When the verdict fails the report carries a
     witness: a base martingale built from the violating (tick, atom,
     child), confirmed unpriceable in the enlarged filtration by the
     independent oracle, whose certificate is attached.
@@ -451,7 +472,7 @@ def full_viability_verdict(eb: EnlargedBasis,
     if bad is not None:
         raise InternalInvariant("multiplier pairing not positive under support",
                                 outcome=bad[0], tick=bad[1])
-    Y = _closed_form_connector(eb, _connector_atoms(eb, rep, None))
+    Y = _bare_connector(eb, rep)
     Z = doleans_exp(-Y)
     return ViabilityReport(verdict=True, condition_support=True, positivity=True,
                            support=support, factors=factors, connector=Y, deflator=Z)

@@ -240,6 +240,44 @@ def test_enlarged_split_has_one_home():
     assert callers == ["enlargement._enlarged_jump_mean"]
 
 
+def test_enlarged_caches_have_one_writer():
+    """Each `EnlargedBasis` cache dict is written by exactly one function.
+
+    The caches are the basis's `cached_property`s that start as `{}`.  A
+    write is a subscript store or delete on `<x>.<cache>[...]`, or a call to
+    one of the dict's mutating methods, in `enlargement` or a module that
+    imports it (`basis` sits below and has a `SampleSpace._splits` of its
+    own).  The set of caches is read from the class, so a new cache needs
+    its one writer named here.
+    """
+    mutators = {"clear", "pop", "popitem", "setdefault", "update"}
+    cls = next(node for node in parse(SRC / "enlargement.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "EnlargedBasis")
+    caches = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in fn.decorator_list)
+              and isinstance(fn.body[-1], ast.Return) and isinstance(fn.body[-1].value, ast.Dict)}
+    writers = {name: set() for name in caches}
+    for path in package_modules():
+        if path.stem != "enlargement" and "enlargement" not in package_imports(path.stem):
+            continue
+        for fn in ast.walk(parse(path)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in mutators:
+                    target = node.func.value
+                else:
+                    continue
+                if isinstance(target, ast.Attribute) and target.attr in caches:
+                    writers[target.attr].add(f"{path.stem}.{fn.name}")
+    assert writers == {"_splits": {"enlargement._enlarged_jump_mean"},
+                       "_factors": {"enlargement.solve_factors"},
+                       "_connectors": {"viability._bare_connector"}}
+
+
 def test_children_have_one_home():
     """An atom's children come from `child_map`, their probabilities from `atom_split`.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -57,6 +58,12 @@ PINNED_CONNECTOR_DIGEST = "990cf406ac5d33b2f67920430411cb3c91834ede51f2301b6d097
 # test_viability_reports_are_pinned, taken while W - drift(W) was still
 # built through the general enlarged compensator.
 PINNED_VIABILITY_DIGEST = "2d034d93620d23d691b0eed8061089cb23807b34d3f44d46419655297af7a996"
+
+# SHA-256 of the viability reports and enlarged connectors (K, Y) hashed by
+# test_tilted_viability_reports_are_pinned, taken before the factors and the
+# connector for D = None were cached on the enlarged basis.
+PINNED_TILTED_VIABILITY_DIGEST = \
+    "f46c778e18bb4ea71981f31e286fc5de9d04d11b2cefa622b99e2ba8ffa244e4"
 
 
 def test_six_point_verdict_and_deflator():
@@ -387,6 +394,113 @@ def test_viability_reports_are_pinned():
                 records.append(process_to_json(Y))
     digest = hashlib.sha256(dumps(records).encode("utf-8")).hexdigest()
     assert digest == PINNED_VIABILITY_DIGEST
+
+
+def tilts_an_atom(eb) -> bool:
+    """Whether some alive enlarged atom c has pbar != p: mass(kid & c) / mass(c) != p_kid."""
+    space, base = eb.space, eb.base
+    for k, c in alive_atoms(eb.enlarged, eb.horizon):
+        kids, p = atom_split(space, base, k, base.pre(k).block_of(min(c)))
+        if any(space.mass(kid & c) / space.mass(c) != ph for kid, ph in zip(kids, p)):
+            return True
+    return False
+
+
+def test_tilted_viability_reports_are_pinned():
+    """Viability reports and enlarged connectors do not drift where pbar differs from p.
+
+    PINNED_VIABILITY_DIGEST's draws all have pbar = p, so it cannot tell
+    Jacod's tilt from none.  Hashed here: the support-clean, unforced
+    `gen_random_instance` draws of seeds 0-399, all three kinds, on which
+    some alive enlarged atom has pbar != p (48 of 557); per draw, the
+    `check-viability` report and enlarged_connector's (K, Y) for D = None
+    and for a random base connector (jumps capped at 7/8).
+    """
+    records = []
+    clean = 0
+    for seed in range(400):
+        for kind in KINDS:
+            eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=kind))
+            if not check_condition_support(eb).ok:
+                continue
+            clean += 1
+            if not tilts_an_atom(eb):
+                continue
+            rep = build_representation(eb.space, eb.base)
+            report = full_viability_verdict(eb, rep)
+            records.append(viability_report_to_json(report))
+            D = random_martingale(random.Random(f"tilt:{seed}:{kind}"), eb.space, eb.base,
+                                  cap=Q(7, 8))
+            for D_ in (None, D):
+                records.append([process_to_json(X)
+                                for X in enlarged_connector(eb, rep, report.factors, D_)])
+    assert (len(records), clean) == (3 * 48, 557)
+    digest = hashlib.sha256(dumps(records).encode("utf-8")).hexdigest()
+    assert digest == PINNED_TILTED_VIABILITY_DIGEST
+
+
+def refuse_solve(*args, **kwargs):
+    raise AssertionError("the factors were solved again")
+
+
+def test_factors_and_bare_connector_are_solved_once_per_basis(monkeypatch):
+    """solve_factors' result and the connector for D = None are cached on the basis.
+
+    On `gen_random_instance` seeds 0-399, all three kinds, plain and
+    forced: a second solve_factors with the same rep returns the same
+    object, and with the multinomial solver refused the verdict still
+    succeeds and carries the caller's factors.  A freshly built rep gets a
+    fresh solve with equal phi and Wt.  On support-clean draws
+    enlarged_connector's Y for D = None is the verdict's connector object,
+    and equals Y on the basis rebuilt from its init fields.  A call that
+    raises (a refused solve, a failed support gate, a broken unit sum)
+    leaves the caches it did not finish empty.
+    """
+    import driftlab.enlargement as enlargement
+    import driftlab.viability as viability
+    clean = 0
+    for seed in range(400):
+        for kind in KINDS:
+            for forced in (False, True):
+                eb = gen_random_instance(GeneratorConfig(
+                    seed=seed, enlargement_kind=kind, force_condition_failure=forced))
+                rep = build_representation(eb.space, eb.base)
+                factors = solve_factors(eb, rep)
+                assert solve_factors(eb, rep) is factors
+                with monkeypatch.context() as patch:
+                    patch.setattr(enlargement, "_multinomial_solve", refuse_solve)
+                    report = full_viability_verdict(eb, rep)
+                    fresh = dataclasses.replace(eb)
+                    with pytest.raises(AssertionError):
+                        solve_factors(fresh, rep)
+                    if report.verdict:
+                        with pytest.raises(AssertionError):
+                            full_viability_verdict(fresh, rep)
+                    assert not fresh._factors and not fresh._connectors
+                assert report.factors is (factors if report.verdict else None)
+                again = solve_factors(eb, build_representation(eb.space, eb.base))
+                assert again is not factors
+                assert (again.phi, again.Wt) == (factors.phi, factors.Wt)
+                if not report.verdict:
+                    with pytest.raises(SupportConditionFailed):
+                        enlarged_connector(eb, rep, factors, None)
+                    assert not eb._connectors
+                    continue
+                clean += 1
+                assert enlarged_connector(eb, rep, factors, None)[1] is report.connector
+                fresh = dataclasses.replace(eb)
+                assert "_connectors" not in vars(fresh)
+                assert enlarged_connector(fresh, rep, factors, None)[1] == report.connector
+                fresh = dataclasses.replace(eb)
+                with monkeypatch.context() as patch:
+                    patch.setattr(viability, "_connector_atoms",
+                                  unit_sum_broken(viability._connector_atoms))
+                    with pytest.raises(InternalInvariant):
+                        full_viability_verdict(fresh, rep)
+                    with pytest.raises(Unsolvable):
+                        enlarged_connector(fresh, rep, factors, None)
+                assert not fresh._connectors
+    assert clean >= 500, clean
 
 
 @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
