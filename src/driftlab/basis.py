@@ -164,21 +164,45 @@ def _as_vector(v) -> tuple[Q, ...]:
     return (v,)
 
 
+def _checked_row(row: tuple, dim: int) -> tuple:
+    """The row with each element through _as_vector; the first of the wrong length raises."""
+    out = tuple(map(_as_vector, row))
+    for x in out:
+        if len(x) != dim:
+            raise DimensionMismatch(f"expected dim {dim}, got {len(x)}")
+    return out
+
+
 @dataclass(frozen=True)
 class Process:
-    """Vector-valued path family: values[omega][tick] is a dim-tuple."""
+    """Vector-valued path family: values[omega][tick] is a dim-tuple.
+
+    The constructor takes one row per outcome and one element per tick,
+    and checks them in one pass, in row-major order:
+    - a tuple element is kept as it is; a list becomes a tuple and any
+      other element a 1-tuple (see _as_vector);
+    - the first element whose length is not dim raises DimensionMismatch;
+    - a row whose length differs from row 0's raises DimensionMismatch.
+    Values are not converted: callers pass rationals.
+    """
 
     dim: int
     values: tuple[tuple[tuple[Q, ...], ...], ...]
 
     def __init__(self, dim: int, values):
-        vals = tuple(tuple(_as_vector(x) for x in row) for row in values)
-        for row in vals:
+        rows = []
+        for row in values:
+            row = tuple(row)
             for x in row:
-                if len(x) != dim:
-                    raise DimensionMismatch(f"expected dim {dim}, got {len(x)}")
+                if x.__class__ is not tuple or len(x) != dim:
+                    row = _checked_row(row, dim)
+                    break
+            if rows and len(row) != len(rows[0]):
+                raise DimensionMismatch(
+                    f"ragged rows: row {len(rows)} has {len(row)} values, row 0 has {len(rows[0])}")
+            rows.append(row)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(rows))
 
     @property
     def n(self) -> int:
@@ -216,6 +240,8 @@ class Process:
     def _elementwise(self, other: "Process", op) -> "Process":
         if self.dim != other.dim:
             raise DimensionMismatch("process dims differ")
+        if self.n != other.n or (self.n and self.ticks != other.ticks):
+            raise DimensionMismatch("process shapes differ")
         return Process(self.dim, tuple(
             tuple(tuple(op(a, b) for a, b in zip(x, y)) for x, y in zip(r1, r2))
             for r1, r2 in zip(self.values, other.values)))
@@ -272,20 +298,34 @@ class Process:
     def from_jump_table(n: int, filt: "Filtration", table: dict, dim: int = 1) -> "Process":
         """Adapted, null at 0, jumping by table[(k, at(k)-atom)] at tick k (0 if absent).
 
-        Built atom by atom: at(k) refines at(k-1), so every outcome of an
-        at(k)-atom c holds the same value at k - 1, the one at min(c), and
-        the value at k is that plus the entry of c, shared by all of c.
+        Built atom by atom: at(k) refines at(k-1), so an at(k)-atom c sits
+        in one at(k-1)-atom, and its value at k is that atom's value plus
+        the entry of c.
         """
         zero = (ZERO,) * dim
-        rows = [[zero] * (filt.K + 1) for _ in range(n)]
+        values = {(0, b): zero for b in filt.initial.blocks}
         for k in range(1, filt.K + 1):
+            prev = filt.at(k - 1)
             for c in filt.at(k).blocks:
-                cur = rows[min(c)][k - 1]
+                cur = values[(k - 1, prev.block_of(min(c)))]
                 entry = table.get((k, c))
                 if entry is not None:
-                    cur = tuple(a + b for a, b in zip(cur, _as_vector(entry)))
+                    entry = _as_vector(entry)
+                    if len(entry) != dim:
+                        raise DimensionMismatch(f"expected dim {dim}, got {len(entry)}")
+                    cur = tuple(map(operator.add, cur, entry))
+                values[(k, c)] = cur
+        return Process.from_value_table(n, filt, values, dim)
+
+    @staticmethod
+    def from_value_table(n: int, filt: "Filtration", table: dict, dim: int = 1) -> "Process":
+        """Adapted, worth table[(k, at(k)-atom)] at every tick k = 0..K (each key required)."""
+        rows = [[None] * (filt.K + 1) for _ in range(n)]
+        for k in range(filt.K + 1):
+            for c in filt.at(k).blocks:
+                value = table[(k, c)]
                 for i in c:
-                    rows[i][k] = cur
+                    rows[i][k] = value
         return Process(dim, rows)
 
 

@@ -112,16 +112,12 @@ def random_adapted(rng: random.Random, space: SampleSpace, filt: Filtration,
     for k in range(filt.K + 1):
         for b in filt.at(k).blocks:
             value_of[(k, b)] = tuple(_rand_q(rng) for _ in range(dim))
-    rows = []
-    for i in range(space.n):
-        rows.append(tuple(value_of[(k, filt.at(k).block_of(i))]
-                          for k in range(filt.K + 1)))
-    return Process(dim, tuple(rows))
+    return Process.from_value_table(space.n, filt, value_of, dim)
 
 
-def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
-                      cap: Optional[Q] = None) -> Process:
-    """Scalar martingale null at zero; per-atom scaling keeps |jump| <= cap."""
+def _martingale_jumps(rng: random.Random, space: SampleSpace, filt: Filtration,
+                      cap: Optional[Q]) -> dict:
+    """random_martingale's jump table: (k, at(k)-atom) -> its scalar jump at k."""
     jump_of = {}
     for k, b in alive_atoms(filt):
         kids, p = atom_split(space, filt, k, b)
@@ -135,7 +131,23 @@ def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
                 cent = [v * scale for v in cent]
         for kid, v in zip(kids, cent):
             jump_of[(k, kid)] = v
-    return Process.from_jump_table(space.n, filt, jump_of)
+    return jump_of
+
+
+def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
+                      cap: Optional[Q] = None) -> Process:
+    """Scalar martingale null at zero; per-atom scaling keeps |jump| <= cap."""
+    return Process.from_jump_table(space.n, filt, _martingale_jumps(rng, space, filt, cap))
+
+
+def _exp_table(filt: Filtration, jumps: dict) -> dict:
+    """The stochastic exponential of a process jumping by jumps[(k, c)], per (k, at(k)-atom)."""
+    out = {(0, b): ONE for b in filt.initial.blocks}
+    for k in range(1, filt.K + 1):
+        prev = filt.at(k - 1)
+        for c in filt.at(k).blocks:
+            out[(k, c)] = out[(k - 1, prev.block_of(min(c)))] * (ONE + jumps[(k, c)])
+    return out
 
 
 def random_viable_asset(rng: random.Random, space: SampleSpace, filt: Filtration,
@@ -144,15 +156,17 @@ def random_viable_asset(rng: random.Random, space: SampleSpace, filt: Filtration
 
     Z is the exponential of -D and each component of S is an exponential
     martingale divided by Z, so Z*S is a martingale by construction and D
-    is a connector for S.  Jumps are capped away from the poles.
+    is a connector for S.  Jumps are capped away from the poles.  Z, each
+    exponential and S are formed once per at(k)-atom.
     """
     cap = Q(7, 8)
-    D = random_martingale(rng, space, filt, cap=cap)
-    Z = doleans_exp(-D)
-    Us = [doleans_exp(random_martingale(rng, space, filt, cap=cap)) for _ in range(dim)]
-    values = tuple(tuple(tuple(U.at(i, k)[0] / Z.at(i, k)[0] for U in Us)
-                         for k in range(filt.K + 1)) for i in range(space.n))
-    return Process(dim, values), D, Z
+    d_jumps = _martingale_jumps(rng, space, filt, cap)
+    z_of = _exp_table(filt, {key: -v for key, v in d_jumps.items()})
+    u_ofs = [_exp_table(filt, _martingale_jumps(rng, space, filt, cap)) for _ in range(dim)]
+    s_of = {key: tuple(u_of[key] / z for u_of in u_ofs) for key, z in z_of.items()}
+    return (Process.from_value_table(space.n, filt, s_of, dim),
+            Process.from_jump_table(space.n, filt, d_jumps),
+            Process.from_value_table(space.n, filt, {key: (z,) for key, z in z_of.items()}))
 
 
 def tilted_component_assets(space: SampleSpace, filt: Filtration,

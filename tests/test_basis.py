@@ -20,7 +20,7 @@ from driftlab.basis import (
 )
 from driftlab.calculus import doleans_exp
 from driftlab.enlargement import check_condition_support
-from driftlab.errors import NotAStoppingTime
+from driftlab.errors import DimensionMismatch, NotAStoppingTime
 from driftlab.models import (GeneratorConfig, gen_random_instance, gen_single_filtration,
                              random_adapted, random_stopping_time, tilted_component_assets)
 from driftlab.rational import ONE, ZERO, Q
@@ -224,6 +224,50 @@ def test_process_arithmetic():
     assert X.scale(Q(-2)).at(0, 1) == (Q(-4),)
 
 
+def test_process_arithmetic_refuses_differing_shapes():
+    """`+` and `-` raise on a differing outcome or tick count; they do not truncate."""
+    X = Process.from_scalar_paths([[1, 2], [3, 4]])
+    for other in (Process.from_scalar_paths([[1, 2]]),
+                  Process.from_scalar_paths([[1, 2, 3], [4, 5, 6]]),
+                  Process(1, ())):
+        for a, b in ((X, other), (other, X)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v):
+                with pytest.raises(DimensionMismatch, match="shapes differ"):
+                    op(a, b)
+    with pytest.raises(DimensionMismatch, match="dims differ"):
+        X + Process(2, [[(ONE, ONE), (ONE, ONE)]] * 2)
+
+
+def test_process_constructor_contract():
+    """One pass: tuples kept, lists and scalars normalized, bad elements and ragged rows refused."""
+    t = (Q(1), Q(2))
+    X = Process(2, [[t, [Q(3), Q(4)]], ([ZERO, ONE], t)])
+    assert X.values == ((t, (Q(3), Q(4))), ((ZERO, ONE), t))
+    assert X.values[0][0] is t and X.values[1][1] is t
+    assert Process(1, [[Q(5), (Q(6),)]]).values == (((Q(5),), (Q(6),)),)
+    assert Process(1, iter([iter([ONE, ZERO])])).values == (((ONE,), (ZERO,)),)
+    assert Process(1, ()).n == 0
+    # a wrong-length element anywhere raises the same message, the first one in row-major order
+    for bad, got in (((ONE,), 1), ((ONE, ONE, ONE), 3), ([ONE], 1), (ONE, 1)):
+        for i in range(3):
+            for k in range(2):
+                rows = [[t, t] for _ in range(3)]
+                rows[i][k] = bad
+                if i < 2:
+                    rows[2][1] = ((ONE,) * 4)
+                with pytest.raises(DimensionMismatch) as exc:
+                    Process(2, rows)
+                assert str(exc.value) == f"expected dim 2, got {got}"
+    # ragged rows: one element row 0 and two after it, or the other way round
+    for rows in ([[Q(0)], [Q(0), Q(1)]], [[Q(0), Q(1)], [Q(0)]],
+                 [[Q(0), Q(1)], [Q(0), Q(1)], [Q(0), Q(1), Q(2)]]):
+        with pytest.raises(DimensionMismatch, match="ragged rows"):
+            Process(1, rows)
+    # a bad element is named before its own row's length
+    with pytest.raises(DimensionMismatch, match="expected dim 1, got 2"):
+        Process(1, [[ONE, ONE], [(ONE, ONE)]])
+
+
 @given(st.integers(min_value=0, max_value=400))
 def test_alive_atoms_is_the_nested_alive_block_walk(seed):
     rng = random.Random(f"alive:{seed}")
@@ -268,6 +312,35 @@ def test_from_jump_table_is_zero_on_absent_keys():
     filt = Filtration(whole, ((whole, halves),))
     assert Process.from_jump_table(4, filt, scalar) == \
         Process.from_scalar_paths([[0, Q(1, 2)], [0, Q(1, 2)], [0, 0], [0, 0]])
+
+
+def test_table_builders_refuse_a_wrong_dimension_entry():
+    whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
+    filt = Filtration(whole, ((whole, halves), (halves, halves)))
+    left, right = frozenset({0, 1}), frozenset({2, 3})
+    for entry in ((Q(1),), (Q(1), Q(2), Q(3))):
+        with pytest.raises(DimensionMismatch):
+            Process.from_jump_table(4, filt, {(2, right): entry}, 2)
+        with pytest.raises(DimensionMismatch):
+            Process.from_atom_table(4, filt, {(2, right): entry}, 2)
+        values = {(0, whole.blocks[0]): (ZERO, ZERO), (1, left): (ONE, ONE), (1, right): entry,
+                  (2, left): (ONE, ONE), (2, right): (ONE, ONE)}
+        with pytest.raises(DimensionMismatch):
+            Process.from_value_table(4, filt, values, 2)
+
+
+def test_from_value_table_puts_each_atom_value_on_its_outcomes():
+    for seed in range(30):
+        rng = random.Random(f"value-table:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        dim = rng.choice((1, 2))
+        table = {(k, c): tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+                 for k in range(filt.K + 1) for c in filt.at(k).blocks}
+        X = Process.from_value_table(sp.n, filt, table, dim)
+        assert X.values == tuple(tuple(table[(k, filt.at(k).block_of(i))]
+                                       for k in range(filt.K + 1)) for i in range(sp.n))
+        with pytest.raises(KeyError):
+            Process.from_value_table(sp.n, filt, dict(list(table.items())[1:]), dim)
 
 
 def test_from_atom_table_reads_an_absent_key_as_zero():

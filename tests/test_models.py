@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from driftlab.models import (
     jacod_density_table,
     jacod_phi_crosscheck,
     random_accessible_instance,
+    random_adapted,
     random_inaccessible_event_data,
     random_martingale,
     random_stopping_time,
@@ -29,9 +31,14 @@ from driftlab.models import (
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle
 from driftlab.rational import ONE, ZERO, Q
+from driftlab.serialize import dumps, process_to_json
 from driftlab.viability import find_structure_connector
 
 KINDS = ("random", "initial", "progressive")
+
+# SHA-256 of test_generators_are_pinned's records; any change to a
+# generator's values, types or draw order moves it.
+PINNED_GENERATOR_DIGEST = "3cf4d0dbc0bc15925feb75f4f793e74d37721209db5b6b541e92582d2b951771"
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -183,3 +190,26 @@ def test_random_event_data_validates(seed):
     validate_accessible(inst["data"])
     data = random_inaccessible_event_data(rng)
     validate_inaccessible(data)
+
+
+def test_generators_are_pinned():
+    """The test-data generators keep their values and their draw order.
+
+    Hashed, per seed on a `gen_single_filtration` basis: random_martingale
+    without and with a cap, random_viable_asset's (S, D, Z) in dims 1 and
+    2, random_adapted in dims 1 and 2, and the next rng.random() after
+    them all, which pins how many draws each generator makes.
+    """
+    records = []
+    for seed in range(60):
+        rng = random.Random(f"gen:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 12), rng.randint(1, 4), 3)
+        procs = [random_martingale(rng, sp, filt), random_martingale(rng, sp, filt, cap=Q(7, 8))]
+        for dim in (1, 2):
+            procs.extend(random_viable_asset(rng, sp, filt, dim=dim))
+        for dim in (1, 2):
+            procs.append(random_adapted(rng, sp, filt, dim=dim))
+        assert all(type(v) is Q for X in procs for row in X.values for x in row for v in x)
+        records.append([process_to_json(X) for X in procs] + [rng.random().hex()])
+    digest = hashlib.sha256(dumps(records).encode("utf-8")).hexdigest()
+    assert digest == PINNED_GENERATOR_DIGEST
