@@ -254,7 +254,7 @@ def test_process_constructor_contract():
                 rows = [[t, t] for _ in range(3)]
                 rows[i][k] = bad
                 if i < 2:
-                    rows[2][1] = ((ONE,) * 4)
+                    rows[2][1] = (ONE,) * 4  # a later bad element, never the one named
                 with pytest.raises(DimensionMismatch) as exc:
                     Process(2, rows)
                 assert str(exc.value) == f"expected dim 2, got {got}"
