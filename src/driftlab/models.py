@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                     alive_atoms, atom_split, cond_expect, cond_prob)
-from .calculus import doleans_exp, jump_mean
+from .calculus import jump_mean
 from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
                           solve_factors, validate_enlargement)
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
@@ -27,7 +27,7 @@ from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
 from .event_kernels import AccessibleEventData, InaccessibleEventData
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
-from .representation import RepresentationProcess, build_representation, fired_component
+from .representation import RepresentationProcess, build_representation
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,28 @@ def tilted_component_assets(space: SampleSpace, filt: Filtration,
     Each asset is the exponential of one driving-process component fired
     only at one tick on one left-limit atom.  Spanning these suffices to
     expose any viability loss an enlargement can inflict on this basis.
+    Fired at tick k on b in slot s, the asset is worth 1 + jump_s(W) on
+    each child h of b from tick k on, and 1 everywhere else; it is built
+    once per at(k)-atom from that closed form.
     """
     if rep is None:
         rep = build_representation(space, filt)
+    one = (ONE,)
+    flat = {(j, c): one for j in range(filt.K + 1) for c in filt.at(j).blocks}
     out = []
     for k, b in alive_atoms(filt):
-        live = len(filt.child_map[(k, b)])
-        if live >= 2:
-            out.extend(doleans_exp(fired_component(rep, k, b, slot)) for slot in range(live))
+        kids = filt.child_map[(k, b)]
+        if len(kids) < 2:
+            continue
+        at_k = filt.at(k)
+        inside = [((j, c), at_k.block_of(min(c))) for j in range(k, filt.K + 1)
+                  for c in filt.at(j).blocks if min(c) in b]
+        w_of = {kid: rep.W.jump(min(kid), k) for kid in kids}
+        for slot in range(len(kids)):
+            grown = {kid: (ONE + w[slot],) for kid, w in w_of.items()}
+            table = dict(flat)
+            table.update((key, grown[kid]) for key, kid in inside)
+            out.append(Process.from_value_table(space.n, filt, table))
     return out
 
 

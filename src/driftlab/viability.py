@@ -26,6 +26,7 @@ and a witness asset with an oracle infeasibility certificate is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
@@ -188,14 +189,36 @@ def _atom_weights(p, s_jumps) -> Optional[list]:
 
 @dataclass
 class ConnectorSearch:
-    """Outcome of the connector search: the process, or the atom that blocks one."""
-    connector: Optional[Process]
+    """Outcome of the connector search: a checked jump table, or the atom that blocks one.
+
+    A found search holds n, the filtration and the jump table of D, whose
+    atoms have all passed their rows; it builds nothing.  D is assembled
+    on the first read of connector and checked against the table there
+    (_path_violation): D is scalar, and in one pass over every outcome and
+    tick it starts at zero and jumps by its table entry (zero off the
+    table), which makes it adapted and frozen after the horizon.  A
+    failure raises InternalInvariant.  D is cached, so it is built at most
+    once; a search that is not found reads None and builds nothing.
+    """
     tick: Optional[int] = None
     atom: Optional[tuple] = None
+    n: Optional[int] = None
+    filt: Optional[Filtration] = None
+    jumps: Optional[dict] = None  # (k, at(k)-atom) -> jump of D; None if not found
 
     @property
     def found(self) -> bool:
-        return self.connector is not None
+        return self.jumps is not None
+
+    @cached_property
+    def connector(self) -> Optional[Process]:
+        if self.jumps is None:
+            return None
+        D = Process.from_jump_table(self.n, self.filt, self.jumps)
+        bad = _path_violation(self.filt, D, self.jumps)
+        if bad is not None:
+            raise InternalInvariant("assembled connector fails its own check", **bad)
+        return D
 
 
 def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
@@ -218,13 +241,13 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     two or more.  Driftless atoms (q = p, every jump of D zero) and the
     other scalar atoms, blocked or not, take the closed form.
 
-    The assembled D is checked against the search's own atom table before
-    it is returned, in this order: D is scalar; in one pass over every
-    outcome and tick, D starts at zero and jumps by its table entry (zero
-    off the table), which makes it adapted and frozen after the horizon;
-    then on every alive atom, driftless ones included, the martingale row,
-    the jump bound and sum q_h s_h = 0, through _atom_rows_violation as in
-    is_structure_connector.  A failure raises InternalInvariant.
+    Before a found search is returned, its atom table is checked on every
+    alive atom, driftless ones included: the martingale row, the jump
+    bound and sum q_h s_h = 0, through _atom_rows_violation as in
+    is_structure_connector.  A failure raises InternalInvariant.  The
+    search then carries the checked table and builds no process; D is
+    assembled and checked against the table on the first read of
+    ConnectorSearch.connector.
     """
     jump_of: dict = {}
     rows = []
@@ -233,18 +256,17 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
         s_jumps = S.child_jumps(k, kids)
         q = _atom_weights(p, s_jumps)
         if q is None:
-            return ConnectorSearch(connector=None, tick=k, atom=tuple(sorted(b)))
+            return ConnectorSearch(tick=k, atom=tuple(sorted(b)))
         if q is p:
             d_jumps = [(ZERO,)] * len(kids)
         else:
             d_jumps = [(ONE - qh / ph,) for qh, ph in zip(q, p)]
             jump_of.update(((k, kid), dj) for kid, (dj,) in zip(kids, d_jumps))
         rows.append((k, b, kids, p, d_jumps, s_jumps))
-    D = Process.from_jump_table(space.n, filt, jump_of)
-    bad = _path_violation(filt, D, jump_of) or _atom_rows_violation(rows)
+    bad = _atom_rows_violation(rows)
     if bad is not None:
         raise InternalInvariant("assembled connector fails its own check", **bad)
-    return ConnectorSearch(connector=D)
+    return ConnectorSearch(n=space.n, filt=filt, jumps=jump_of)
 
 
 def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,

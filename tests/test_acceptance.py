@@ -13,10 +13,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import driftlab
-from driftlab.basis import Process, StoppingTime
+from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
 from driftlab.calculus import is_martingale, pointwise_mul, stop
-from driftlab.enlargement import check_condition_support, solve_factors
+from driftlab.enlargement import (EnlargedBasis, check_condition_support, solve_factors,
+                                  validate_enlargement)
 from driftlab.event_kernels import (
     quotient_identity_holds,
     reduced_equation_holds,
@@ -116,6 +119,65 @@ def test_enlarged_verdict_matches_asset_sweep_at_scale():
                                             eb.horizon).found)
         assert report.verdict == (rejected == 0), seed
         assert report.verdict == report.condition_support, seed
+
+
+def set_partitions(items):
+    """Every partition of the list items, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for j in range(len(part)):
+            yield part[:j] + [[first] + part[j]] + part[j + 1:]
+        yield [[first]] + part
+
+
+def one_tick_filtrations(n):
+    """Every chain initial <= pre(1) <= at(1) of partitions of n outcomes."""
+    parts = [Partition(blocks) for blocks in set_partitions(list(range(n)))]
+    return [Filtration(a, ((b, c),)) for a in parts for b in parts if b.refines(a)
+            for c in parts if c.refines(b)]
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 3, 5)], ids=["uniform", "weighted"])
+def test_verdict_holds_on_every_small_world(weights):
+    """Every one-tick enlargement of four outcomes: the verdict against the oracle.
+
+    Pairs every one-tick base filtration with every enlarged one that
+    validate_enlargement accepts, horizon 1.  The verdict must be true
+    exactly when the oracle prices every tilted component asset of the
+    base on the enlarged filtration; the oracle shares nothing with the
+    calculus stack, so the reference is independent of the verdict.  A
+    true verdict's Z must deflate the driver (check_deflator), a false
+    one's witness certificate must re-verify (verify_no_deflator).
+    """
+    total = sum(weights)
+    space = SampleSpace(tuple(f"w{i}" for i in range(len(weights))),
+                        [Q(w, total) for w in weights])
+    horizon = StoppingTime.constant(space.n, 1)
+    filtrations = one_tick_filtrations(space.n)
+    pairs = false = 0
+    for base in filtrations:
+        rep = build_representation(space, base)
+        assets = tilted_component_assets(space, base, rep)
+        for enlarged in filtrations:
+            eb = EnlargedBasis(space, base, enlarged, horizon)
+            if not validate_enlargement(eb).ok:
+                continue
+            pairs += 1
+            report = full_viability_verdict(eb, rep)
+            priced = all(lp_deflator_oracle(space, enlarged, S, horizon).feasible
+                         for S in assets)
+            assert report.verdict == priced, (base, enlarged)
+            if report.verdict:
+                assert check_deflator(space, enlarged, rep.W, report.deflator, horizon)
+            else:
+                false += 1
+                wit = report.witness
+                assert verify_no_deflator(space, enlarged, wit["asset"], horizon,
+                                          wit["certificate"]), (base, enlarged)
+    assert (len(filtrations), pairs, false) == (154, 3644, 2315)
 
 
 def test_forced_failures_yield_certified_witnesses():

@@ -194,6 +194,34 @@ def test_deflator_command(tmp_path):
     assert rep["oracle"]["status"] == "deflator"
 
 
+def test_deflator_refuses_a_connector_off_its_table(tmp_path, monkeypatch):
+    """A found search whose assembled D leaves its own jump table exits 3; no connector is printed.
+
+    The asset drifts, so the search finds a connector with nonzero jumps;
+    Process.from_jump_table is then made to shift D by one at outcome 1,
+    tick 1, which only the connector's path check can see.
+    """
+    six = worked_six_point()
+    doc = basis_to_json(six["eb"].space, six["eb"].base)
+    doc["asset"] = process_to_json(Process.from_scalar_paths(
+        [[0, 1], [0, 1], [0, 1], [0, -2], [0, -2], [0, -2]]))
+    inp = write(tmp_path / "a.json", doc)
+    out = tmp_path / "r.json"
+    build = Process.from_jump_table
+
+    def shifted(n, filt, table, dim=1):
+        rows = [list(row) for row in build(n, filt, table, dim).values]
+        rows[1][1] = tuple(x + 1 for x in rows[1][1])
+        return Process(dim, rows)
+
+    monkeypatch.setattr(Process, "from_jump_table", staticmethod(shifted))
+    assert main(["deflator", "--input", inp, "--output", str(out)]) == 3
+    rep = read(out)
+    assert rep["error"] == "INTERNAL_INVARIANT"
+    assert rep["detail"] == {"reason": "jump-off-table", "outcome": 1, "tick": 1}
+    assert "connector" not in rep
+
+
 @pytest.mark.parametrize("command, edit, flags", [
     ("deflator", {}, ["--horizon", "-1"]),
     ("deflator", {"prob": ["1/1", "1/1"]}, []),

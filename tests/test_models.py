@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.basis import is_stopping_time, validate
-from driftlab.calculus import is_martingale
+from driftlab.basis import alive_atoms, is_stopping_time, validate
+from driftlab.calculus import doleans_exp, is_martingale
 from driftlab.enlargement import check_condition_support, validate_enlargement
 from driftlab.errors import DataInvariantViolated, JacodDegenerate, NotARandomTime
 from driftlab.event_kernels import validate_accessible, validate_inaccessible
@@ -31,6 +31,7 @@ from driftlab.models import (
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle
 from driftlab.rational import ONE, ZERO, Q
+from driftlab.representation import build_representation, fired_component
 from driftlab.serialize import dumps, process_to_json
 from driftlab.viability import find_structure_connector
 
@@ -109,6 +110,28 @@ def test_tilted_assets_are_positive_and_viable(seed):
         assert all(S.scalar(i, k) > ZERO
                    for i in range(sp.n) for k in range(filt.K + 1))
         assert find_structure_connector(sp, filt, S).found
+
+
+def test_tilted_assets_are_the_exponentials_of_fired_components():
+    """Each tilted asset equals doleans_exp of its fired driving component, in order.
+
+    The reference walks every outcome and tick; the assets are built once
+    per atom.  Checked on the bases of gen_random_instance seeds 0-399,
+    the three enlargement kinds in rotation.
+    """
+    count = 0
+    for seed in range(400):
+        eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3]))
+        rep = build_representation(eb.space, eb.base)
+        reference = [doleans_exp(fired_component(rep, k, b, slot))
+                     for k, b in alive_atoms(eb.base)
+                     if len(eb.base.child_map[(k, b)]) >= 2
+                     for slot in range(len(eb.base.child_map[(k, b)]))]
+        assets = tilted_component_assets(eb.space, eb.base, rep)
+        assert [X.values for X in assets] == [X.values for X in reference], seed
+        assert all(X.dim == 1 for X in assets)
+        count += len(assets)
+    assert count == 1664
 
 
 def test_worked_instances_validate():

@@ -59,6 +59,11 @@ PINNED_CONNECTOR_DIGEST = "990cf406ac5d33b2f67920430411cb3c91834ede51f2301b6d097
 # built through the general enlarged compensator.
 PINNED_VIABILITY_DIGEST = "2d034d93620d23d691b0eed8061089cb23807b34d3f44d46419655297af7a996"
 
+# SHA-256 of the found/tick/atom records of the 240 search_pool markets
+# hashed by test_search_decides_without_building_the_connector, taken while
+# every found search still built its connector.
+PINNED_SEARCH_OUTCOME_DIGEST = "e715d1037c6481f382be51eea53f5046c58ffe8199f014173dbf92d997edeac5"
+
 # SHA-256 of the viability reports and enlarged connectors (K, Y) hashed by
 # test_tilted_viability_reports_are_pinned, taken before the factors and the
 # connector for D = None were cached on the enlarged basis.
@@ -641,14 +646,16 @@ def shifted(rows, i, k, delta):
         lambda X: Process(2, [[x * 2 for x in row] for row in X.values]))), "not-scalar"),
 ], ids=["sum-q", "q-not-positive", "sum-q-s", "path-value", "start", "dimension"])
 def test_search_self_check_catches_injected_faults(monkeypatch, patch, reason):
-    """The search's closing check refuses a broken atom optimum or a D off its table.
+    """The search's closing checks refuse a broken atom optimum or a D off its table.
 
     Broken optima keep the floor positive: sum q != 1 breaks the
     martingale row, a zero q_h gives a jump of one, and q = p breaks
-    sum q s = 0 where S drifts.  The assembled D is perturbed at one
-    outcome, at its start, or in its dimension.  Each fault is injected
-    on both routes to the optimum: the closed form (three_point_market)
-    and the simplex (tied_market).
+    sum q s = 0 where S drifts.  The search itself refuses these.  The
+    assembled D is perturbed at one outcome, at its start, or in its
+    dimension; D is built on the first read of the connector, so that
+    read refuses these.  Each fault is injected on both routes to the
+    optimum: the closed form (three_point_market) and the simplex
+    (tied_market).
     """
     import driftlab.viability as viability
     markets = (three_point_market(), tied_market())
@@ -658,8 +665,60 @@ def test_search_self_check_catches_injected_faults(monkeypatch, patch, reason):
     monkeypatch.setattr(viability if name == "_atom_weights" else Process, name, fault)
     for sp, filt, S in markets:
         with pytest.raises(InternalInvariant) as exc:
-            find_structure_connector(sp, filt, S)
+            if name == "_atom_weights":
+                find_structure_connector(sp, filt, S)
+            else:
+                find_structure_connector(sp, filt, S).connector
         assert exc.value.detail["reason"] == reason
+
+
+def search_pool(count):
+    """Single-filtration markets drawn like the benchmark's `markets` pool.
+
+    n in 2..12, ticks in 1..4, a random horizon 30% of the time, a viable
+    asset 45% of the time, dimension 2 one time in three.
+    """
+    for j in range(count):
+        rng = random.Random(f"lazy:{j}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 12), rng.randint(1, 4), 3)
+        horizon = random_stopping_time(rng, sp, filt) if rng.random() < 0.3 else None
+        dim = 2 if j % 3 == 2 else 1
+        if rng.random() < 0.45:
+            S = random_viable_asset(rng, sp, filt, dim=dim)[0]
+        else:
+            S = random_adapted(rng, sp, filt, dim=dim)
+        yield sp, filt, S, horizon
+
+
+def test_search_decides_without_building_the_connector(monkeypatch):
+    """found, tick and atom need no process; D is built once, on its first read.
+
+    With Process.from_jump_table refused, the search still gives, on 240
+    markets, the found/tick/atom records that PINNED_SEARCH_OUTCOME_DIGEST
+    took when every found search still built its connector, and a search
+    that is not found reads None as its connector.  Once the refusal is
+    lifted, a found search's first read returns a connector for S and the
+    second read the same object.
+    """
+    def refused(*args, **kwargs):
+        raise RuntimeError("connector built")
+
+    pool = list(search_pool(240))
+    monkeypatch.setattr(Process, "from_jump_table", staticmethod(refused))
+    searches = [find_structure_connector(*market) for market in pool]
+    records = [[s.found, s.tick, None if s.atom is None else list(s.atom)] for s in searches]
+    digest = hashlib.sha256(dumps(encode_exact(records)).encode("utf-8")).hexdigest()
+    assert digest == PINNED_SEARCH_OUTCOME_DIGEST
+    assert sum(s.found for s in searches) == 129
+    assert all(s.connector is None for s in searches if not s.found)
+    with pytest.raises(RuntimeError):
+        next(s for s in searches if s.found).connector
+    monkeypatch.undo()
+    for s, (sp, filt, S, horizon) in zip(searches, pool):
+        if s.found:
+            D = s.connector
+            assert D is s.connector
+            assert is_structure_connector(sp, filt, S, D, horizon) is None
 
 
 def path_level_connector_violation(space, filt, D, horizon, S=None):
