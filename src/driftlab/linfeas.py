@@ -2,6 +2,11 @@
 
 maximize c.x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 
+c is a dense list, one cost per column.  Each row of A_eq and A_ub is
+sparse: a list of (column, value) pairs holding only the nonzero values,
+in increasing column order.  The solver and both certificate checkers
+take rows in this form only.
+
 Bland's rule everywhere, so runs are deterministic and cycle-free.  The
 solver reports Farkas vectors for infeasible systems and dual vectors for
 optima; both can be re-verified by plain arithmetic (see the two
@@ -40,18 +45,18 @@ RHS = -1  # key of the right-hand side in a sparse row
 
 
 def _int_row(entries, rhs) -> tuple:
-    """(integer row, denominator) of the (column, rational) entries and rhs.
+    """(integer row, denominator) of a sparse row's (column, nonzero rational) pairs and rhs.
 
     The row is scaled by the lcm of its denominators.  That leaves it
     reduced: for each prime of the lcm, the entry whose denominator holds
     the prime's full power is scaled by a cofactor free of it, and its
     numerator is prime to it.
     """
-    nz = [(j, a) for j, a in entries if a]
+    den = lcm(rhs.denominator, *(a.denominator for _, a in entries))
+    row = {j: a.numerator * (den // a.denominator) for j, a in entries}
     if rhs:
-        nz.append((RHS, rhs))
-    den = lcm(*(a.denominator for _, a in nz))
-    return {j: a.numerator * (den // a.denominator) for j, a in nz}, den
+        row[RHS] = rhs.numerator * (den // rhs.denominator)
+    return row, den
 
 
 def _eliminate(row: dict, den: int, prow: dict, c: int) -> tuple:
@@ -108,11 +113,29 @@ class _Tableau:
         # obj[j] / obj_den is the reduced cost of column j (positive: may
         # enter); obj[RHS] / obj_den is minus the objective value.  Price
         # out each basic column by subtracting its cost times its row.
-        obj, den = _int_row(costs, 0)
+        obj, den = _int_row([(j, a) for j, a in costs if a], ZERO)
         for r, bc in enumerate(self.basis):
             if bc in obj:
                 obj, den = _eliminate(obj, den, self.rows[r], bc)
         self.obj, self.obj_den = obj, den
+
+    def price_artificials(self, art0):
+        # Phase one maximizes minus the sum of the artificials (the columns
+        # from art0 on).  Each starts basic in its own row with value one,
+        # so pricing them out leaves the sum of their rows with the
+        # artificial entries dropped: one pass over the rows' common
+        # denominator.  A rational row has one reduced form, so this is
+        # price_out's objective.
+        rows, dens = self.rows, self.dens
+        art_rows = [r for r, bc in enumerate(self.basis) if bc >= art0]
+        den = lcm(*(dens[r] for r in art_rows))
+        obj = {}
+        for r in art_rows:
+            f = den // dens[r]
+            for j, a in rows[r].items():
+                if j < art0:
+                    obj[j] = obj.get(j, 0) + f * a
+        self.obj, self.obj_den = _reduce({j: v for j, v in obj.items() if v}, den)
 
     def run(self, banned=frozenset()):
         rows, basis = self.rows, self.basis
@@ -200,18 +223,22 @@ def _duals(tab: _Tableau, probes, sign, probe_cost) -> list:
             for col, s in zip(probes, sign)]
 
 
-def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
-    n = len(c)
+def _start(n: int, A_eq, b_eq, A_ub, b_ub) -> tuple:
+    """(tableau, row signs, first artificial column) of the starting basis.
+
+    Columns: the n structural variables, one slack per <= row, then one
+    artificial per row without a ready identity column (an equality row,
+    or a <= row negated for its negative rhs).  Each row's basic column
+    is its slack or its artificial.
+    """
     m_eq, m_ub = len(A_eq), len(A_ub)
-    m = m_eq + m_ub
-    # rows: structural vars, then one slack per <= row; artificials added below
     rows, dens = [], []
-    for i in range(m_eq):
-        row, den = _int_row(enumerate(A_eq[i]), b_eq[i])
+    for row, b in zip(A_eq, b_eq, strict=True):
+        row, den = _int_row(row, b)
         rows.append(row)
         dens.append(den)
-    for j in range(m_ub):
-        row, den = _int_row(enumerate(A_ub[j]), b_ub[j])
+    for j, (row, b) in enumerate(zip(A_ub, b_ub, strict=True)):
+        row, den = _int_row(row, b)
         row[n + j] = den
         rows.append(row)
         dens.append(den)
@@ -224,23 +251,26 @@ def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
         else:
             sign.append(1)
 
-    basis = [-1] * m
-    art_cost = {}
-    ncols = n + m_ub
-    for r in range(m):
+    art0 = ncols = n + m_ub
+    basis = []
+    for r, row in enumerate(rows):
         if r >= m_eq and sign[r] == 1:
-            basis[r] = n + (r - m_eq)  # its slack is a ready identity column
+            basis.append(n + (r - m_eq))  # its slack is a ready identity column
         else:
-            art_cost[ncols] = -1
-            rows[r][ncols] = dens[r]
-            basis[r] = ncols
+            row[ncols] = dens[r]
+            basis.append(ncols)
             ncols += 1
-    probes = list(basis)  # each row's dual probe: its artificial, else its slack
+    return _Tableau(rows, dens, basis), sign, art0
 
-    tab = _Tableau(rows, dens, basis)
+
+def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
+    n, m_eq = len(c), len(A_eq)
+    tab, sign, art0 = _start(n, A_eq, b_eq, A_ub, b_ub)
+    probes = list(tab.basis)  # each row's dual probe: its artificial, else its slack
+    art_cost = {col: -1 for col in probes if col >= art0}
 
     if art_cost:
-        tab.price_out(art_cost.items())
+        tab.price_artificials(art0)
         tab.run()
         if tab.obj.get(RHS):
             # phase one ends short of zero; Farkas from the probe columns
@@ -256,20 +286,21 @@ def solve_lp(c: Sequence[Q], A_eq, b_eq, A_ub, b_ub) -> LPResult:
                     dual_eq=y[:m_eq], dual_ub=y[m_eq:])
 
 
-def _combine(n: int, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> tuple:
-    """(y^T A, y^T b) summed row by row over the LP's own rows.
+def _combine(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> tuple:
+    """({column: y^T A}, y^T b) summed pair by pair over the LP's own rows.
 
-    Zero multipliers and zero coefficients add nothing and are skipped.
+    A column no row touches is absent, so its combination is zero.  Zero
+    multipliers add nothing and are skipped.
     """
-    cols = [ZERO] * n
+    cols = {}
     rhs = ZERO
     for A, b, y in ((A_eq, b_eq, y_eq), (A_ub, b_ub, y_ub)):
         for row, bi, yi in zip(A, b, y, strict=True):
             if not yi:
                 continue
-            for j, a in enumerate(row):
-                if a:
-                    cols[j] += yi * a
+            for j, a in row:
+                s = cols.get(j)
+                cols[j] = yi * a if s is None else s + yi * a
             if bi:
                 rhs += yi * bi
     return cols, rhs
@@ -279,14 +310,19 @@ def check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) -> bool:
     """Farkas check: y_ub >= 0, combined columns >= 0, combined rhs < 0."""
     if any(v < ZERO for v in y_ub):
         return False
-    n = len(A_eq[0]) if A_eq else (len(A_ub[0]) if A_ub else 0)
-    cols, rhs = _combine(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    return all(s >= ZERO for s in cols) and rhs < ZERO
+    cols, rhs = _combine(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    return all(s >= ZERO for s in cols.values()) and rhs < ZERO
 
 
 def check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound) -> bool:
-    """Weak-duality check that max c.x <= bound over the feasible set."""
+    """Weak-duality check that max c.x <= bound over the feasible set.
+
+    Every column, of c or of a row, needs its combination at least its
+    cost (zero where c has none).
+    """
     if any(v < ZERO for v in y_ub):
         return False
-    cols, rhs = _combine(len(c), A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    return all(s >= cj for s, cj in zip(cols, c)) and rhs <= bound
+    cols, rhs = _combine(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
+    cost = dict(enumerate(c))
+    return all(cols.get(j, ZERO) >= cost.get(j, ZERO) for j in cost.keys() | cols.keys()) \
+        and rhs <= bound

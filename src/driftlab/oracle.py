@@ -49,7 +49,16 @@ def _z_columns(filt: Filtration, horizon: StoppingTime, var_index: dict) -> list
 
 
 def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
-    """Rows and columns of the deflator feasibility program, deterministically ordered."""
+    """The deflator feasibility program, deterministically ordered, in linfeas's sparse rows.
+
+    Returns (c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms): columns is
+    _z_columns' table and z_atoms the (tick, atom) of each Z column, in
+    column order; the gap variable is the last column.  Per alive atom
+    (k, b) and component (the constant one first, then each of S), the
+    equality row is sum_{i in b} prob_i (Z_k S_k - Z_{k-1} S_{k-1})(i) = 0,
+    with the known Z_0 = 1 moved to the rhs.  Then one positivity row
+    gap <= Z per Z column, and the cap gap <= 1.
+    """
     var_index: dict = {}
     for k in range(1, filt.K + 1):
         for b in filt.at(k).blocks:
@@ -58,50 +67,47 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
 
     columns = _z_columns(filt, horizon, var_index)
     nz = len(var_index)
-    A_eq, b_eq, eq_desc = [], [], []
+    prob, values = space.prob, S.values
+    A_eq, b_eq = [], []
     for k, b in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
-            row = [ZERO] * (nz + 1)  # last column is the gap variable
+            acc = {}
             rhs = ZERO
             for i in b:
-                w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
-                w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
-                col = columns[i][k]
-                if col is not None:
-                    row[col] += w_now
+                if comp:
+                    w_now = prob[i] * values[i][k][comp - 1]
+                    w_prev = prob[i] * values[i][k - 1][comp - 1]
                 else:
-                    rhs -= w_now
+                    w_now = w_prev = prob[i]
+                col = columns[i][k]  # i is alive at k, so Z_k has a column
+                v = acc.get(col)
+                acc[col] = w_now if v is None else v + w_now
                 col = columns[i][k - 1]
-                if col is not None:
-                    row[col] -= w_prev
-                else:
+                if col is None:  # Z_0 = 1
                     rhs += w_prev
-            A_eq.append(row)
+                else:
+                    v = acc.get(col)
+                    acc[col] = -w_prev if v is None else v - w_prev
+            A_eq.append(sorted((j, v) for j, v in acc.items() if v))
             b_eq.append(rhs)
-            eq_desc.append({
-                "kind": "martingale" if comp == 0 else "deflated-asset",
+
+    A_ub = [[(v, -ONE), (nz, ONE)] for v in range(nz)]
+    A_ub.append([(nz, ONE)])
+    b_ub = [ZERO] * nz + [ONE]
+    c = [ZERO] * nz + [ONE]
+    return c, A_eq, b_eq, A_ub, b_ub, columns, var_index
+
+
+def _row_descriptors(filt: Filtration, dim: int, horizon: StoppingTime, z_atoms) -> tuple:
+    """(rows_eq, rows_ub): what each row of _build_lp states, in row order."""
+    rows_eq = [{"kind": "martingale" if comp == 0 else "deflated-asset",
                 "tick": k,
                 "atom": sorted(b),
-                "component": comp - 1 if comp else None,
-            })
-
-    A_ub, b_ub, ub_desc = [], [], []
-    for (k, b), v in var_index.items():
-        row = [ZERO] * (nz + 1)
-        row[v] = -ONE
-        row[nz] = ONE
-        A_ub.append(row)
-        b_ub.append(ZERO)
-        ub_desc.append({"kind": "positivity", "tick": k, "atom": sorted(b)})
-    cap = [ZERO] * (nz + 1)
-    cap[nz] = ONE
-    A_ub.append(cap)
-    b_ub.append(ONE)
-    ub_desc.append({"kind": "gap-cap"})
-
-    c = [ZERO] * (nz + 1)
-    c[nz] = ONE
-    return c, A_eq, b_eq, A_ub, b_ub, columns, eq_desc, ub_desc
+                "component": comp - 1 if comp else None}
+               for k, b in alive_atoms(filt, horizon) for comp in range(dim + 1)]
+    rows_ub = [{"kind": "positivity", "tick": k, "atom": sorted(b)} for k, b in z_atoms]
+    rows_ub.append({"kind": "gap-cap"})
+    return rows_eq, rows_ub
 
 
 def _deflator_from_solution(columns: list, x) -> Process:
@@ -114,54 +120,47 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    c, A_eq, b_eq, A_ub, b_ub, columns, eq_desc, ub_desc = _build_lp(space, filt, S, horizon)
+    c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms = _build_lp(space, filt, S, horizon)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     if res.status == UNBOUNDED:  # impossible: the gap is capped
         raise InternalInvariant("gap program cannot be unbounded")
     if res.status == INFEASIBLE:
         if not check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub):
             raise InternalInvariant("infeasibility certificate fails its recheck")
-        cert = {
-            "status": "no-deflator",
-            "reason": "martingale-system-infeasible",
-            "multipliers_eq": [rat_str(v) for v in res.dual_eq],
-            "multipliers_ub": [rat_str(v) for v in res.dual_ub],
-            "rows_eq": eq_desc,
-            "rows_ub": ub_desc,
-        }
-        return OracleResult(feasible=False, deflator=None, gap=None, certificate=cert)
-    if res.value <= ZERO:
+        cert = {"status": "no-deflator", "reason": "martingale-system-infeasible"}
+    elif res.value <= ZERO:
         if not check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub,
                                        res.value):
             raise InternalInvariant("gap bound certificate fails its recheck")
-        cert = {
-            "status": "no-deflator",
-            "reason": "positivity-unreachable",
-            "gap_bound": rat_str(res.value),
-            "multipliers_eq": [rat_str(v) for v in res.dual_eq],
-            "multipliers_ub": [rat_str(v) for v in res.dual_ub],
-            "rows_eq": eq_desc,
-            "rows_ub": ub_desc,
-        }
-        return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
-    Z = _deflator_from_solution(columns, res.x)
-    if not check_deflator(space, filt, S, Z, horizon):
-        raise InternalInvariant("oracle deflator fails its recheck")
-    cert = {"status": "deflator", "gap": rat_str(res.value)}
-    return OracleResult(feasible=True, deflator=Z, gap=res.value, certificate=cert)
+        cert = {"status": "no-deflator", "reason": "positivity-unreachable",
+                "gap_bound": rat_str(res.value)}
+    else:
+        Z = _deflator_from_solution(columns, res.x)
+        if not check_deflator(space, filt, S, Z, horizon):
+            raise InternalInvariant("oracle deflator fails its recheck")
+        cert = {"status": "deflator", "gap": rat_str(res.value)}
+        return OracleResult(feasible=True, deflator=Z, gap=res.value, certificate=cert)
+    cert["multipliers_eq"] = [rat_str(v) for v in res.dual_eq]
+    cert["multipliers_ub"] = [rat_str(v) for v in res.dual_ub]
+    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, S.dim, horizon, z_atoms)
+    return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
 
 
 def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
                    horizon: Optional[StoppingTime] = None) -> bool:
     """Plain-arithmetic recheck that Z is a positive deflator for S on the horizon.
 
-    Checked: Z_0 = 1 and Z > 0; Z adapted (on every at(k)-atom, each
+    Checked: Z is scalar, with one row per outcome and one value per tick
+    (False for any other shape); Z_0 = 1 and Z > 0; Z adapted (on every at(k)-atom, each
     outcome's Z at k equals that at the atom's smallest outcome); Z frozen
     after the horizon (each outcome's Z keeps its value at T_i); Z and Z*S
     martingales up to the horizon.
     """
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
+    if Z.dim != 1 or len(Z.values) != space.n or \
+            any(len(row) != filt.K + 1 for row in Z.values):
+        return False
     for i in range(space.n):
         if Z.at(i, 0)[0] != ONE:
             return False
@@ -200,20 +199,27 @@ def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
     """Re-verify an infeasibility certificate by rebuilding the program.
 
     False for anything but a no-deflator certificate with one of
-    lp_deflator_oracle's two reasons and the fields that reason carries.
+    lp_deflator_oracle's two reasons and the fields that reason carries:
+    the multipliers as lists of rat-parsable entries, one per row, and a
+    rat-parsable gap_bound.
     """
     fields = _NO_DEFLATOR_FIELDS.get(certificate.get("reason"))
     if certificate.get("status") != "no-deflator" or fields is None or \
             any(f not in certificate for f in fields):
         return False
+    y_eq, y_ub = certificate["multipliers_eq"], certificate["multipliers_ub"]
+    if not isinstance(y_eq, list) or not isinstance(y_ub, list):
+        return False
+    try:
+        y_eq, y_ub = [rat(v) for v in y_eq], [rat(v) for v in y_ub]
+        bound = rat(certificate["gap_bound"]) if "gap_bound" in fields else None
+    except (ValueError, ZeroDivisionError):
+        return False
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
     c, A_eq, b_eq, A_ub, b_ub, *_ = _build_lp(space, filt, S, horizon)
-    y_eq = [rat(v) for v in certificate["multipliers_eq"]]
-    y_ub = [rat(v) for v in certificate["multipliers_ub"]]
     if len(y_eq) != len(A_eq) or len(y_ub) != len(A_ub):
         return False
-    if certificate["reason"] == "martingale-system-infeasible":
+    if bound is None:
         return check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    bound = rat(certificate["gap_bound"])
     return bound <= ZERO and check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound)

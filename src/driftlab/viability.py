@@ -49,24 +49,27 @@ def _atom_rows_violation(rows) -> Optional[dict]:
 
     Each row is (k, b, kids, p, d_jumps, s_jumps) for one alive left-limit
     atom b at tick k: its children, their conditional probabilities, the
-    jumps of D on them and, when checking a connector for S, the jumps of
-    S (None otherwise).  Rows: D is a martingale on the atom, every jump of
-    D is below one and sum_h q_h s_h = 0 with the weights
-    q_h = p_h (1 - jump_h(D)) of find_structure_connector.  A failed
+    jumps of D on them (None where D does not jump on the atom) and, when
+    checking a connector for S, the jumps of S (None otherwise).  Rows: D
+    is a martingale on the atom, every jump of D is below one and
+    sum_h q_h s_h = 0 with the weights q_h = p_h (1 - jump_h(D)) of
+    find_structure_connector.  Zero jumps pass the first two, so an atom
+    without D jumps is checked only on sum_h p_h s_h = 0.  A failed
     martingale row is reported at once, the first big jump (by outcome,
     then tick) and the first failed identity (by tick, atom, component)
     only when nothing graver turns up.
     """
     big_jump = identity = None
     for k, b, kids, p, d_jumps, s_jumps in rows:
-        if jump_mean(p, d_jumps)[0] != ZERO:
-            return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
-        for kid, (dj,) in zip(kids, d_jumps):
-            if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
-                big_jump = (min(kid), k)
+        if d_jumps is not None:
+            if jump_mean(p, d_jumps)[0] != ZERO:
+                return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
+            for kid, (dj,) in zip(kids, d_jumps):
+                if dj >= ONE and (big_jump is None or (min(kid), k) < big_jump):
+                    big_jump = (min(kid), k)
         if s_jumps is None or big_jump is not None or identity is not None:
             continue
-        q = [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
+        q = p if d_jumps is None else [ph * (ONE - dj) for ph, (dj,) in zip(p, d_jumps)]
         failed = [c for c, mean in enumerate(jump_mean(q, s_jumps)) if mean != ZERO]
         if failed:
             identity = {"reason": "identity-failed", "tick": k,
@@ -137,13 +140,14 @@ def _atom_program(p, s_jumps) -> tuple:
     """(c, A_eq, b_eq, A_ub, b_ub) of one atom's martingale-measure program.
 
     Columns q_1..q_m and the floor t; maximize t subject to sum q = 1,
-    sum q_h s_h = 0 per component and p_h t <= q_h.
+    sum q_h s_h = 0 per component and p_h t <= q_h.  Rows are linfeas's
+    sparse (column, nonzero value) pairs; p is positive.
     """
     m, dim = len(p), len(s_jumps[0])
-    A_eq = [[ONE] * m + [ZERO]]
-    A_eq += [[sj[c] for sj in s_jumps] + [ZERO] for c in range(dim)]
+    A_eq = [[(h, ONE) for h in range(m)]]
+    A_eq += [[(h, sj[c]) for h, sj in enumerate(s_jumps) if sj[c]] for c in range(dim)]
     b_eq = [ONE] + [ZERO] * dim
-    A_ub = [[-ONE if j == h else ZERO for j in range(m)] + [p[h]] for h in range(m)]
+    A_ub = [[(h, -ONE), (m, ph)] for h, ph in enumerate(p)]
     b_ub = [ZERO] * m
     return [ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub
 
@@ -242,9 +246,10 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     other scalar atoms, blocked or not, take the closed form.
 
     Before a found search is returned, its atom table is checked on every
-    alive atom, driftless ones included: the martingale row, the jump
-    bound and sum q_h s_h = 0, through _atom_rows_violation as in
-    is_structure_connector.  A failure raises InternalInvariant.  The
+    alive atom through _atom_rows_violation, as in is_structure_connector:
+    the martingale row, the jump bound and sum q_h s_h = 0.  A driftless
+    atom's row carries no D jumps, which pass the first two, so it is
+    checked on sum p_h s_h = 0.  A failure raises InternalInvariant.  The
     search then carries the checked table and builds no process; D is
     assembled and checked against the table on the first read of
     ConnectorSearch.connector.
@@ -258,7 +263,7 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
         if q is None:
             return ConnectorSearch(tick=k, atom=tuple(sorted(b)))
         if q is p:
-            d_jumps = [(ZERO,)] * len(kids)
+            d_jumps = None  # driftless: D does not jump on the atom
         else:
             d_jumps = [(ONE - qh / ph,) for qh, ph in zip(q, p)]
             jump_of.update(((k, kid), dj) for kid, (dj,) in zip(kids, d_jumps))

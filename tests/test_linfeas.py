@@ -5,6 +5,7 @@ from driftlab.linfeas import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _start,
     check_bound_certificate,
     check_infeasibility_certificate,
     solve_lp,
@@ -14,15 +15,20 @@ from driftlab.rational import ONE, ZERO, Q
 coef = st.integers(min_value=-3, max_value=3).map(Q)
 
 
+def sparse(rows):
+    """Dense rows as linfeas takes them: (column, value) pairs of the nonzeros."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
 def test_bounded_golden():
-    res = solve_lp([ONE, ONE], [], [], [[ONE, ONE]], [ONE])
+    res = solve_lp([ONE, ONE], [], [], sparse([[ONE, ONE]]), [ONE])
     assert res.status == OPTIMAL
     assert res.value == ONE
     assert res.x[0] + res.x[1] == ONE
 
 
 def test_equality_golden():
-    res = solve_lp([ONE, ZERO], [[ONE, Q(-1)]], [ZERO], [[ONE, ONE]], [Q(2)])
+    res = solve_lp([ONE, ZERO], sparse([[ONE, Q(-1)]]), [ZERO], sparse([[ONE, ONE]]), [Q(2)])
     assert res.status == OPTIMAL
     assert res.value == ONE
     assert res.x == [ONE, ONE]
@@ -30,9 +36,9 @@ def test_equality_golden():
 
 def test_infeasible_farkas():
     A_eq, b_eq = [[ONE, ONE]], [Q(-1)]
-    res = solve_lp([ONE, ZERO], A_eq, b_eq, [], [])
+    res = solve_lp([ONE, ZERO], sparse(A_eq), b_eq, [], [])
     assert res.status == INFEASIBLE
-    assert check_infeasibility_certificate(A_eq, b_eq, [], [], res.dual_eq, res.dual_ub)
+    assert check_infeasibility_certificate(sparse(A_eq), b_eq, [], [], res.dual_eq, res.dual_ub)
 
 
 def test_unbounded():
@@ -52,18 +58,18 @@ def test_leftover_artificial_regression():
     b_eq = [ZERO]
     A_ub = [[Q(-1), ONE], [ZERO, ONE]]   # g <= z0, g <= 1
     b_ub = [ZERO, ONE]
-    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+    res = solve_lp(c, sparse(A_eq), b_eq, sparse(A_ub), b_ub)
     assert res.status == OPTIMAL
     assert res.value == ZERO
     assert res.x == [ZERO, ZERO]
     assert sum(a * x for a, x in zip(A_eq[0], res.x)) == b_eq[0]
-    assert check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub,
+    assert check_bound_certificate(c, sparse(A_eq), b_eq, sparse(A_ub), b_ub,
                                    res.dual_eq, res.dual_ub, res.value)
 
 
 def test_redundant_zero_row_is_harmless():
     A_eq = [[ONE, ZERO], [ZERO, ZERO]]
-    res = solve_lp([ONE, ONE], A_eq, [Q(2), ZERO], [[ZERO, ONE]], [Q(3)])
+    res = solve_lp([ONE, ONE], sparse(A_eq), [Q(2), ZERO], sparse([[ZERO, ONE]]), [Q(3)])
     assert res.status == OPTIMAL
     assert res.x == [Q(2), Q(3)]
     assert res.value == Q(5)
@@ -79,13 +85,13 @@ def test_beale_cycling_lp_golden():
             [Q(1, 2), Q(-12), Q(-1, 2), Q(3)],
             [ZERO, ZERO, ONE, ZERO]]
     b_ub = [ZERO, ZERO, ONE]
-    res = solve_lp(c, [], [], A_ub, b_ub)
+    res = solve_lp(c, [], [], sparse(A_ub), b_ub)
     assert res.status == OPTIMAL
     assert res.value == Q(5, 4)
     assert res.x == [ONE, ZERO, ONE, ZERO]
     assert res.dual_eq == []
     assert res.dual_ub == [ZERO, Q(3, 2), Q(5, 4)]
-    assert check_bound_certificate(c, [], [], A_ub, b_ub,
+    assert check_bound_certificate(c, [], [], sparse(A_ub), b_ub,
                                    res.dual_eq, res.dual_ub, res.value)
 
 
@@ -103,21 +109,21 @@ def _feasible(x, A_eq, b_eq, A_ub, b_ub):
 
 def _assert_certified(c, A_eq, b_eq, A_ub, b_ub, box_bound):
     n = len(c)
-    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+    res = solve_lp(c, sparse(A_eq), b_eq, sparse(A_ub), b_ub)
     if res.status == OPTIMAL:
         assert _feasible(res.x, A_eq, b_eq, A_ub, b_ub)
         assert sum((ci * xi for ci, xi in zip(c, res.x)), ZERO) == res.value
-        assert check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub,
+        assert check_bound_certificate(c, sparse(A_eq), b_eq, sparse(A_ub), b_ub,
                                        res.dual_eq, res.dual_ub, res.value)
     elif res.status == INFEASIBLE:
-        assert check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub,
+        assert check_infeasibility_certificate(sparse(A_eq), b_eq, sparse(A_ub), b_ub,
                                                res.dual_eq, res.dual_ub)
     else:
         assert res.status == UNBOUNDED
         # unbounded implies feasible: boxing every variable far above any
         # basic solution of these small systems must yield an optimum
         box = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        boxed = solve_lp(c, A_eq, b_eq, list(A_ub) + box,
+        boxed = solve_lp(c, sparse(A_eq), b_eq, sparse(list(A_ub) + box),
                          list(b_ub) + [box_bound] * n)
         assert boxed.status == OPTIMAL
 
@@ -168,6 +174,23 @@ def test_random_rational_lps_certified(data):
                       box_bound=Q(630**5 * 5**3))
 
 
+@given(st.data())
+def test_phase_one_objective_is_price_out_of_the_artificials(data):
+    """Phase one's one-pass objective is price_out over the artificial costs.
+
+    On the starting tableau, the sum of the artificial rows over their
+    common denominator, artificial entries dropped and reduced by one gcd,
+    has the same numerators and denominator as pricing out each
+    artificial's cost -1 in turn.
+    """
+    c, A_eq, b_eq, A_ub, b_ub = _draw_lp(data, rational_coef, 5, 3, 4)
+    tab, _, art0 = _start(len(c), sparse(A_eq), b_eq, sparse(A_ub), b_ub)
+    tab.price_out([(col, -1) for col in tab.basis if col >= art0])
+    priced = dict(tab.obj), tab.obj_den
+    tab.price_artificials(art0)
+    assert (tab.obj, tab.obj_den) == priced
+
+
 def _dense_combination(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub):
     cols = [sum((y_eq[i] * A_eq[i][j] for i in range(len(A_eq))), ZERO)
             + sum((y_ub[i] * A_ub[i][j] for i in range(len(A_ub))), ZERO)
@@ -188,8 +211,10 @@ def test_certificate_checkers_match_dense_reference(data):
     signs_ok = all(v >= ZERO for v in y_ub)
     n = len(A_eq[0]) if A_eq else (len(A_ub[0]) if A_ub else 0)
     cols, rhs = _dense_combination(n, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    assert check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub) == \
+    assert check_infeasibility_certificate(sparse(A_eq), b_eq, sparse(A_ub), b_ub,
+                                           y_eq, y_ub) == \
         (signs_ok and all(s >= ZERO for s in cols) and rhs < ZERO)
     cols, rhs = _dense_combination(len(c), A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    assert check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound) == \
+    assert check_bound_certificate(c, sparse(A_eq), b_eq, sparse(A_ub), b_ub,
+                                   y_eq, y_ub, bound) == \
         (signs_ok and all(s >= cj for s, cj in zip(cols, c)) and rhs <= bound)

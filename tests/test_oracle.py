@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import driftlab
-from driftlab.basis import Filtration, Partition, Process, SampleSpace
+from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime, alive_atoms
 from driftlab.calculus import is_martingale, pointwise_mul, stop
 from driftlab.errors import InternalInvariant
 from driftlab.models import (
@@ -17,8 +17,9 @@ from driftlab.models import (
     random_stopping_time,
     random_viable_asset,
 )
-from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
-from driftlab.rational import ZERO, Q
+from driftlab.oracle import (_build_lp, _row_descriptors, check_deflator, lp_deflator_oracle,
+                             verify_no_deflator)
+from driftlab.rational import ONE, ZERO, Q
 from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import deflator_from_connector, find_structure_connector
 
@@ -400,6 +401,51 @@ def test_verify_no_deflator_refuses_other_certificates(paths, reason):
     assert verify_no_deflator(sp, filt, viable, None, feasible) is False
 
 
+@pytest.mark.parametrize("paths, reason", [
+    ([[0, 1], [0, 2]], "martingale-system-infeasible"),
+    ([[0, 1], [0, 0]], "positivity-unreachable"),
+], ids=["infeasible", "zero-gap"])
+def test_verify_no_deflator_refuses_malformed_multipliers(paths, reason):
+    """Multipliers that are not lists of rat-parsable entries, or a gap_bound that does
+    not parse, are refused with False, not an exception.
+
+    A string is not read one character at a time: "12" is refused, not
+    taken as [1, 2].
+    """
+    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    S = Process.from_scalar_paths(paths)
+    cert = lp_deflator_oracle(sp, filt, S).certificate
+    assert cert["reason"] == reason
+    assert verify_no_deflator(sp, filt, S, None, cert)
+    ys = cert["multipliers_eq"]
+    bad = [["x"] + ys[1:], [None] + ys[1:], ["1/0"] + ys[1:], 5, None, "12", tuple(ys)]
+    for field in ("multipliers_eq", "multipliers_ub"):
+        for value in bad:
+            assert verify_no_deflator(sp, filt, S, None, {**cert, field: value}) is False
+    if "gap_bound" in cert:
+        for value in ("x", None, "1/0", [0]):
+            assert verify_no_deflator(sp, filt, S, None, {**cert, "gap_bound": value}) is False
+
+
+def test_deflator_recheck_refuses_a_z_of_the_wrong_shape():
+    """A Z with too few rows or ticks, or a vector Z, is refused with False.
+
+    The vector Z's first component deflates S, so only its shape is wrong.
+    """
+    sp = SampleSpace(("u", "d"), (Q(1, 2), Q(1, 2)))
+    top = Partition([[0, 1]])
+    filt = Filtration(top, ((top, Partition([[0], [1]])),))
+    S = Process.from_scalar_paths([[0, 1], [0, -1]])
+    Z = lp_deflator_oracle(sp, filt, S).deflator
+    assert check_deflator(sp, filt, S, Z)
+    rows = [list(row) for row in Z.values]
+    for wrong in (Process(1, rows[:1]), Process(1, [row[:1] for row in rows]),
+                  Process(2, [[z + z for z in row] for row in rows])):
+        assert check_deflator(sp, filt, S, wrong) is False
+
+
 def test_failed_deflator_recheck_raises_internal_invariant(monkeypatch):
     rng = random.Random("oracle-recheck")
     sp, filt = gen_single_filtration(rng, 4, 2, 3)
@@ -467,16 +513,9 @@ def test_deflator_recheck_requires_z_adapted():
     assert moved >= 10
 
 
-def test_oracle_results_are_pinned():
-    """The oracle's certificates, gaps and deflators do not drift.
-
-    The first 40 `acc-one` markets of the connector-vs-oracle acceptance
-    test are hashed.  Any change to the simplex (row storage, scalar
-    representation) must keep Bland's basis path, so the digest must not
-    move.
-    """
-    records = []
-    for seed in range(40):
+def acc_one_markets(count):
+    """(space, filt, S, horizon) of the first count `acc-one` connector-vs-oracle markets."""
+    for seed in range(count):
         rng = random.Random(f"acc-one:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 12),
                                          rng.randint(1, 4), 3)
@@ -487,6 +526,117 @@ def test_oracle_results_are_pinned():
                                           dim=rng.choice((1, 1, 2)))
         else:
             S = random_adapted(rng, sp, filt, dim=rng.choice((1, 1, 2)))
+        yield sp, filt, S, horizon
+
+
+def dense_program(space, filt, S, horizon):
+    """The deflator program with dense rows, formed one outcome at a time.
+
+    The reference for oracle._build_lp: (c, A_eq, b_eq, A_ub, b_ub, the
+    column table, the (tick, atom) of each Z column, rows_eq, rows_ub).
+    """
+    var_index = {}
+    for k in range(1, filt.K + 1):
+        for b in filt.at(k).blocks:
+            if horizon.alive_block(b, k):
+                var_index[(k, b)] = len(var_index)
+    columns = []
+    for i, T in enumerate(horizon.values):
+        last = filt.K if T is None else min(filt.K, T)
+        row = [None] + [var_index[(t, filt.at(t).block_of(i))] for t in range(1, last + 1)]
+        columns.append(row + row[-1:] * (filt.K - last))
+    nz = len(var_index)
+    A_eq, b_eq, eq_desc = [], [], []
+    for k, b in alive_atoms(filt, horizon):
+        for comp in range(S.dim + 1):
+            row = [ZERO] * (nz + 1)
+            rhs = ZERO
+            for i in b:
+                w_now = space.prob[i] * (ONE if comp == 0 else S.at(i, k)[comp - 1])
+                w_prev = space.prob[i] * (ONE if comp == 0 else S.at(i, k - 1)[comp - 1])
+                col = columns[i][k]
+                if col is not None:
+                    row[col] += w_now
+                else:
+                    rhs -= w_now
+                col = columns[i][k - 1]
+                if col is not None:
+                    row[col] -= w_prev
+                else:
+                    rhs += w_prev
+            A_eq.append(row)
+            b_eq.append(rhs)
+            eq_desc.append({"kind": "martingale" if comp == 0 else "deflated-asset",
+                            "tick": k, "atom": sorted(b),
+                            "component": comp - 1 if comp else None})
+    A_ub, b_ub, ub_desc = [], [], []
+    for (k, b), v in var_index.items():
+        row = [ZERO] * (nz + 1)
+        row[v] = -ONE
+        row[nz] = ONE
+        A_ub.append(row)
+        b_ub.append(ZERO)
+        ub_desc.append({"kind": "positivity", "tick": k, "atom": sorted(b)})
+    A_ub.append([ZERO] * nz + [ONE])
+    b_ub.append(ONE)
+    ub_desc.append({"kind": "gap-cap"})
+    return [ZERO] * nz + [ONE], A_eq, b_eq, A_ub, b_ub, columns, list(var_index), eq_desc, ub_desc
+
+
+def assert_sparse_form(rows, dense_rows):
+    """rows hold dense_rows' nonzero entries, entry for entry, as increasing (column, value) pairs.
+
+    So no row holds a zero pair, and its columns increase.
+    """
+    assert len(rows) == len(dense_rows)
+    for row, dense in zip(rows, dense_rows):
+        assert row == [(j, a) for j, a in enumerate(dense) if a]
+        assert all(a != ZERO for _, a in row)
+        assert all(j < jj for (j, _), (jj, _) in zip(row, row[1:]))
+
+
+def rows_markets():
+    """The 40 pinned `acc-one` markets, then 40 markets under random horizons."""
+    yield from acc_one_markets(40)
+    for seed in range(40):
+        rng = random.Random(f"rows:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 12), rng.randint(1, 4), 3)
+        dim = rng.choice((1, 2))
+        S = (random_viable_asset(rng, sp, filt, dim=dim)[0] if rng.random() < 0.5
+             else random_adapted(rng, sp, filt, dim=dim))
+        yield sp, filt, S, random_stopping_time(rng, sp, filt)
+
+
+def test_build_lp_rows_are_the_dense_formula():
+    """_build_lp emits the dense per-outcome program's rows, columns, order and values.
+
+    Each row is the dense row's nonzeros as increasing (column, value)
+    pairs; c, the right-hand sides, the column table and the row
+    descriptors are unchanged.
+    """
+    for sp, filt, S, horizon in rows_markets():
+        if horizon is None:
+            horizon = StoppingTime.constant(sp.n, filt.K)
+        c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms = _build_lp(sp, filt, S, horizon)
+        (dense_c, dense_eq, dense_b_eq, dense_ub, dense_b_ub, dense_columns, dense_atoms,
+         eq_desc, ub_desc) = dense_program(sp, filt, S, horizon)
+        assert (c, b_eq, b_ub, columns, list(z_atoms)) == \
+            (dense_c, dense_b_eq, dense_b_ub, dense_columns, dense_atoms)
+        assert_sparse_form(A_eq, dense_eq)
+        assert_sparse_form(A_ub, dense_ub)
+        assert _row_descriptors(filt, S.dim, horizon, z_atoms) == (eq_desc, ub_desc)
+
+
+def test_oracle_results_are_pinned():
+    """The oracle's certificates, gaps and deflators do not drift.
+
+    The first 40 `acc-one` markets of the connector-vs-oracle acceptance
+    test are hashed.  Any change to the simplex (row storage, scalar
+    representation) must keep Bland's basis path, so the digest must not
+    move.
+    """
+    records = []
+    for sp, filt, S, horizon in acc_one_markets(40):
         res = lp_deflator_oracle(sp, filt, S, horizon)
         records.append([res.certificate, res.gap,
                         None if res.deflator is None else res.deflator.values])

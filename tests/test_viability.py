@@ -549,6 +549,40 @@ def test_scalar_atom_weights_agree_with_the_simplex(weights, data):
         assert q == list(res.x[:len(p)])
 
 
+def dense_atom_program(p, s_jumps):
+    """One atom's martingale-measure program with dense rows: the reference for _atom_program."""
+    m, dim = len(p), len(s_jumps[0])
+    A_eq = [[ONE] * m + [ZERO]]
+    A_eq += [[sj[c] for sj in s_jumps] + [ZERO] for c in range(dim)]
+    b_eq = [ONE] + [ZERO] * dim
+    A_ub = [[-ONE if j == h else ZERO for j in range(m)] + [p[h]] for h in range(m)]
+    b_ub = [ZERO] * m
+    return [ZERO] * m + [ONE], A_eq, b_eq, A_ub, b_ub
+
+
+def test_atom_program_rows_are_the_dense_formula():
+    """_atom_program's rows are the dense program's nonzeros, entry for entry.
+
+    Taken on every alive atom of 60 search_pool markets; S often does not
+    jump on a child, so zero entries are dropped.  Each row holds no zero
+    pair and its columns increase.
+    """
+    dropped = 0
+    for sp, filt, S, horizon in search_pool(60):
+        for k, b in alive_atoms(filt, horizon):
+            kids, p = atom_split(sp, filt, k, b)
+            s_jumps = S.child_jumps(k, kids)
+            c, A_eq, b_eq, A_ub, b_ub = _atom_program(p, s_jumps)
+            dense_c, dense_eq, dense_b_eq, dense_ub, dense_b_ub = dense_atom_program(p, s_jumps)
+            assert (c, b_eq, b_ub) == (dense_c, dense_b_eq, dense_b_ub)
+            for rows, dense_rows in ((A_eq, dense_eq), (A_ub, dense_ub)):
+                assert rows == [[(j, a) for j, a in enumerate(row) if a] for row in dense_rows]
+                assert all(a != ZERO for row in rows for _, a in row)
+                assert all(j < jj for row in rows for (j, _), (jj, _) in zip(row, row[1:]))
+            dropped += sum(a == ZERO for row in dense_eq[1:] for a in row[:-1])
+    assert dropped > 0
+
+
 def test_martingale_asset_poses_no_program(monkeypatch):
     """A base martingale has no drift on any atom: no LP, and D is zero.
 
