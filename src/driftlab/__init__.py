@@ -9,8 +9,7 @@ independent linear-feasibility oracle.
 """
 
 from .basis import (Diagnostics, Filtration, Partition, Process, SampleSpace,
-                    StoppingTime, classify_stopping_time, cond_expect, cond_prob,
-                    is_stopping_time, validate)
+                    StoppingTime, cond_expect, cond_prob, is_stopping_time, validate)
 from .calculus import (bracket, canonical_decomposition, comp_bracket, compensator,
                        doleans_exp, is_martingale, martingale_violation,
                        pointwise_mul, stoch_integral, stop)
@@ -19,15 +18,14 @@ from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
                           compensator_transfer_check, drift_operator,
                           factorization_check, solve_factors, tilde,
                           validate_enlargement)
-from .errors import (AzemaDegenerate, BadGrid, ConnectorInvalid, DataInvariantViolated,
+from .errors import (AzemaDegenerate, ConnectorInvalid, DataInvariantViolated,
                      DimensionMismatch, EngineError, InternalInvariant, InvalidDocument,
                      JacodDegenerate, NotAMartingale, NotARandomTime, NotAStoppingTime,
                      NotAdapted, NotPredictable, SchemaError, SupportConditionFailed,
                      Unsolvable, ZeroProbabilityBranch)
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
-                            accessible_jump_value, continuous_part_integrand,
-                            inaccessible_jump_value, quotient_identity_holds,
-                            reduced_equation_holds, series_diagnostics,
+                            accessible_jump_value, inaccessible_jump_value,
+                            quotient_identity_holds, reduced_equation_holds,
                             validate_accessible, validate_inaccessible)
 from .linalg import min_norm_solve
 from .models import (GeneratorConfig, azema_phi_crosscheck, gen_initial_enlargement,

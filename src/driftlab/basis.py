@@ -453,18 +453,3 @@ def is_stopping_time(filt: Filtration, T: StoppingTime) -> bool:
         if not filt.at(k).event_measurable(T.leq_event(k)):
             return False
     return True
-
-
-def classify_stopping_time(filt: Filtration, T: StoppingTime) -> str:
-    """'predictable' when every level set {T = k} is left-limit measurable.
-
-    On a finite tick grid there are no totally inaccessible times, so
-    everything else is simply 'accessible'.
-    """
-    if not is_stopping_time(filt, T):
-        raise NotAStoppingTime("level sets not measurable at their tick")
-    for k in range(filt.K + 1):
-        level = frozenset(i for i, v in enumerate(T.values) if v == k)
-        if not filt.pre(k).event_measurable(level):
-            return "accessible"
-    return "predictable"

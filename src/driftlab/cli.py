@@ -3,8 +3,7 @@
 Subcommands load JSON instances, run the engine, and emit JSON reports.
 Exit codes: 0 success, 2 malformed input (schema), 3 property violation
 (the report carries a reproducer).  Reports contain rationals as "p/q"
-strings only; the series diagnostics command is the single float path
-and its output is tagged approximate.
+strings only, never floats.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from . import serialize
 from .enlargement import check_condition_support, check_positivity, drift_operator, solve_factors
 from .errors import EngineError, InvalidDocument, SchemaError
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
-                            accessible_jump_value, continuous_part_integrand,
-                            inaccessible_jump_value, quotient_identity_holds,
-                            reduced_equation_holds, series_diagnostics,
+                            accessible_jump_value, inaccessible_jump_value,
+                            quotient_identity_holds, reduced_equation_holds,
                             validate_accessible, validate_inaccessible)
 from .models import GeneratorConfig, gen_random_instance
 from .oracle import lp_deflator_oracle
@@ -160,7 +158,7 @@ def _cmd_kernel_eval(args) -> int:
         validate_accessible(data)
         report = {"values": [rat_str(accessible_jump_value(data, h)) if data.p[h] > ZERO
                              else None for h in range(len(data.p))]}
-    elif kind == "inaccessible":
+    else:
         data = InaccessibleEventData(**fields)
         validate_inaccessible(data)
         cells = range(len(data.q))
@@ -169,19 +167,7 @@ def _cmd_kernel_eval(args) -> int:
             "reduced_equation": [reduced_equation_holds(data, k) for k in cells],
             "quotient_identity": [quotient_identity_holds(data, k) for k in cells],
         }
-    else:
-        values = continuous_part_integrand(fields["base_coeff"], fields["pair_rows"],
-                                           fields["phi"])
-        report = {"values": [rat_str(v) for v in values]}
     report.update(command="kernel-eval", kind=kind)
-    _emit(report, args.output)
-    return 0
-
-
-def _cmd_diagnose_series(args) -> int:
-    levels, jumps = serialize.load_series(_read_input(args.input))
-    report = series_diagnostics(levels=levels, jumps=jumps)
-    report.update(command="diagnose-series", approximate=True)
     _emit(report, args.output)
     return 0
 
@@ -195,7 +181,6 @@ _DISPATCH = {
     "verify-theorems": _cmd_verify,
     "generate": _cmd_generate,
     "kernel-eval": _cmd_kernel_eval,
-    "diagnose-series": _cmd_diagnose_series,
 }
 
 
@@ -238,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("verify-theorems", "run the seeded property suite", seeded=True)
     add("generate", "emit seeded random instances", seeded=True)
     add("kernel-eval", "evaluate per-event kernel formulas")
-    add("diagnose-series", "classify integral refinements and jump series")
     return parser
 
 

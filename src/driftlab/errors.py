@@ -69,10 +69,6 @@ class AzemaDegenerate(EngineError):
     code = "AZEMA_DEGENERATE"
 
 
-class BadGrid(EngineError):
-    code = "BAD_GRID"
-
-
 class SchemaError(EngineError):
     code = "SCHEMA_ERROR"
 

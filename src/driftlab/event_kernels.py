@@ -1,28 +1,19 @@
-"""Pointwise jump-event kernels and series diagnostics.
+"""Pointwise jump-event kernels over explicit event data.
 
-Continuous martingale parts and totally inaccessible jump times are
-degenerate on a finite tick grid, so the corresponding per-event formulas
-are exposed here as pure kernels over explicit event data instead of as
-process operations: accessible events carry child probabilities seen from
-both filtrations, inaccessible events carry cell probabilities with a
-scale factor per cell.  The series diagnostics classify user-sampled
-integral refinements and jump series as finite or divergent; that part is
-deliberately float-based, everything else is exact.
+Totally inaccessible jump times are degenerate on a finite tick grid, so
+the per-event formulas are exposed here as pure kernels over explicit
+event data instead of as process operations: accessible events carry
+child probabilities seen from both filtrations, inaccessible events carry
+cell probabilities with a scale factor per cell.  Every kernel is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-from typing import Optional, Sequence
 
-from .errors import BadGrid, DataInvariantViolated, DimensionMismatch, ZeroProbabilityBranch
+from .errors import DataInvariantViolated, DimensionMismatch, ZeroProbabilityBranch
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
-
-GROWTH_FACTOR = 1.5     # ratio that counts as "still growing" between refinements
-RUN_LENGTH = 4          # how many successive growing refinements mean divergence
-STABLE_REL_TOL = 1e-6   # relative stabilization threshold for finiteness
 
 
 @dataclass(frozen=True)
@@ -31,15 +22,13 @@ class AccessibleEventData:
 
     p and pbar are the child probabilities under the base and the enlarged
     conditioning, n_vals the driving-process jump vector per slot, d_vals
-    the connector jump per slot, phi the multiplier row, weight the event's
-    series weight.
+    the connector jump per slot, phi the multiplier row.
     """
     p: tuple
     pbar: tuple
     n_vals: tuple   # one vector per slot
     d_vals: tuple
     phi: tuple
-    weight: Q = ONE
 
 
 def validate_accessible(data: AccessibleEventData) -> None:
@@ -58,8 +47,6 @@ def validate_accessible(data: AccessibleEventData) -> None:
             raise DataInvariantViolated("probability tilt identity failed", slot=h)
         if data.p[h] > ZERO and data.d_vals[h] >= ONE:
             raise DataInvariantViolated("connector jump reaches one", slot=h)
-    if data.weight <= ZERO:
-        raise DataInvariantViolated("weight must be positive")
 
 
 def accessible_jump_value(data: AccessibleEventData, h: int) -> Q:
@@ -158,115 +145,3 @@ def quotient_identity_holds(data: InaccessibleEventData, k: int) -> bool:
         return value == ZERO
     d_k = data.base_coeff[k] * data.jump_scale[k]
     return value * data.jump_scale[k] * denom == d_k + vec_dot(data.phi, l_k)
-
-
-def continuous_part_integrand(base_coeffs: Sequence[Q], pair_rows: Sequence[Sequence[Q]],
-                              phi: Sequence[Q]) -> tuple:
-    """Componentwise particular integrand J_h + phi.zeta_h for the diffusive part."""
-    if len(base_coeffs) != len(pair_rows):
-        raise DimensionMismatch("coefficient counts differ")
-    for row in pair_rows:
-        if len(row) != len(phi):
-            raise DimensionMismatch("pair row width differs from multiplier width")
-    return tuple(j + vec_dot(phi, row) for j, row in zip(base_coeffs, pair_rows))
-
-
-# --- series diagnostics (float-only) ---
-
-def _trapezoid(t: Sequence[float], y: Sequence[float]) -> float:
-    total = 0.0
-    for a, b, ya, yb in zip(t, t[1:], y, y[1:]):
-        total += (b - a) * (ya + yb) / 2.0
-    return total
-
-
-def _finite_floats(values: Sequence, message: str) -> list:
-    """The values as floats; BadGrid(message) if one is not finite as a float."""
-    try:
-        xs = [float(v) for v in values]
-    except OverflowError:  # an integer beyond the float range
-        raise BadGrid(message)
-    if not all(isfinite(x) for x in xs):
-        raise BadGrid(message)
-    return xs
-
-
-def _check_grid(t: Sequence[float], y: Sequence[float]) -> tuple:
-    """The grid as finite floats with strictly increasing times."""
-    if len(t) < 2 or len(t) != len(y):
-        raise BadGrid("grid needs matching t/y samples, at least two")
-    t = _finite_floats(t, "grid samples must be finite")
-    y = _finite_floats(y, "grid samples must be finite")
-    for a, b in zip(t, t[1:]):
-        if not b > a:
-            raise BadGrid("grid times must strictly increase")
-    return t, y
-
-
-def _classify(values: Sequence[float]) -> str:
-    streak = 0
-    for prev, cur in zip(values, values[1:]):
-        grew = cur >= GROWTH_FACTOR * prev if prev > 0 else cur > prev
-        streak = streak + 1 if grew else 0
-        if streak >= RUN_LENGTH:
-            return "divergent"
-    if len(values) >= 2:
-        if abs(values[-1] - values[-2]) <= STABLE_REL_TOL * max(1.0, abs(values[-1])):
-            return "finite"
-    return "inconclusive"
-
-
-def series_diagnostics(levels: Optional[Sequence[dict]] = None,
-                       jumps: Optional[Sequence[float]] = None) -> dict:
-    """Classify an integral refinement sequence and/or a jump series.
-
-    levels is a list of {"t": [...], "y": [...]} grids sampling the
-    integrand on successive refinements; jumps is the raw jump sequence
-    x_j, accumulated as partial sums of (x_j / (1 + x_j))^2 along dyadic
-    prefixes.  Each part is classified divergent (values keep growing by
-    GROWTH_FACTOR over RUN_LENGTH successive steps), finite (last step
-    stabilized within STABLE_REL_TOL), or inconclusive; the combined
-    verdict is divergent if any part is, finite if all parts are.
-    """
-    if not levels and not jumps:
-        raise BadGrid("nothing to diagnose")
-    report: dict = {}
-    verdicts = []
-    if levels:
-        values = []
-        for grid in levels:
-            t, y = grid.get("t"), grid.get("y")
-            if t is None or y is None:
-                raise BadGrid("each level needs t and y")
-            values.append(_trapezoid(*_check_grid(t, y)))
-        verdict = _classify(values)
-        report["integral"] = {"values": values, "verdict": verdict}
-        verdicts.append(verdict)
-    if jumps:
-        message = "jump values must be finite with 1 + x nonzero"
-        xs = _finite_floats(jumps, message)
-        if any(1.0 + x == 0.0 for x in xs):
-            raise BadGrid(message)
-        terms = [(x / (1.0 + x)) ** 2 for x in xs]
-        sums, acc = [], 0.0
-        marks = set()
-        m = 1
-        while m < len(terms):
-            marks.add(m)
-            m *= 2
-        marks.add(len(terms))
-        for j, term in enumerate(terms, start=1):
-            acc += term
-            if j in marks:
-                sums.append(acc)
-        verdict = _classify(sums)
-        report["jump_series"] = {"values": sums, "verdict": verdict}
-        verdicts.append(verdict)
-    if "divergent" in verdicts:
-        combined = "divergent"
-    elif verdicts and all(v == "finite" for v in verdicts):
-        combined = "finite"
-    else:
-        combined = "inconclusive"
-    report["verdict"] = combined
-    return report

@@ -511,7 +511,7 @@ def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
     d_vals = (ZERO,) * len(kids) if D is None else tuple(d for (d,) in D.child_jumps(k, kids))
     return AccessibleEventData(p=p[:len(kids)], pbar=pbar[:len(kids)],
                                n_vals=tuple(rep.W.child_jumps(k, kids)), d_vals=d_vals,
-                               phi=factors.phi.at(min(cblk), k), weight=Q(1, 2 ** k))
+                               phi=factors.phi.at(min(cblk), k))
 
 
 def random_accessible_instance(rng: random.Random) -> dict:

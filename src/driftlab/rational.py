@@ -5,8 +5,7 @@
 fast paths for the operations the engine uses on two rationals or on a
 rational and an int.  The backend is chosen in this module only, and a
 benchmark's detail line names it as `gmpy2.mpq` or
-`driftlab.rational.Rational`.  Everything in the engine except the
-float-only series diagnostics goes through `Q`.
+`driftlab.rational.Rational`.  Every number in the engine is a `Q`.
 
 `Rational` equals, hashes and orders exactly as `fractions.Fraction` does
 on the same value, and so as an int on an integral value: sets and dicts

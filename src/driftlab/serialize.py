@@ -2,11 +2,11 @@
 
 Rationals travel as "p/q" strings, never as floats; block structures as
 sorted index lists.  Every input schema lives here, with one loader per
-document kind: `load_instance`, `load_basis`, `load_kernel_event` and
-`load_series`.  Loaders raise SchemaError on any malformed document so the
-CLI can map them to its schema exit code, and InvalidDocument on one that
-parses but breaks a structural invariant.  Dumps are canonical (sorted
-keys, fixed separators, trailing newline) to keep reports byte-deterministic.
+document kind: `load_instance`, `load_basis` and `load_kernel_event`.
+Loaders raise SchemaError on any malformed document so the CLI can map
+them to its schema exit code, and InvalidDocument on one that parses but
+breaks a structural invariant.  Dumps are canonical (sorted keys, fixed
+separators, trailing newline) to keep reports byte-deterministic.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def process_from_json(doc: dict, n: Optional[int] = None,
     return Process(dim, tuple(rows))
 
 
-# --- kernel events and series ---
+# --- kernel events ---
 
 def _rat_vec(raw, label: str) -> tuple:
     if not isinstance(raw, list):
@@ -264,16 +264,14 @@ def _rat_mat(raw, label: str) -> tuple:
 
 
 # Kernel-event fields per kind, in reading order, with their reader; a
-# field missing from the document reads as None, except a default here.
+# field missing from the document reads as None.
 _KERNEL_FIELDS = {
     "accessible": (("p", _rat_vec), ("pbar", _rat_vec), ("n_vals", _rat_mat),
-                   ("d_vals", _rat_vec), ("phi", _rat_vec), ("weight", lambda raw, _: _rat(raw))),
+                   ("d_vals", _rat_vec), ("phi", _rat_vec)),
     "inaccessible": (("q", _rat_vec), ("qbar", _rat_vec), ("jump_scale", _rat_vec),
                      ("base_coeff", _rat_vec), ("pair_rows", _rat_mat),
                      ("drive_mean", _rat_vec), ("phi", _rat_vec)),
-    "continuous": (("base_coeff", _rat_vec), ("pair_rows", _rat_mat), ("phi", _rat_vec)),
 }
-_KERNEL_DEFAULTS = {"weight": "1/1"}
 
 
 def load_kernel_event(doc: dict) -> tuple:
@@ -281,28 +279,8 @@ def load_kernel_event(doc: dict) -> tuple:
     for kind, fields in _KERNEL_FIELDS.items():
         if kind in doc:
             raw = _get(doc, kind, dict)
-            return kind, {name: read(raw.get(name, _KERNEL_DEFAULTS.get(name)), name)
-                          for name, read in fields}
-    raise SchemaError("kernel-eval input needs 'accessible', 'inaccessible', or 'continuous'")
-
-
-def _is_numbers(raw) -> bool:
-    """A JSON list of numbers (a bool is not one)."""
-    return isinstance(raw, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-
-
-def load_series(doc: dict) -> tuple:
-    """A diagnose-series document: its optional (levels, jumps), each None when absent."""
-    levels = doc.get("levels")
-    jumps = doc.get("jumps")
-    if levels is not None and not (isinstance(levels, list) and all(
-            isinstance(g, dict) and _is_numbers(g.get("t")) and _is_numbers(g.get("y"))
-            for g in levels)):
-        raise SchemaError("'levels' must be a list of {t, y} grids of numbers")
-    if jumps is not None and not _is_numbers(jumps):
-        raise SchemaError("'jumps' must be a list of numbers")
-    return levels, jumps
+            return kind, {name: read(raw.get(name), name) for name, read in fields}
+    raise SchemaError("kernel-eval input needs 'accessible' or 'inaccessible'")
 
 
 # --- reports ---

@@ -1,9 +1,8 @@
 """Acceptance suite: every advertised guarantee at its advertised scale.
 
-All checks are exact rational equalities, with one deliberate exception:
-the float-based series diagnostics, whose tolerance is stated inline.
-Instance counts match the package's published claims; loops run over
-fixed seed ranges so failures reproduce verbatim.
+All checks are exact rational equalities.  Instance counts match the
+package's published claims; loops run over fixed seed ranges so failures
+reproduce verbatim.
 """
 
 import os
@@ -23,7 +22,6 @@ from driftlab.enlargement import (EnlargedBasis, check_condition_support, solve_
 from driftlab.event_kernels import (
     quotient_identity_holds,
     reduced_equation_holds,
-    series_diagnostics,
     validate_inaccessible,
 )
 from driftlab.models import (
@@ -304,24 +302,6 @@ def test_inaccessible_kernel_identities_bulk():
         for k in range(len(data.q)):
             assert reduced_equation_holds(data, k), seed
             assert quotient_identity_holds(data, k), seed
-
-
-def test_series_diagnostics_sanity():
-    """Approximate by design: the two canonical integrals classify
-    correctly within four dyadic refinements of the sampling grid."""
-    blowup, flat = [], []
-    for m in range(1, 6):
-        top = 1.0 - 2.0 ** (-m)
-        npts = 2 ** (m + 2) + 1
-        t = [top * j / (npts - 1) for j in range(npts)]
-        blowup.append({"t": t, "y": [1.0 / (1.0 - v) ** 2 for v in t]})
-        npts = 2 ** m + 1
-        u = [j / (npts - 1) for j in range(npts)]
-        flat.append({"t": u, "y": [1.0] * npts})
-    assert series_diagnostics(levels=blowup)["verdict"] == "divergent"
-    report = series_diagnostics(levels=flat)
-    assert report["verdict"] == "finite"
-    assert abs(report["integral"]["values"][-1] - 1.0) <= 1e-6
 
 
 def test_reports_are_byte_deterministic():

@@ -12,7 +12,6 @@ from driftlab.basis import (
     StoppingTime,
     alive_atoms,
     atom_split,
-    classify_stopping_time,
     cond_expect,
     cond_prob,
     is_stopping_time,
@@ -164,12 +163,8 @@ def test_stopping_time_classification():
                       ((coarse, coarse), (fine, fine)))
     hit = StoppingTime((1, 1, 2, 2))
     assert is_stopping_time(filt, hit)
-    # level sets are known one tick ahead, hence predictable
-    assert classify_stopping_time(filt, hit) == "predictable"
     late = StoppingTime((2, 1, 2, 2))
     assert not is_stopping_time(filt, late)
-    with pytest.raises(NotAStoppingTime):
-        classify_stopping_time(filt, late)
 
 
 def test_stopping_time_accessible_case():
@@ -181,9 +176,9 @@ def test_stopping_time_accessible_case():
     # {T = 0} = {b} needs at(0) knowledge finer than the initial partition
     assert not is_stopping_time(filt, t)
     u = StoppingTime((1, 1, 1, 1))
-    assert classify_stopping_time(filt, u) == "predictable"
+    assert is_stopping_time(filt, u)
     v = StoppingTime((0, 0, 0, 0))
-    assert classify_stopping_time(filt, v) == "predictable"
+    assert is_stopping_time(filt, v)
 
 
 def test_alive_block_refuses_a_straddling_atom():

@@ -1,6 +1,8 @@
+import argparse
 import ast
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -102,7 +104,6 @@ def test_deeply_nested_json_is_a_schema_error(tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["validate", "--horizon", "7"],
     ["kernel-eval", "--horizon", "1"],
-    ["diagnose-series", "--horizon", "1"],
     ["generate", "--horizon", "2"],
     ["verify-theorems", "--horizon", "2"],
     ["generate", "--input", "/nonexistent"],
@@ -336,7 +337,6 @@ def test_kernel_eval_accessible(tmp_path):
         "n_vals": [["1/1"], ["-1/1"]],
         "d_vals": ["0/1", "0/1"],
         "phi": ["1/2"],
-        "weight": "1/1",
     }}
     inp = write(tmp_path / "k.json", doc)
     out = tmp_path / "r.json"
@@ -353,7 +353,6 @@ def test_kernel_eval_rejects_tampered_data(tmp_path):
         "n_vals": [["1/1"], ["-1/1"]],
         "d_vals": ["0/1", "0/1"],
         "phi": ["1/2"],
-        "weight": "1/1",
     }}
     inp = write(tmp_path / "k.json", doc)
     out = tmp_path / "r.json"
@@ -362,59 +361,42 @@ def test_kernel_eval_rejects_tampered_data(tmp_path):
     assert rep["error"] == "DATA_INVARIANT_VIOLATED"
 
 
-def test_kernel_eval_continuous(tmp_path):
-    doc = {"continuous": {
-        "base_coeff": ["1/1", "2/1"],
-        "pair_rows": [["1/1", "0/1"], ["0/1", "3/1"]],
-        "phi": ["1/2", "1/3"],
-    }}
-    inp = write(tmp_path / "c.json", doc)
+def test_removed_series_inputs_are_refused_and_weight_is_ignored(tmp_path):
+    """No command diagnoses series, no kernel kind is `continuous`, no kernel reads `weight`.
+
+    The argument parser refuses `diagnose-series`, the kernel loader refuses
+    a `continuous` event, and an accessible event's `weight` is ignored like
+    any other unknown field.
+    """
+    series = write(tmp_path / "s.json", {"jumps": [0.5, 0.25]})
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose-series", "--input", series])
+    assert exc.value.code == 2
     out = tmp_path / "r.json"
-    assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 0
-    rep = read(out)
-    assert [rat(v) for v in rep["values"]] == [Q(3, 2), Q(3)]
-
-
-def test_diagnose_series(tmp_path):
-    levels = []
-    for m in range(1, 6):
-        top = 1.0 - 2.0 ** (-m)
-        npts = 2 ** (m + 2) + 1
-        t = [top * j / (npts - 1) for j in range(npts)]
-        levels.append({"t": t, "y": [1.0 / (1.0 - v) ** 2 for v in t]})
-    inp = write(tmp_path / "s.json", {"levels": levels})
-    out = tmp_path / "r.json"
-    assert main(["diagnose-series", "--input", inp, "--output", str(out)]) == 0
-    rep = read(out)
-    assert rep["approximate"] is True
-    assert rep["verdict"] == "divergent"
-
-
-@pytest.mark.parametrize("doc", [
-    {"levels": ["x"]},
-    {"jumps": ["x"]},
-    {"jumps": [[1]]},
-    {"levels": [{"t": ["a", "b"], "y": [1, 2]}]},
-    {"jumps": [True, False]},
-], ids=["level-string", "jump-string", "jump-list", "level-string-times", "jump-bools"])
-def test_diagnose_series_rejects_non_numbers(tmp_path, doc):
-    inp = write(tmp_path / "s.json", doc)
-    out = tmp_path / "r.json"
-    assert main(["diagnose-series", "--input", inp, "--output", str(out)]) == 2
+    continuous = write(tmp_path / "c.json", {"continuous": {
+        "base_coeff": ["1/1"], "pair_rows": [["1/1"]], "phi": ["1/2"]}})
+    assert main(["kernel-eval", "--input", continuous, "--output", str(out)]) == 2
     assert read(out)["error"] == "SCHEMA_ERROR"
+    event = {"p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"], "n_vals": [["1/1"], ["-1/1"]],
+             "d_vals": ["0/1", "0/1"], "phi": ["1/2"]}
+    reports = []
+    for name, doc in (("plain", event), ("weighted", {**event, "weight": "0/1"})):
+        inp = write(tmp_path / f"{name}.json", {"accessible": doc})
+        assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert [rat(v) for v in json.loads(reports[1])["values"]] == [Q(1, 3), Q(-1)]
 
 
-@pytest.mark.parametrize("doc", [
-    {"jumps": [10 ** 400]},
-    {"jumps": [-1]},
-    {"levels": [{"t": [0], "y": [1]}]},
-    {"levels": [{"t": [0, 10 ** 400], "y": [1, 2]}]},
-], ids=["jump-beyond-float", "jump-minus-one", "one-sample", "time-beyond-float"])
-def test_diagnose_series_refuses_unusable_numbers(tmp_path, doc):
-    inp = write(tmp_path / "s.json", doc)
-    out = tmp_path / "r.json"
-    assert main(["diagnose-series", "--input", inp, "--output", str(out)]) == 3
-    assert read(out)["error"] == "BAD_GRID"
+def test_readme_command_table_matches_the_parser():
+    """README's command table lists exactly the subcommands the parser registers."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("\n| command", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([a-z-]+)`", table, flags=re.MULTILINE)
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
 
 
 json_values = st.recursive(
@@ -422,20 +404,6 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
                                                                 max_size=3),
     max_leaves=12)
-numbers = st.lists(st.integers() | st.floats(), max_size=5)
-grids = st.lists(st.fixed_dictionaries({"t": numbers, "y": numbers}), max_size=3)
-
-
-@given(levels=json_values | grids, jumps=json_values | numbers)
-def test_diagnose_series_never_raises(levels, jumps):
-    """Any JSON under 'levels' and 'jumps' gives exit 0, 2 or 3 and a report."""
-    with tempfile.TemporaryDirectory() as tmp:
-        inp = write(Path(tmp) / "s.json", {"levels": levels, "jumps": jumps})
-        out = Path(tmp) / "r.json"
-        code = main(["diagnose-series", "--input", inp, "--output", str(out)])
-        assert code in (0, 2, 3)
-        rep = read(out)
-        assert ("error" in rep) == (code != 0)
 
 
 def _valid_documents():
@@ -454,9 +422,7 @@ def _valid_documents():
         "kernel-eval": {"accessible": {
             "p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"],
             "n_vals": [["1/1"], ["-1/1"]], "d_vals": ["0/1", "0/1"],
-            "phi": ["1/2"], "weight": "1/1"}},
-        "diagnose-series": {"levels": [{"t": [0, 0.5, 1], "y": [1, 2, 3]}],
-                            "jumps": [0.5, 0.25, 0.125]},
+            "phi": ["1/2"]}},
     }
 
 

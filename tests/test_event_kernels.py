@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.errors import BadGrid, DataInvariantViolated, ZeroProbabilityBranch
+from driftlab.errors import DataInvariantViolated, ZeroProbabilityBranch
 from driftlab.event_kernels import (
     AccessibleEventData,
     accessible_jump_value,
-    continuous_part_integrand,
     inaccessible_jump_value,
     quotient_identity_holds,
     reduced_equation_holds,
-    series_diagnostics,
     validate_accessible,
     validate_inaccessible,
 )
@@ -27,7 +25,6 @@ def accessible_golden():
         n_vals=((Q(1),), (Q(-1),)),
         d_vals=(ZERO, ZERO),
         phi=(Q(1, 2),),
-        weight=ONE,
     )
 
 
@@ -41,7 +38,7 @@ def test_accessible_golden_values():
 def test_accessible_rejects_broken_tilt():
     data = accessible_golden()
     bad = AccessibleEventData(data.p, (Q(1, 4), Q(3, 4)), data.n_vals,
-                              data.d_vals, data.phi, data.weight)
+                              data.d_vals, data.phi)
     with pytest.raises(DataInvariantViolated):
         validate_accessible(bad)
 
@@ -53,7 +50,6 @@ def test_accessible_zero_probability_branch():
         n_vals=((ZERO,), (ZERO,)),
         d_vals=(ZERO, ZERO),
         phi=(Q(1, 2),),
-        weight=ONE,
     )
     validate_accessible(data)
     with pytest.raises(ZeroProbabilityBranch):
@@ -87,58 +83,3 @@ def test_inaccessible_rejects_tampered_multiplier():
     bad = replace(data, phi=tuple(scale * v for v in data.phi))
     with pytest.raises(DataInvariantViolated):
         validate_inaccessible(bad)
-
-
-def test_continuous_integrand_golden():
-    got = continuous_part_integrand(
-        base_coeffs=(Q(1), Q(2)),
-        pair_rows=((Q(1), ZERO), (ZERO, Q(3))),
-        phi=(Q(1, 2), Q(1, 3)),
-    )
-    assert got == (Q(3, 2), Q(3))
-
-
-def _divergent_levels(count):
-    levels = []
-    for m in range(1, count + 1):
-        top = 1.0 - 2.0 ** (-m)
-        npts = 2 ** (m + 2) + 1
-        t = [top * j / (npts - 1) for j in range(npts)]
-        levels.append({"t": t, "y": [1.0 / (1.0 - v) ** 2 for v in t]})
-    return levels
-
-
-def _flat_levels(count):
-    levels = []
-    for m in range(1, count + 1):
-        npts = 2 ** m + 1
-        t = [j / (npts - 1) for j in range(npts)]
-        levels.append({"t": t, "y": [1.0] * npts})
-    return levels
-
-
-def test_diagnostics_divergent_integral():
-    report = series_diagnostics(levels=_divergent_levels(5))
-    assert report["verdict"] == "divergent"
-
-
-def test_diagnostics_finite_integral():
-    report = series_diagnostics(levels=_flat_levels(5))
-    assert report["verdict"] == "finite"
-    assert abs(report["integral"]["values"][-1] - 1.0) <= 1e-6
-
-
-def test_diagnostics_jump_series():
-    growing = series_diagnostics(jumps=[1.0] * 64)
-    assert growing["jump_series"]["verdict"] == "divergent"
-    fading = series_diagnostics(jumps=[2.0 ** -j for j in range(1, 40)])
-    assert fading["jump_series"]["verdict"] == "finite"
-
-
-def test_diagnostics_bad_grid():
-    with pytest.raises(BadGrid):
-        series_diagnostics(levels=[{"t": [0.0], "y": [1.0]}])
-    with pytest.raises(BadGrid):
-        series_diagnostics()
-    with pytest.raises(BadGrid):
-        series_diagnostics(jumps=[-1.0])

@@ -157,6 +157,26 @@ def test_package_has_no_assert():
     assert asserts == []
 
 
+def test_package_computes_without_floats():
+    """No package module calls `float` or `math.isfinite`; float literals are draw odds.
+
+    Every number the engine computes with is a `Q`.  Float literals appear
+    only in `models` and `verify`, as the probabilities of random draws.
+    """
+    calls, literals = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("float", "isfinite"):
+                    calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                literals.add(path.name)
+    assert calls == []
+    assert literals <= {"models.py", "verify.py"}
+
+
 def test_alive_atoms_is_the_only_alive_walk():
     """`.alive_block(` is called only by `basis.alive_atoms` and `oracle._build_lp`.
 
