@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 # InternalInvariant is re-exported for the oracle, whose only engine imports
 # are basis, linfeas and rational.
 from .errors import DimensionMismatch, InternalInvariant, NotAStoppingTime  # noqa: F401
-from .rational import ONE, ZERO, Q, rat
+from .rational import ONE, ZERO, Q, _dot, rat
 
 
 def _as_blocks(blocks: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
@@ -224,8 +224,11 @@ class Process:
         """Increment at tick k; zero vector at k = 0 by convention."""
         if k == 0:
             return (ZERO,) * self.dim
-        prev, cur = self.values[i][k - 1], self.values[i][k]
-        return tuple(c - p for c, p in zip(cur, prev))
+        row = self.values[i]
+        prev, cur = row[k - 1], row[k]
+        if len(cur) == 1:
+            return (cur[0] - prev[0],)
+        return tuple(map(operator.sub, cur, prev))
 
     def child_jumps(self, k: int, kids: Sequence[frozenset[int]]) -> list[tuple[Q, ...]]:
         """The jump at tick k on each child, read at its smallest outcome (X adapted)."""
@@ -253,7 +256,8 @@ class Process:
         return self._elementwise(other, operator.sub)
 
     def __neg__(self) -> "Process":
-        return self.scale(Q(-1))
+        return Process(self.dim, tuple(
+            tuple(tuple(-a for a in x) for x in row) for row in self.values))
 
     def scale(self, q: Q) -> "Process":
         return Process(self.dim, tuple(
@@ -423,7 +427,7 @@ def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -
     out: list[Q] = [ZERO] * space.n
     for b in partition.blocks:
         mass = space.mass(b)
-        avg = sum((space.prob[i] * values[i] for i in b), ZERO) / mass
+        avg = _dot([space.prob[i] for i in b], [values[i] for i in b]) / mass
         for i in b:
             out[i] = avg
     return tuple(out)

@@ -11,13 +11,12 @@ every conditional jump mean in the engine is one per-child sum, jump_mean.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
 from .errors import DimensionMismatch, NotAdapted, NotPredictable
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO, Q, _dot
 
 
 def is_adapted(filt: Filtration, X: Process) -> bool:
@@ -44,7 +43,7 @@ def _require_adapted(filt: Filtration, X: Process) -> None:
 
 def jump_mean(weights: Sequence[Q], jumps: Sequence[tuple[Q, ...]]) -> tuple[Q, ...]:
     """sum_h weights_h * jumps_h per component, over one atom's children."""
-    return tuple([sum(map(operator.mul, weights, col), ZERO) for col in zip(*jumps)])
+    return tuple([_dot(weights, col) for col in zip(*jumps)])
 
 
 def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
@@ -125,7 +124,7 @@ def stoch_integral(filt: Filtration, H: Process, X: Process) -> Process:
         raise NotPredictable()
     return Process.from_jumps(
         X.n, X.ticks,
-        lambda i, k: sum((a * b for a, b in zip(H.at(i, k), X.jump(i, k))), ZERO))
+        lambda i, k: _dot(H.at(i, k), X.jump(i, k)))
 
 
 def doleans_exp(X: Process) -> Process:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .rational import ZERO, Q
+from .rational import ZERO, Q, _dot
 
 
 def vec_dot(a: Sequence[Q], b: Sequence[Q]) -> Q:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return _dot(a, b)
 
 
 def solve_linear(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]]:

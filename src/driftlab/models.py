@@ -26,7 +26,7 @@ from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
 from .event_kernels import AccessibleEventData, InaccessibleEventData
 from .linalg import vec_dot
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO, Q, _dot
 from .representation import RepresentationProcess, build_representation
 
 
@@ -122,7 +122,7 @@ def _martingale_jumps(rng: random.Random, space: SampleSpace, filt: Filtration,
     for k, b in alive_atoms(filt):
         kids, p = atom_split(space, filt, k, b)
         raw = [_rand_q(rng) for _ in kids]
-        mean = sum((ph * r for ph, r in zip(p, raw)), ZERO)
+        mean = _dot(p, raw)
         cent = [r - mean for r in raw]
         if cap is not None:
             peak = max((abs(v) for v in cent), default=ZERO)

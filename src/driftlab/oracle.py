@@ -68,15 +68,21 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     columns = _z_columns(filt, horizon, var_index)
     nz = len(var_index)
     prob, values = space.prob, S.values
+    # carried[c][i] = prob_i * S_{k-1}(i)[c], as the rows at tick k - 1 formed
+    # it: ticks ascend, and an outcome alive at k >= 2 was alive at k - 1, so
+    # each product is formed once per (outcome, tick, component).
+    carried = [[None] * space.n for _ in range(S.dim)]
     A_eq, b_eq = [], []
     for k, b in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
             acc = {}
             rhs = ZERO
+            carry = carried[comp - 1] if comp else None
             for i in b:
                 if comp:
                     w_now = prob[i] * values[i][k][comp - 1]
-                    w_prev = prob[i] * values[i][k - 1][comp - 1]
+                    w_prev = carry[i] if k > 1 else prob[i] * values[i][0][comp - 1]
+                    carry[i] = w_now
                 else:
                     w_now = w_prev = prob[i]
                 col = columns[i][k]  # i is alive at k, so Z_k has a column

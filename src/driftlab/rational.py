@@ -3,9 +3,15 @@
 `Q` is gmpy2's `mpq` when gmpy2 is installed.  Without it, `Q` is
 `Rational`, defined here: an exact rational held in lowest terms, with
 fast paths for the operations the engine uses on two rationals or on a
-rational and an int.  The backend is chosen in this module only, and a
-benchmark's detail line names it as `gmpy2.mpq` or
+rational and an int.  Addition, subtraction and multiplication compute in
+the operator's own frame, with no helper call.  The backend is chosen in
+this module only, and a benchmark's detail line names it as `gmpy2.mpq` or
 `driftlab.rational.Rational`.  Every number in the engine is a `Q`.
+
+Sums of products (dot products, conditional jump means) go through
+`_dot`, chosen with the backend: for `Rational` it adds the unreduced
+products over the running lcm of their denominators and reduces the total
+once; for `mpq` it is the plain sum of products.
 
 `Rational` equals, hashes and orders exactly as `fractions.Fraction` does
 on the same value, and so as an int on an integral value: sets and dicts
@@ -21,6 +27,7 @@ import numbers
 import re
 import sys
 from math import gcd
+from operator import mul
 
 
 class Rational:
@@ -119,9 +126,42 @@ class Rational:
     def __abs__(a):
         return a if a.numerator >= 0 else _make(-a.numerator, a.denominator)
 
+    # __add__, __sub__ and __mul__ compute in their own frame, with no helper
+    # call: they are the engine's hottest calls, and a second Python frame
+    # was a large share of each one's cost.
+
     def __add__(a, b):
         if type(b) is Rational:
-            return _add(a.numerator, a.denominator, b.numerator, b.denominator)
+            # Henrici: with g = gcd(da, db), the numerator t = na*(db/g) +
+            # nb*(da/g) can share a factor with the denominator only through
+            # g, so one gcd of t with g reduces the sum.
+            na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+            if not nb:
+                return a
+            if not na:
+                return b
+            q = _new(Rational)
+            if da == db:
+                t = na + nb
+                g = gcd(t, da)
+                q.numerator = t // g
+                q.denominator = da // g
+                return q
+            g = gcd(da, db)
+            if g == 1:
+                q.numerator = na * db + da * nb
+                q.denominator = da * db
+                return q
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = gcd(t, g)
+            if g2 == 1:
+                q.numerator = t
+                q.denominator = s * db
+            else:
+                q.numerator = t // g2
+                q.denominator = s * (db // g2)
+            return q
         if isinstance(b, int):
             return _make(a.numerator + b * a.denominator, a.denominator)
         return NotImplemented
@@ -130,7 +170,36 @@ class Rational:
 
     def __sub__(a, b):
         if type(b) is Rational:
-            return _add(a.numerator, a.denominator, -b.numerator, b.denominator)
+            # Henrici, as in __add__, with nb negated.
+            na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+            if not nb:
+                return a
+            q = _new(Rational)
+            if not na:
+                q.numerator = -nb
+                q.denominator = db
+                return q
+            if da == db:
+                t = na - nb
+                g = gcd(t, da)
+                q.numerator = t // g
+                q.denominator = da // g
+                return q
+            g = gcd(da, db)
+            if g == 1:
+                q.numerator = na * db - da * nb
+                q.denominator = da * db
+                return q
+            s = da // g
+            t = na * (db // g) - nb * s
+            g2 = gcd(t, g)
+            if g2 == 1:
+                q.numerator = t
+                q.denominator = s * db
+            else:
+                q.numerator = t // g2
+                q.denominator = s * (db // g2)
+            return q
         if isinstance(b, int):
             return _make(a.numerator - b * a.denominator, a.denominator)
         return NotImplemented
@@ -142,7 +211,25 @@ class Rational:
 
     def __mul__(a, b):
         if type(b) is Rational:
-            return _mul(a.numerator, a.denominator, b.numerator, b.denominator)
+            # Cross-cancelling na with db and nb with da leaves the product
+            # in lowest terms; both denominators are positive.
+            na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+            if not na:
+                return a
+            if not nb:
+                return b
+            g = gcd(na, db)
+            if g > 1:
+                na //= g
+                db //= g
+            g = gcd(nb, da)
+            if g > 1:
+                nb //= g
+                da //= g
+            q = _new(Rational)
+            q.numerator = na * nb
+            q.denominator = da * db
+            return q
         if isinstance(b, int):
             g = gcd(b, a.denominator)
             return _make(a.numerator * (b // g), a.denominator // g)
@@ -199,31 +286,6 @@ def _make(n: int, d: int) -> Rational:
     return q
 
 
-def _add(na: int, da: int, nb: int, db: int) -> Rational:
-    """na/da + nb/db for two reduced fractions (Henrici's method).
-
-    With g = gcd(da, db), the sum's numerator t = na*(db/g) + nb*(da/g)
-    can share a factor with the denominator only through g, so one gcd
-    of t with g reduces it.
-    """
-    q = _new(Rational)
-    g = gcd(da, db)
-    if g == 1:
-        q.numerator = na * db + da * nb
-        q.denominator = da * db
-        return q
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        q.numerator = t
-        q.denominator = s * db
-    else:
-        q.numerator = t // g2
-        q.denominator = s * (db // g2)
-    return q
-
-
 def _mul(na: int, da: int, nb: int, db: int) -> Rational:
     """(na/da) * (nb/db) for coprime pairs (na, da) and (nb, db), da > 0, db != 0.
 
@@ -248,10 +310,47 @@ def _mul(na: int, da: int, nb: int, db: int) -> Rational:
     return q
 
 
+def _dot(xs, ys) -> Rational:
+    """sum(x * y for x, y in zip(xs, ys)) for rationals, ints and bools, reduced once.
+
+    The products are added unreduced into one fraction over the running
+    lcm of their denominators, zero products are skipped, and only the
+    total is brought to lowest terms: one gcd per term and one at the end,
+    where adding reduced products costs up to four per term.
+    """
+    n, d = 0, 1
+    for x, y in zip(xs, ys):
+        xn = x.numerator
+        if not xn:
+            continue
+        yn = y.numerator
+        if not yn:
+            continue
+        pd = x.denominator * y.denominator
+        if pd == d:
+            n += xn * yn
+            continue
+        g = gcd(d, pd)
+        if g == 1:
+            n = n * pd + xn * yn * d
+            d *= pd
+        else:
+            s = pd // g
+            n = n * s + xn * yn * (d // g)
+            d *= s
+    g = gcd(n, d)
+    if g == 1:
+        return _make(n, d)
+    return _make(n // g, d // g)
+
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Q = Rational
+else:  # pragma: no cover - exercised only with gmpy2
+    def _dot(xs, ys):
+        return sum(map(mul, xs, ys), Q(0))
 
 ZERO = Q(0)
 ONE = Q(1)

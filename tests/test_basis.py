@@ -219,6 +219,22 @@ def test_process_arithmetic():
     assert X.scale(Q(-2)).at(0, 1) == (Q(-4),)
 
 
+@given(st.integers(min_value=0, max_value=200))
+def test_negation_is_scaling_by_minus_one(seed):
+    rng = random.Random(f"neg:{seed}")
+    space, filt = gen_single_filtration(rng, rng.randint(2, 6), rng.randint(1, 3), 3)
+
+    def fields(P):
+        return [[[(type(a), a.numerator, a.denominator) for a in x] for x in row]
+                for row in P.values]
+
+    for dim in (1, 2):
+        X = random_adapted(rng, space, filt, dim=dim)
+        neg, ref = -X, X.scale(Q(-1))
+        assert neg.dim == ref.dim == dim
+        assert fields(neg) == fields(ref)
+
+
 def test_process_arithmetic_refuses_differing_shapes():
     """`+` and `-` raise on a differing outcome or tick count; they do not truncate."""
     X = Process.from_scalar_paths([[1, 2], [3, 4]])

@@ -1,3 +1,4 @@
+import operator
 import random
 
 from hypothesis import given, settings
@@ -13,12 +14,14 @@ from driftlab.calculus import (
     is_adapted,
     is_martingale,
     is_predictable,
+    jump_mean,
     martingale_violation,
     pointwise_mul,
     stoch_integral,
     stop,
 )
 from driftlab.errors import NotAdapted
+from driftlab.linalg import vec_dot
 from driftlab.models import (
     gen_single_filtration,
     random_adapted,
@@ -218,3 +221,46 @@ def test_atom_wise_calculus_matches_the_per_outcome_reference(seed):
         result_or_refusal(reference_martingale_violation, sp, filt, X, horizon)
     assert result_or_refusal(compensator, sp, filt, X) == \
         result_or_refusal(reference_compensator, sp, filt, X)
+
+
+# The dot-product kernel behind vec_dot and jump_mean, and Process.jump,
+# against the plain formulas they replace.
+
+def fields(x):
+    return (type(x), x.numerator, x.denominator)
+
+
+rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
+
+
+@given(st.lists(st.tuples(rationals, rationals), max_size=12))
+def test_vec_dot_is_the_sum_of_products(terms):
+    a = [x for x, _ in terms]
+    b = [y for _, y in terms]
+    assert fields(vec_dot(a, b)) == fields(sum((x * y for x, y in zip(a, b)), ZERO))
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(rationals, st.lists(rationals, min_size=dim, max_size=dim).map(tuple)),
+    max_size=8)))
+def test_jump_mean_is_the_per_component_sum_of_products(children):
+    weights = [w for w, _ in children]
+    jumps = [j for _, j in children]
+    want = tuple(sum(map(operator.mul, weights, col), ZERO) for col in zip(*jumps))
+    got = jump_mean(weights, jumps)
+    assert type(got) is tuple
+    assert [fields(x) for x in got] == [fields(x) for x in want]
+
+
+@given(st.integers(min_value=0, max_value=300))
+def test_process_jump_is_the_componentwise_difference(seed):
+    rng, sp, filt = draw(seed, "jump")
+    for dim in (1, 2):
+        X = random_adapted(rng, sp, filt, dim=dim)
+        for i in range(X.n):
+            assert X.jump(i, 0) == (ZERO,) * dim
+            for k in range(1, X.ticks + 1):
+                want = tuple(c - p for c, p in zip(X.at(i, k), X.at(i, k - 1)))
+                got = X.jump(i, k)
+                assert type(got) is tuple
+                assert [fields(x) for x in got] == [fields(x) for x in want]

@@ -319,6 +319,38 @@ def test_children_have_one_home():
         {"enlargement._enlarged_jump_mean"}
 
 
+def sums_of_products(path):
+    """Lines calling `sum(` over a generator or list of products, or over `map(operator.mul, ...)`."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                and node.args):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            hit = isinstance(arg.elt, ast.BinOp) and isinstance(arg.elt.op, ast.Mult)
+        elif isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "map" and arg.args:
+            fn = arg.args[0]
+            hit = getattr(fn, "id", getattr(fn, "attr", None)) == "mul"
+        else:
+            hit = False
+        if hit:
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_sums_of_products_have_one_home():
+    """No package module but `rational` sums products itself.
+
+    Dot products and conditional jump means go through `rational._dot`,
+    which adds the products over one common denominator and reduces once;
+    `linalg.vec_dot` and `calculus.jump_mean` are thin names for it.
+    """
+    found = [site for path in package_modules() if path.stem != "rational"
+             for site in sums_of_products(path)]
+    assert found == []
+
+
 def test_rational_backend_is_chosen_in_one_place():
     """Only `rational` imports a number backend; every other module uses its `Q`."""
     backends = {"fractions", "gmpy2"}

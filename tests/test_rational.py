@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.rational import ONE, ZERO, Q, Rational, rat, rat_str
+from driftlab.rational import ONE, ZERO, Q, Rational, _dot, rat, rat_str
 
 MODULUS = sys.hash_info.modulus
 
@@ -113,6 +113,30 @@ def test_arithmetic_matches_fraction(a, b):
     for op in COMPARISONS:
         assert op(as_rational(a), as_rational(b)) == op(as_fraction(a), as_fraction(b)), \
             op.__name__
+
+
+@given(st.integers(), st.integers(), st.sampled_from([1, 2, 6, 12, MODULUS, 3 * MODULUS]))
+def test_shared_denominators_and_zero_operands_match_fraction(m, n, d):
+    """The operators' shortcuts: a zero operand, and two equal denominators."""
+    for a, b in (((m, d), (n, d)), ((0, 1), (n, d)), ((m, d), (0, 1)), ((0, 1), (0, 1))):
+        for op in ARITHMETIC:
+            assert outcome(op, Rational(*a), Rational(*b)) == \
+                outcome(op, Fraction(*a), Fraction(*b)), op.__name__
+
+
+# A dot product's terms: zero rationals, ints and bools among the operands.
+terms = st.tuples(st.one_of(operands, st.just((0, 1))), st.one_of(operands, st.just((0, 1))))
+
+
+@pytest.mark.skipif(Q is not Rational, reason="the gmpy2 backend's _dot is a plain mpq sum")
+@given(st.one_of(st.lists(terms, max_size=8), st.lists(terms, min_size=40, max_size=120)))
+def test_dot_matches_the_fraction_sum_of_products(products):
+    xs = [x for x, _ in products]
+    ys = [y for _, y in products]
+    got = _dot([as_rational(x) for x in xs], [as_rational(y) for y in ys])
+    want = sum(map(operator.mul, map(as_fraction, xs), map(as_fraction, ys)), Fraction(0))
+    assert type(got) is Rational
+    assert fields(got) == fields(want)
 
 
 @given(pairs, pairs)
