@@ -108,7 +108,8 @@ class Partition:
         return Partition(out)
 
     def is_measurable(self, values: Sequence) -> bool:
-        return all(len({values[i] for i in b}) == 1 for b in self.blocks)
+        firsts = [values[next(iter(b))] for b in self.blocks]
+        return all(values[i] == v for b, v in zip(self.blocks, firsts) for i in b)
 
     def event_measurable(self, event: frozenset[int]) -> bool:
         return all(b <= event or not (b & event) for b in self.blocks)

@@ -116,40 +116,77 @@ def _row_descriptors(filt: Filtration, dim: int, horizon: StoppingTime, z_atoms)
     return rows_eq, rows_ub
 
 
-def _deflator_from_solution(columns: list, x) -> Process:
-    """Z from the program's solution x, read through _build_lp's column table."""
-    return Process(1, tuple(tuple((ONE if col is None else x[col],) for col in row)
-                            for row in columns))
+def _no_deflator_certificate(filt: Filtration, dim: int, horizon: StoppingTime, lp: tuple,
+                             y_eq, y_ub, bound) -> Optional[dict]:
+    """The certificate formatted from y if linfeas's checkers accept it, else None.
+
+    y is checked over the rows of lp, _build_lp's output: as a Farkas vector
+    if bound is None, else as a bound certificate for gap <= bound <= 0.
+    """
+    c, A_eq, b_eq, A_ub, b_ub, _, z_atoms = lp
+    if len(y_eq) != len(A_eq) or len(y_ub) != len(A_ub):
+        return None
+    if bound is None and check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub):
+        cert = {"status": "no-deflator", "reason": "martingale-system-infeasible"}
+    elif bound is not None and bound <= ZERO and \
+            check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound):
+        cert = {"status": "no-deflator", "reason": "positivity-unreachable",
+                "gap_bound": rat_str(bound)}
+    else:
+        return None
+    cert["multipliers_eq"] = [rat_str(v) for v in y_eq]
+    cert["multipliers_ub"] = [rat_str(v) for v in y_ub]
+    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, dim, horizon, z_atoms)
+    return cert
 
 
 def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms = _build_lp(space, filt, S, horizon)
-    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+    lp = _build_lp(space, filt, S, horizon)
+    res = solve_lp(*lp[:5])
     if res.status == UNBOUNDED:  # impossible: the gap is capped
         raise InternalInvariant("gap program cannot be unbounded")
-    if res.status == INFEASIBLE:
-        if not check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub):
-            raise InternalInvariant("infeasibility certificate fails its recheck")
-        cert = {"status": "no-deflator", "reason": "martingale-system-infeasible"}
-    elif res.value <= ZERO:
-        if not check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, res.dual_eq, res.dual_ub,
-                                       res.value):
-            raise InternalInvariant("gap bound certificate fails its recheck")
-        cert = {"status": "no-deflator", "reason": "positivity-unreachable",
-                "gap_bound": rat_str(res.value)}
-    else:
-        Z = _deflator_from_solution(columns, res.x)
+    if res.status != INFEASIBLE and res.value > ZERO:
+        Z = Process(1, tuple(tuple((ONE if col is None else res.x[col],) for col in row)
+                             for row in lp[5]))  # Z through _build_lp's column table
         if not check_deflator(space, filt, S, Z, horizon):
             raise InternalInvariant("oracle deflator fails its recheck")
         cert = {"status": "deflator", "gap": rat_str(res.value)}
         return OracleResult(feasible=True, deflator=Z, gap=res.value, certificate=cert)
-    cert["multipliers_eq"] = [rat_str(v) for v in res.dual_eq]
-    cert["multipliers_ub"] = [rat_str(v) for v in res.dual_ub]
-    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, S.dim, horizon, z_atoms)
+    cert = _no_deflator_certificate(filt, S.dim, horizon, lp, res.dual_eq, res.dual_ub,
+                                    None if res.status == INFEASIBLE else res.value)
+    if cert is None:
+        raise InternalInvariant("no-deflator certificate fails its recheck")
     return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
+
+
+def arbitrage_certificate(space: SampleSpace, filt: Filtration, S: Process,
+                          horizon: StoppingTime, k: int, c: frozenset) -> dict:
+    """The no-deflator certificate, in closed form, of a scalar S null on c before k
+    that jumps by a_e < 0 on each child e of the pre(k)-atom c.
+
+    With a* = max_e a_e, multipliers -1 and 1/a* on (k, c)'s martingale and
+    S rows weigh each Z_k(e) by P(e) (a_e / a* - 1) >= 0 against the rhs
+    -P(c): a Farkas vector at k = 1, where Z_0 = 1.  For k >= 2, -1/P(c),
+    1/(P(c) a*) and 1 on the positivity row gap <= Z_{k-1} bound the gap
+    by 0.  A vector that fails its check (as every one does where a* = 0)
+    raises InternalInvariant.
+    """
+    lp = _build_lp(space, filt, S, horizon)
+    _, A_eq, _, A_ub, _, columns, _ = lp
+    a_star = max(a for (a,) in S.child_jumps(k, filt.child_map[(k, c)]))
+    row = 2 * next(r for r, atom in enumerate(alive_atoms(filt, horizon)) if atom == (k, c))
+    y_eq, y_ub = [ZERO] * len(A_eq), [ZERO] * len(A_ub)
+    scale = ONE if k == 1 else ONE / space.mass(c)
+    y_eq[row], y_eq[row + 1] = -scale, scale / a_star if a_star else ZERO
+    if k > 1:
+        y_ub[columns[min(c)][k - 1]] = ONE
+    cert = _no_deflator_certificate(filt, 1, horizon, lp, y_eq, y_ub, None if k == 1 else ZERO)
+    if cert is None:
+        raise InternalInvariant("arbitrage certificate fails its recheck", tick=k, atom=sorted(c))
+    return cert
 
 
 def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
@@ -193,39 +230,25 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
     return True
 
 
-# The fields each no-deflator reason of lp_deflator_oracle carries.
-_NO_DEFLATOR_FIELDS = {
-    "martingale-system-infeasible": ("multipliers_eq", "multipliers_ub"),
-    "positivity-unreachable": ("gap_bound", "multipliers_eq", "multipliers_ub"),
-}
-
-
 def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime], certificate: dict) -> bool:
-    """Re-verify an infeasibility certificate by rebuilding the program.
+    """Re-verify a no-deflator certificate by rebuilding the program.
 
-    False for anything but a no-deflator certificate with one of
-    lp_deflator_oracle's two reasons and the fields that reason carries:
-    the multipliers as lists of rat-parsable entries, one per row, and a
-    rat-parsable gap_bound.
+    False unless its multipliers (lists of rat-parsable entries, one per
+    row) and, for positivity-unreachable, a rat-parsable gap_bound prove
+    the status and reason it states.
     """
-    fields = _NO_DEFLATOR_FIELDS.get(certificate.get("reason"))
-    if certificate.get("status") != "no-deflator" or fields is None or \
-            any(f not in certificate for f in fields):
-        return False
-    y_eq, y_ub = certificate["multipliers_eq"], certificate["multipliers_ub"]
+    y_eq, y_ub = certificate.get("multipliers_eq"), certificate.get("multipliers_ub")
     if not isinstance(y_eq, list) or not isinstance(y_ub, list):
         return False
     try:
         y_eq, y_ub = [rat(v) for v in y_eq], [rat(v) for v in y_ub]
-        bound = rat(certificate["gap_bound"]) if "gap_bound" in fields else None
-    except (ValueError, ZeroDivisionError):
+        bound = (rat(certificate["gap_bound"])
+                 if certificate.get("reason") == "positivity-unreachable" else None)
+    except (KeyError, ValueError, ZeroDivisionError):
         return False
     if horizon is None:
         horizon = StoppingTime.constant(space.n, filt.K)
-    c, A_eq, b_eq, A_ub, b_ub, *_ = _build_lp(space, filt, S, horizon)
-    if len(y_eq) != len(A_eq) or len(y_ub) != len(A_ub):
-        return False
-    if bound is None:
-        return check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub)
-    return bound <= ZERO and check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound)
+    proof = _no_deflator_certificate(filt, S.dim, horizon, _build_lp(space, filt, S, horizon),
+                                     y_eq, y_ub, bound)
+    return proof is not None and all(proof[f] == certificate.get(f) for f in ("status", "reason"))

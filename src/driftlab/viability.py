@@ -19,8 +19,10 @@ closed-form inverse applied to r_h = 2^k (pbar_h - q_h); K is solved only
 where a caller reads it.  The verdict that
 every base-viable asset stays viable in the enlarged filtration reduces to
 a child-support condition between the two filtrations; when it fails, a
-single localized component of the driving process already loses viability,
-and a witness asset with an oracle infeasibility certificate is produced.
+single localized component of the driving process already loses viability.
+That component is the witness asset.  Its no-deflator certificate is
+written in closed form over the oracle's rows and re-checked before it is
+emitted.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant, Not
                      NotAMartingale, SupportConditionFailed)
 from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
-from .oracle import lp_deflator_oracle
+from .oracle import arbitrage_certificate
 from .rational import ONE, ZERO
 from .representation import RepresentationProcess, build_representation, fired_component
 
@@ -475,25 +477,19 @@ def full_viability_verdict(eb: EnlargedBasis,
     gets its own factors back, not a second solve.  Positivity is checked
     on every call.  When the verdict fails the report carries a
     witness: a base martingale built from the violating (tick, atom,
-    child), confirmed unpriceable in the enlarged filtration by the
-    independent oracle, whose certificate is attached.
+    child), and oracle.arbitrage_certificate's proof that no enlarged
+    deflator prices it, written in closed form over the oracle's rows and
+    re-checked there; no simplex runs.
     """
     if rep is None:
         rep = build_representation(eb.space, eb.base)
     support = check_condition_support(eb)
     if not support.ok:
+        k, c = support.tick, support.atom
         asset = witness_asset(eb, rep, support)
-        oracle_res = lp_deflator_oracle(eb.space, eb.enlarged, asset, eb.horizon)
-        if oracle_res.feasible:
-            raise InternalInvariant("oracle prices the witness asset", tick=support.tick)
-        return ViabilityReport(verdict=False, condition_support=False, support=support,
-                               witness={
-                                   "tick": support.tick,
-                                   "atom": sorted(support.atom),
-                                   "child": sorted(support.child),
-                                   "asset": asset,
-                                   "certificate": oracle_res.certificate,
-                               })
+        return ViabilityReport(verdict=False, condition_support=False, support=support, witness={
+            "tick": k, "atom": sorted(c), "child": sorted(support.child), "asset": asset,
+            "certificate": arbitrage_certificate(eb.space, eb.enlarged, asset, eb.horizon, k, c)})
     factors = solve_factors(eb, rep)
     bad = check_positivity(eb, factors)
     if bad is not None:

@@ -5,12 +5,14 @@ package's published claims; loops run over fixed seed ranges so failures
 reproduce verbatim.
 """
 
+import itertools
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -36,7 +38,7 @@ from driftlab.models import (
     worked_six_point,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
-from driftlab.rational import ONE, ZERO, Q
+from driftlab.rational import ONE, ZERO, Q, rat, rat_str
 from driftlab.representation import build_representation
 from driftlab.serialize import dumps, encode_exact
 from driftlab.verify import density_battery, run_verify, survival_battery
@@ -192,6 +194,79 @@ def test_forced_failures_yield_certified_witnesses():
                                         w["asset"]).found, seed
         assert verify_no_deflator(eb.space, eb.enlarged, w["asset"],
                                   eb.horizon, w["certificate"]), seed
+
+
+def test_closed_form_witness_certificates_agree_with_the_oracle():
+    """1200 forced false verdicts (seeds 0-399, all kinds): closed-form certificate vs simplex.
+
+    Each witness certificate re-verifies (verify_no_deflator), and the
+    global oracle finds no deflator for the witness either.  Its only
+    nonzero equality multipliers sit on the violating atom's martingale
+    row and the asset row after it.  Zeroing the asset row's multiplier,
+    or flipping the sign of the martingale row's, must make the
+    certificate fail.  The tick-1 witnesses carry Farkas vectors, the
+    later ones gap bounds at 0.
+    """
+    reasons = Counter()
+    for seed in range(400):
+        for kind in KINDS:
+            eb = gen_random_instance(GeneratorConfig(
+                seed=seed, enlargement_kind=kind, force_condition_failure=True))
+            w = full_viability_verdict(eb).witness
+            cert, args = w["certificate"], (eb.space, eb.enlarged, w["asset"], eb.horizon)
+            assert verify_no_deflator(*args, cert), (seed, kind)
+            assert not lp_deflator_oracle(*args).feasible, (seed, kind)
+            ys = cert["multipliers_eq"]
+            row = cert["rows_eq"].index({"kind": "martingale", "tick": w["tick"],
+                                         "atom": w["atom"], "component": None})
+            assert [j for j, y in enumerate(ys) if rat(y)] == [row, row + 1], (seed, kind)
+            for j, y in ((row + 1, ZERO), (row, -rat(ys[row]))):
+                bad = ys[:j] + [rat_str(y)] + ys[j + 1:]
+                assert not verify_no_deflator(*args, {**cert, "multipliers_eq": bad}), (seed, kind)
+            reasons[w["tick"] == 1, cert["reason"]] += 1
+    assert reasons == {(True, "martingale-system-infeasible"): 962,
+                       (False, "positivity-unreachable"): 238}
+
+
+def one_period_markets():
+    """Every one-period market with m = 2, 3, 4 children, weighted by the first m of 1, 2, 3, 5.
+
+    The asset starts at 0 and jumps by a value in {-2..2} (dimension 1) or
+    {-1, 0, 1}^2 (dimension 2) on each child.
+    """
+    scalar = [(Q(a),) for a in range(-2, 3)]
+    pairs = [(Q(a), Q(b)) for a in range(-1, 2) for b in range(-1, 2)]
+    for m in (2, 3, 4):
+        weights = (1, 2, 3, 5)[:m]
+        space = SampleSpace(tuple(f"h{h}" for h in range(m)),
+                            [Q(w, sum(weights)) for w in weights])
+        top = Partition([range(m)])
+        filt = Filtration(top, ((top, Partition([[h] for h in range(m)])),))
+        for jumps in (scalar, pairs):
+            zero = (ZERO,) * len(jumps[0])
+            for row in itertools.product(jumps, repeat=m):
+                yield space, filt, Process(len(zero), [(zero, s) for s in row])
+
+
+def test_connector_search_holds_on_every_one_period_market():
+    """The connector search against the oracle on every small one-period market.
+
+    one_period_markets lists 8146 markets.  The search must find a
+    connector exactly when the oracle finds a deflator, and every found
+    connector's deflator must pass check_deflator.  Ties and dimension two
+    are where an atom's optimum is a face and the simplex decides.
+    """
+    markets = blocked = 0
+    for space, filt, S in one_period_markets():
+        markets += 1
+        search = find_structure_connector(space, filt, S)
+        assert search.found == lp_deflator_oracle(space, filt, S).feasible, S.values
+        if search.found:
+            Z = deflator_from_connector(space, filt, search.connector)
+            assert check_deflator(space, filt, S, Z), S.values
+        else:
+            blocked += 1
+    assert (markets, blocked) == (8146, 5900)
 
 
 def test_jump_identity_holds_everywhere_at_scale():

@@ -17,8 +17,8 @@ from driftlab.models import (
     random_stopping_time,
     random_viable_asset,
 )
-from driftlab.oracle import (_build_lp, _row_descriptors, check_deflator, lp_deflator_oracle,
-                             verify_no_deflator)
+from driftlab.oracle import (_build_lp, _row_descriptors, arbitrage_certificate, check_deflator,
+                             lp_deflator_oracle, verify_no_deflator)
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import deflator_from_connector, find_structure_connector
@@ -217,6 +217,21 @@ def test_atom_weights_is_the_connector_programs_one_home():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_lp"]
     assert callers == ["_atom_weights"]
+
+
+def test_global_simplex_is_off_the_verdict_path():
+    """In the package, `lp_deflator_oracle(` is called only from `oracle`, `cli` and `verify`.
+
+    A false verdict's certificate is written in closed form
+    (`oracle.arbitrage_certificate`); `viability` never runs the global
+    simplex, which stays the independent cross-check of the `deflator`
+    command and the batteries.
+    """
+    callers = {path.stem for path in package_modules() for node in ast.walk(parse(path))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "lp_deflator_oracle"}
+    assert callers <= {"oracle", "cli", "verify"}
 
 
 def test_represent_serves_no_package_module():
@@ -479,6 +494,32 @@ def test_verify_no_deflator_refuses_malformed_multipliers(paths, reason):
     if "gap_bound" in cert:
         for value in ("x", None, "1/0", [0]):
             assert verify_no_deflator(sp, filt, S, None, {**cert, "gap_bound": value}) is False
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_arbitrage_certificate_proves_a_one_period_arbitrage(k):
+    """Unequal negative jumps on one atom: a* = max_e a_e gives a certificate that re-verifies.
+
+    S is null until tick k and then jumps by -1, -2 or -3 on the three
+    children of the whole space, with no information before.  The
+    certificate is a Farkas vector at k = 1 and a bound at 0 after.  A
+    jump of +1 on one child prices S, and the certificate's check refuses.
+    """
+    sp = SampleSpace(("a", "b", "c"), (Q(1, 2), Q(1, 3), Q(1, 6)))
+    top, split = Partition([[0, 1, 2]]), Partition([[0], [1], [2]])
+    filt = Filtration(top, ((top, top),) * (k - 1) + ((top, split),))
+    horizon = StoppingTime.constant(3, k)
+    c = frozenset(range(3))
+    S = Process.from_scalar_paths([[0] * k + [-1], [0] * k + [-2], [0] * k + [-3]])
+    cert = arbitrage_certificate(sp, filt, S, horizon, k, c)
+    assert cert["reason"] == ("martingale-system-infeasible" if k == 1
+                              else "positivity-unreachable")
+    assert verify_no_deflator(sp, filt, S, horizon, cert)
+    assert not lp_deflator_oracle(sp, filt, S, horizon).feasible
+    priced = Process.from_scalar_paths([[0] * k + [1], [0] * k + [-1], [0] * k + [-1]])
+    assert lp_deflator_oracle(sp, filt, priced, horizon).feasible
+    with pytest.raises(InternalInvariant):
+        arbitrage_certificate(sp, filt, priced, horizon, k, c)
 
 
 def test_deflator_recheck_refuses_a_z_of_the_wrong_shape():

@@ -55,9 +55,9 @@ KINDS = ("random", "initial", "progressive")
 PINNED_CONNECTOR_DIGEST = "990cf406ac5d33b2f67920430411cb3c91834ede51f2301b6d097ebcc1a3baa2"
 
 # SHA-256 of the viability reports and transferred connectors hashed by
-# test_viability_reports_are_pinned, taken while W - drift(W) was still
-# built through the general enlarged compensator.
-PINNED_VIABILITY_DIGEST = "2d034d93620d23d691b0eed8061089cb23807b34d3f44d46419655297af7a996"
+# test_viability_reports_are_pinned, taken once the false verdicts' witness
+# certificates were written in closed form rather than by the global simplex.
+PINNED_VIABILITY_DIGEST = "26a99438df4668a7d79530c442c58f941fb48514b7f4e48dc560361362552020"
 
 # SHA-256 of the found/tick/atom records of the 240 search_pool markets
 # hashed by test_search_decides_without_building_the_connector, taken while
