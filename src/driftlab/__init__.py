@@ -10,9 +10,8 @@ independent linear-feasibility oracle.
 
 from .basis import (Diagnostics, Filtration, Partition, Process, SampleSpace,
                     StoppingTime, cond_expect, cond_prob, is_stopping_time, validate)
-from .calculus import (bracket, canonical_decomposition, comp_bracket, compensator,
-                       doleans_exp, is_martingale, martingale_violation,
-                       pointwise_mul, stoch_integral, stop)
+from .calculus import (compensator, doleans_exp, is_martingale, martingale_violation,
+                       stoch_integral, stop)
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
                           check_condition_support, check_positivity,
                           compensator_transfer_check, drift_operator,
@@ -32,7 +31,7 @@ from .models import (GeneratorConfig, azema_phi_crosscheck, gen_initial_enlargem
                      gen_progressive_enlargement, gen_random_instance,
                      gen_single_filtration, jacod_density_table,
                      jacod_phi_crosscheck, random_viable_asset,
-                     tilted_component_assets, worked_four_point, worked_six_point)
+                     tilted_component_assets)
 from .oracle import OracleResult, check_deflator, lp_deflator_oracle, verify_no_deflator
 from .rational import ONE, ZERO, Q, rat, rat_str
 from .representation import RepresentationProcess, build_representation, represent

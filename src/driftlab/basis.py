@@ -423,6 +423,12 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
                 yield k, b
 
 
+def horizon_or_last_tick(space: SampleSpace, filt: Filtration,
+                         horizon: Optional[StoppingTime]) -> StoppingTime:
+    """The horizon; with none given, every outcome stops at the last tick."""
+    return StoppingTime.constant(space.n, filt.K) if horizon is None else horizon
+
+
 def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -> tuple[Q, ...]:
     """Conditional expectation as a random variable, constant on each atom."""
     out: list[Q] = [ZERO] * space.n

@@ -11,7 +11,6 @@ every conditional jump mean in the engine is one per-child sum, jump_mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
@@ -82,40 +81,6 @@ def compensator(space: SampleSpace, filt: Filtration, A: Process) -> Process:
     return Process.from_jump_table(A.n, filt, table, A.dim)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    start: Process          # constant-in-time initial value
-    martingale_part: Process
-    drift_part: Process     # predictable, starts at 0
-
-
-def canonical_decomposition(space: SampleSpace, filt: Filtration, X: Process) -> Decomposition:
-    """X = X_0 + M + V with M a martingale null at 0 and V predictable null at 0."""
-    _require_adapted(filt, X)
-    V = compensator(space, filt, X)
-    start = Process(X.dim, tuple(tuple(row[0] for _ in row) for row in X.values))
-    M = X - start - V
-    return Decomposition(start=start, martingale_part=M, drift_part=V)
-
-
-def bracket(X: Process, Y: Process) -> Process:
-    """Quadratic covariation; for vector inputs the result is row-major,
-    component i*Y.dim + j holding [X_i, Y_j]."""
-    dim = X.dim * Y.dim
-    ticks = X.ticks
-
-    def jmp(i, k):
-        jx, jy = X.jump(i, k), Y.jump(i, k)
-        return tuple(a * b for a in jx for b in jy)
-
-    return Process.from_jumps(X.n, ticks, jmp, dim=dim)
-
-
-def comp_bracket(space: SampleSpace, filt: Filtration, X: Process, Y: Process) -> Process:
-    """Compensator of the quadratic covariation (the oblique bracket here)."""
-    return compensator(space, filt, bracket(X, Y))
-
-
 def stoch_integral(filt: Filtration, H: Process, X: Process) -> Process:
     """(H . X)_k = sum over j <= k of <H_j, jump_j(X)>; H must be predictable."""
     if H.dim != X.dim:
@@ -150,17 +115,3 @@ def stop(X: Process, T: StoppingTime) -> Process:
         row = [X.at(i, min(k, v) if v is not None else k) for k in range(X.ticks + 1)]
         rows.append(tuple(row))
     return Process(X.dim, tuple(rows))
-
-
-def pointwise_mul(Z: Process, S: Process) -> Process:
-    """Scalar process times a (possibly vector) process, path by path."""
-    if Z.dim != 1:
-        raise DimensionMismatch("left factor must be scalar")
-    rows = []
-    for i in range(S.n):
-        row = []
-        for k in range(S.ticks + 1):
-            z = Z.at(i, k)[0]
-            row.append(tuple(z * s for s in S.at(i, k)))
-        rows.append(tuple(row))
-    return Process(S.dim, tuple(rows))

@@ -15,20 +15,18 @@ from typing import Optional
 
 from . import serialize
 from .enlargement import check_condition_support, check_positivity, drift_operator, solve_factors
-from .errors import EngineError, InvalidDocument, SchemaError
+from .errors import EngineError, InternalInvariant, InvalidDocument, SchemaError
 from .event_kernels import (AccessibleEventData, InaccessibleEventData,
                             accessible_jump_value, inaccessible_jump_value,
                             quotient_identity_holds, reduced_equation_holds,
                             validate_accessible, validate_inaccessible)
-from .models import GeneratorConfig, gen_random_instance
-from .oracle import lp_deflator_oracle
+from .models import ENLARGEMENT_KINDS, GeneratorConfig, gen_random_instance
+from .oracle import check_deflator, lp_deflator_oracle
 from .rational import ZERO, rat_str
 from .representation import build_representation
 from .serialize import encode_exact
 from .verify import first_failure, run_verify
 from .viability import deflator_from_connector, find_structure_connector, full_viability_verdict
-
-_GEN_KINDS = ("random", "initial", "progressive")
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:
@@ -119,6 +117,8 @@ def _cmd_deflator(args) -> int:
     }
     if search.found:
         Z = deflator_from_connector(space, filt, search.connector, horizon)
+        if not check_deflator(space, filt, S, Z, horizon):
+            raise InternalInvariant("deflator fails its plain-arithmetic recheck")
         report["deflator"] = serialize.process_to_json(Z)
     else:
         report["tick"] = search.tick
@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
 def _cmd_generate(args) -> int:
     docs = []
     for i in range(args.instances):
-        kind = _GEN_KINDS[i % len(_GEN_KINDS)]
+        kind = ENLARGEMENT_KINDS[i % len(ENLARGEMENT_KINDS)]
         cfg = GeneratorConfig(seed=args.seed + i, enlargement_kind=kind,
                               force_condition_failure=args.force_failure)
         docs.append(serialize.instance_to_json(gen_random_instance(cfg)))

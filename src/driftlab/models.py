@@ -1,4 +1,4 @@
-"""Randomized instance generators, worked instances, and model cross-checks.
+"""Randomized instance generators and model cross-checks.
 
 Everything here is deterministic in the seed: generators thread a single
 random.Random through every draw, so a (seed, config) pair names one
@@ -30,6 +30,9 @@ from .rational import ONE, ZERO, Q, _dot
 from .representation import RepresentationProcess, build_representation
 
 
+ENLARGEMENT_KINDS = ("random", "initial", "progressive")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -38,7 +41,7 @@ class GeneratorConfig:
 
 
 def _check_cfg(cfg: GeneratorConfig) -> None:
-    if cfg.enlargement_kind not in ("random", "initial", "progressive"):
+    if cfg.enlargement_kind not in ENLARGEMENT_KINDS:
         raise DataInvariantViolated("unknown enlargement kind")
 
 
@@ -330,45 +333,6 @@ def gen_random_instance(cfg: GeneratorConfig) -> EnlargedBasis:
         diag = validate_enlargement(eb)
         if diag.ok:
             return eb
-
-
-# --- worked instances ---
-
-def worked_six_point() -> dict:
-    """Six uniform outcomes, one tick, enlargement by a two-valued variable.
-
-    The base tick splits the space into {0,1,2} and {3,4,5}; the revealed
-    variable groups {0,1,3} against {2,4,5}.  All downstream quantities
-    (multiplier rows, connector jumps, deflator values) have small exact
-    values, making this the reference instance for golden tests.
-    """
-    space = SampleSpace(tuple(f"w{i}" for i in range(6)), [Q(1, 6)] * 6)
-    trivial = Partition([range(6)])
-    at1 = Partition([{0, 1, 2}, {3, 4, 5}])
-    base = Filtration(trivial, ((trivial, at1),))
-    xi = [1, 1, 0, 1, 0, 0]
-    eb = gen_initial_enlargement(space, base, xi)
-    asset = Process(1, tuple(
-        ((ZERO,), (Q(1, 2),) if i in (0, 1, 2) else (Q(-1, 2),)) for i in range(6)))
-    return {"space": space, "base": base, "eb": eb, "xi": xi, "asset": asset}
-
-
-def worked_four_point() -> dict:
-    """Four uniform outcomes, one tick, enlargement that breaks support.
-
-    The enlarged left-limit isolates outcome 3 before the base tick splits
-    {0,1} from {2,3}; on the singleton atom the child {0,1} is missing, so
-    the verdict is false with witness atom {3}.
-    """
-    space = SampleSpace(tuple(f"w{i}" for i in range(4)), [Q(1, 4)] * 4)
-    trivial = Partition([range(4)])
-    at1 = Partition([{0, 1}, {2, 3}])
-    base = Filtration(trivial, ((trivial, at1),))
-    g_pre = Partition([{0, 1, 2}, {3}])
-    enlarged = Filtration(trivial, ((g_pre, g_pre.meet(at1)),))
-    eb = EnlargedBasis(space=space, base=base, enlarged=enlarged,
-                       horizon=StoppingTime.constant(4, 1))
-    return {"space": space, "base": base, "eb": eb}
 
 
 # --- conditional-density (initial enlargement) cross-check ---

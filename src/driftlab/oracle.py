@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .basis import (Filtration, InternalInvariant, Process, SampleSpace, StoppingTime,
-                    alive_atoms)
+                    alive_atoms, horizon_or_last_tick)
 from .linfeas import (INFEASIBLE, UNBOUNDED, check_bound_certificate,
                       check_infeasibility_certificate, solve_lp)
 from .rational import ONE, ZERO, Q, rat, rat_str
@@ -116,34 +116,39 @@ def _row_descriptors(filt: Filtration, dim: int, horizon: StoppingTime, z_atoms)
     return rows_eq, rows_ub
 
 
-def _no_deflator_certificate(filt: Filtration, dim: int, horizon: StoppingTime, lp: tuple,
-                             y_eq, y_ub, bound) -> Optional[dict]:
-    """The certificate formatted from y if linfeas's checkers accept it, else None.
+def _proved_head(lp: tuple, y_eq, y_ub, bound) -> Optional[dict]:
+    """The status, reason and gap_bound that y proves, if linfeas's checkers accept it, else None.
 
     y is checked over the rows of lp, _build_lp's output: as a Farkas vector
     if bound is None, else as a bound certificate for gap <= bound <= 0.
     """
-    c, A_eq, b_eq, A_ub, b_ub, _, z_atoms = lp
+    c, A_eq, b_eq, A_ub, b_ub, _, _ = lp
     if len(y_eq) != len(A_eq) or len(y_ub) != len(A_ub):
         return None
     if bound is None and check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub):
-        cert = {"status": "no-deflator", "reason": "martingale-system-infeasible"}
-    elif bound is not None and bound <= ZERO and \
+        return {"status": "no-deflator", "reason": "martingale-system-infeasible"}
+    if bound is not None and bound <= ZERO and \
             check_bound_certificate(c, A_eq, b_eq, A_ub, b_ub, y_eq, y_ub, bound):
-        cert = {"status": "no-deflator", "reason": "positivity-unreachable",
+        return {"status": "no-deflator", "reason": "positivity-unreachable",
                 "gap_bound": rat_str(bound)}
-    else:
+    return None
+
+
+def _no_deflator_certificate(filt: Filtration, dim: int, horizon: StoppingTime, lp: tuple,
+                             y_eq, y_ub, bound) -> Optional[dict]:
+    """_proved_head's head with y's multipliers and lp's row descriptors, or None."""
+    cert = _proved_head(lp, y_eq, y_ub, bound)
+    if cert is None:
         return None
     cert["multipliers_eq"] = [rat_str(v) for v in y_eq]
     cert["multipliers_ub"] = [rat_str(v) for v in y_ub]
-    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, dim, horizon, z_atoms)
+    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, dim, horizon, lp[6])
     return cert
 
 
 def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
+    horizon = horizon_or_last_tick(space, filt, horizon)
     lp = _build_lp(space, filt, S, horizon)
     res = solve_lp(*lp[:5])
     if res.status == UNBOUNDED:  # impossible: the gap is capped
@@ -199,8 +204,7 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
     after the horizon (each outcome's Z keeps its value at T_i); Z and Z*S
     martingales up to the horizon.
     """
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
+    horizon = horizon_or_last_tick(space, filt, horizon)
     if Z.dim != 1 or len(Z.values) != space.n or \
             any(len(row) != filt.K + 1 for row in Z.values):
         return False
@@ -247,8 +251,6 @@ def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
                  if certificate.get("reason") == "positivity-unreachable" else None)
     except (KeyError, ValueError, ZeroDivisionError):
         return False
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
-    proof = _no_deflator_certificate(filt, S.dim, horizon, _build_lp(space, filt, S, horizon),
-                                     y_eq, y_ub, bound)
-    return proof is not None and all(proof[f] == certificate.get(f) for f in ("status", "reason"))
+    horizon = horizon_or_last_tick(space, filt, horizon)
+    head = _proved_head(_build_lp(space, filt, S, horizon), y_eq, y_ub, bound)
+    return head is not None and all(head[f] == certificate.get(f) for f in ("status", "reason"))

@@ -24,7 +24,7 @@ from .event_kernels import (InaccessibleEventData, accessible_jump_value,
                             quotient_identity_holds, reduced_equation_holds,
                             validate_accessible, validate_inaccessible)
 from .linalg import vec_dot
-from .models import (GeneratorConfig, azema_phi_crosscheck,
+from .models import (ENLARGEMENT_KINDS, GeneratorConfig, azema_phi_crosscheck,
                      extract_accessible_event_data, gen_initial_enlargement,
                      gen_progressive_enlargement, gen_random_instance,
                      gen_single_filtration, jacod_phi_crosscheck,
@@ -38,8 +38,6 @@ from .representation import build_representation
 from .viability import (deflator_from_connector, find_structure_connector,
                         full_viability_verdict, g_connector, jump_identity_check,
                         solve_accessible_K)
-
-_KINDS = ("random", "initial", "progressive")
 
 
 def _fail(out: dict, reason: str) -> None:
@@ -82,7 +80,7 @@ def connector_oracle_battery(seed: int) -> dict:
 
 def drift_factorization_battery(seed: int) -> dict:
     """Drift factorization and compensator transfer hold for every input."""
-    kind = _KINDS[seed % 3]
+    kind = ENLARGEMENT_KINDS[seed % len(ENLARGEMENT_KINDS)]
     eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=kind))
     rng = random.Random(f"factorization:{seed}")
     rep = build_representation(eb.space, eb.base)
@@ -110,7 +108,7 @@ def viability_battery(seed: int, force: bool = False) -> dict:
     On true verdicts the common deflator must deflate every driving
     component; on false verdicts the witness certificate must revalidate.
     """
-    kind = _KINDS[seed % 3]
+    kind = ENLARGEMENT_KINDS[seed % len(ENLARGEMENT_KINDS)]
     cfg = GeneratorConfig(seed=seed, enlargement_kind=kind,
                           force_condition_failure=force)
     eb = gen_random_instance(cfg)
@@ -189,7 +187,7 @@ def accessible_battery(seed: int) -> dict:
 def jump_identity_battery(seed: int) -> dict:
     """Jump identity and connector transfer on support-holding instances."""
     rng = random.Random(f"jump:{seed}")
-    kind = _KINDS[seed % 3]
+    kind = ENLARGEMENT_KINDS[seed % len(ENLARGEMENT_KINDS)]
     eb = None
     for _ in range(64):
         cand = gen_random_instance(GeneratorConfig(seed=rng.randrange(1 << 62),

@@ -32,7 +32,8 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
+from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split,
+                    horizon_or_last_tick)
 from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, _transfer_mismatch, check_condition_support,
@@ -133,8 +134,7 @@ def _path_violation(filt: Filtration, D: Process, table: dict) -> Optional[dict]
 def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: Process,
                            horizon: Optional[StoppingTime] = None) -> Optional[dict]:
     """None if D is a connector for S on [0, horizon], else a violation record."""
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
+    horizon = horizon_or_last_tick(space, filt, horizon)
     return _connector_violation(space, filt, D, horizon, S)
 
 
@@ -283,8 +283,7 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
     Raises ConnectorInvalid, carrying the record of _connector_violation,
     when D cannot make a positive deflator.
     """
-    if horizon is None:
-        horizon = StoppingTime.constant(space.n, filt.K)
+    horizon = horizon_or_last_tick(space, filt, horizon)
     bad = _connector_violation(space, filt, D, horizon)
     if bad is not None:
         raise ConnectorInvalid("not a deflating connector", **bad)

@@ -18,7 +18,7 @@ import pytest
 
 import driftlab
 from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
-from driftlab.calculus import is_martingale, pointwise_mul, stop
+from driftlab.calculus import is_martingale, stop
 from driftlab.enlargement import (EnlargedBasis, check_condition_support, solve_factors,
                                   validate_enlargement)
 from driftlab.event_kernels import (
@@ -35,7 +35,6 @@ from driftlab.models import (
     random_stopping_time,
     random_viable_asset,
     tilted_component_assets,
-    worked_six_point,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ONE, ZERO, Q, rat, rat_str
@@ -49,6 +48,7 @@ from driftlab.viability import (
     full_viability_verdict,
     jump_identity_check,
 )
+from reference import pointwise_mul, worked_six_point
 
 KINDS = ("random", "initial", "progressive")
 

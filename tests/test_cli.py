@@ -14,7 +14,6 @@ from driftlab import cli, verify
 from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
 from driftlab.cli import main
 from driftlab.enlargement import EnlargedBasis, validate_enlargement
-from driftlab.models import worked_four_point, worked_six_point
 from driftlab.rational import Q, rat
 from driftlab.serialize import (
     basis_to_json,
@@ -24,6 +23,7 @@ from driftlab.serialize import (
     instance_to_json,
     process_to_json,
 )
+from reference import worked_four_point, worked_six_point
 
 
 def write(path, doc):
@@ -297,6 +297,24 @@ def test_batteries_refuse_a_deflator_doubled_at_one_outcome(monkeypatch, outcome
     out = verify.connector_oracle_battery(found)
     assert out["found"] is True
     assert out["reasons"] == ["deflator fails its plain-arithmetic recheck"]
+
+
+@pytest.mark.parametrize("outcome", range(6))
+def test_deflator_refuses_a_deflator_doubled_at_one_outcome(tmp_path, monkeypatch, outcome):
+    """A printed deflator off at one outcome fails the command's recheck: exit 3, no deflator."""
+    six = worked_six_point()
+    doc = basis_to_json(six["eb"].space, six["eb"].base)
+    doc["asset"] = process_to_json(six["asset"])
+    inp = write(tmp_path / "a.json", doc)
+    out = tmp_path / "r.json"
+    real_deflator = cli.deflator_from_connector
+    monkeypatch.setattr(cli, "deflator_from_connector",
+                        lambda *args: _doubled_at(real_deflator(*args), outcome))
+    assert main(["deflator", "--input", inp, "--output", str(out)]) == 3
+    rep = read(out)
+    assert rep["error"] == "INTERNAL_INVARIANT"
+    assert rep["message"] == "deflator fails its plain-arithmetic recheck"
+    assert "deflator" not in rep
 
 
 def test_verify_theorems_forced(tmp_path):

@@ -29,8 +29,6 @@ from driftlab.models import (
     random_adapted,
     random_martingale,
     random_viable_asset,
-    worked_four_point,
-    worked_six_point,
 )
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation, represent
@@ -41,6 +39,7 @@ from driftlab.viability import (
     jump_identity_check,
     solve_accessible_K,
 )
+from reference import worked_four_point, worked_six_point
 
 KINDS = ("random", "initial", "progressive")
 

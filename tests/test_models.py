@@ -26,14 +26,13 @@ from driftlab.models import (
     random_stopping_time,
     random_viable_asset,
     tilted_component_assets,
-    worked_four_point,
-    worked_six_point,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation, fired_component
 from driftlab.serialize import dumps, process_to_json
 from driftlab.viability import find_structure_connector
+from reference import worked_four_point, worked_six_point
 
 KINDS = ("random", "initial", "progressive")
 

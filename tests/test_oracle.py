@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import driftlab
 from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime, alive_atoms
-from driftlab.calculus import is_martingale, pointwise_mul, stop
+from driftlab.calculus import is_martingale, stop
 from driftlab.errors import InternalInvariant
 from driftlab.models import (
     gen_single_filtration,
@@ -22,6 +22,7 @@ from driftlab.oracle import (_build_lp, _row_descriptors, arbitrage_certificate,
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import deflator_from_connector, find_structure_connector
+from reference import pointwise_mul
 
 SRC = pathlib.Path(driftlab.__file__).parent
 
@@ -93,19 +94,34 @@ def package_modules():
     return [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
 
 
+def referenced_names(trees):
+    """Every name and attribute the syntax trees mention."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+# Functions that BENCHMARK.json's per-layer metrics name although no engine
+# path calls them; they stay in the package until the benchmark drops those
+# metrics.
+BENCHMARK_PINNED = {"enlargement.tilde", "linalg.min_norm_solve", "representation.represent"}
+
+
 def test_unreferenced_functions_are_exported():
     """A module-level function nothing in the package calls is public API.
 
-    So it must be exported from `__init__`; otherwise it is dead code.
+    So it must be exported from `__init__`; otherwise it is dead code.  And
+    unless a benchmark workload calls it, it must be one the benchmark pins
+    by name: a reference that only tests use belongs in `tests/reference.py`.
     """
     trees = {path.stem: parse(path) for path in package_modules()}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
-    orphans = [f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name not in used
-               and node.name not in vars(driftlab)]
-    assert orphans == []
+    used = referenced_names(trees.values())
+    orphans = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name not in used]
+    assert [f"{name}.{fn}" for name, fn in orphans if fn not in vars(driftlab)] == []
+    bench = referenced_names(parse(path) for path in (SRC.parent.parent / "perfbench").glob("*.py"))
+    assert [f"{name}.{fn}" for name, fn in orphans
+            if fn not in bench and f"{name}.{fn}" not in BENCHMARK_PINNED] == []
 
 
 def test_every_method_is_referenced():

@@ -11,7 +11,6 @@ from driftlab.models import (
     gen_random_instance,
     gen_single_filtration,
     random_adapted,
-    worked_six_point,
 )
 from driftlab.rational import Q
 from driftlab.serialize import (
@@ -29,6 +28,7 @@ from driftlab.serialize import (
     viability_report_to_json,
 )
 from driftlab.viability import full_viability_verdict
+from reference import worked_six_point
 
 KINDS = ("random", "initial", "progressive")
 

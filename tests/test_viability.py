@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                             alive_atoms, atom_split)
-from driftlab.calculus import (is_adapted, is_martingale, jump_mean, pointwise_mul,
-                               stoch_integral, stop)
+from driftlab.calculus import is_adapted, is_martingale, jump_mean, stoch_integral, stop
 from driftlab.enlargement import check_condition_support, solve_factors
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
                              NotAdapted, NotAMartingale, NotAStoppingTime,
@@ -25,8 +24,6 @@ from driftlab.models import (
     random_stopping_time,
     random_viable_asset,
     tilted_component_assets,
-    worked_four_point,
-    worked_six_point,
 )
 from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
 from driftlab.rational import ONE, ZERO, Q
@@ -46,6 +43,7 @@ from driftlab.viability import (
     solve_accessible_K,
     witness_asset,
 )
+from reference import pointwise_mul, worked_four_point, worked_six_point
 
 KINDS = ("random", "initial", "progressive")
 
