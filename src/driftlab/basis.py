@@ -138,6 +138,11 @@ class Filtration:
         return self.initial if k == 0 else self.ticks[k - 1][0]
 
     @cached_property
+    def _alive(self) -> dict[Optional[tuple], tuple[tuple[int, frozenset[int]], ...]]:
+        """Horizon values (None for no horizon) -> alive_atoms' completed walk."""
+        return {}
+
+    @cached_property
     def child_map(self) -> dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]]:
         """(k, pre(k)-atom) -> its at(k)-children, ordered by smallest member."""
         out = {}
@@ -232,8 +237,18 @@ class Process:
         return tuple(map(operator.sub, cur, prev))
 
     def child_jumps(self, k: int, kids: Sequence[frozenset[int]]) -> list[tuple[Q, ...]]:
-        """The jump at tick k on each child, read at its smallest outcome (X adapted)."""
-        return [self.jump(min(kid), k) for kid in kids]
+        """The jump at tick k on each child, read at its smallest outcome (X adapted).
+
+        Each child's values at k - 1 and k are read directly, as jump reads
+        them, with jump's zero vector at k = 0.
+        """
+        if k == 0:
+            return [(ZERO,) * self.dim for _ in kids]
+        values = self.values
+        rows = [values[min(kid)] for kid in kids]
+        if self.dim == 1:
+            return [(row[k][0] - row[k - 1][0],) for row in rows]
+        return [tuple(map(operator.sub, row[k], row[k - 1])) for row in rows]
 
     def component(self, h: int) -> "Process":
         return Process(1, tuple(tuple((x[h],) for x in row) for row in self.values))
@@ -416,11 +431,25 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
 
     Without a horizon every atom is alive; with one, an atom that straddles
     {T >= k} raises NotAStoppingTime (see StoppingTime.alive_block).
+
+    A walk that runs to its end is stored on the filtration, keyed by the
+    horizon's values (None without one), and a later call with an equal
+    horizon iterates the stored walk.  A walk left unfinished, or stopped
+    by a straddling atom, stores nothing, so the same horizon raises at the
+    same (tick, atom) on every call.
     """
+    key = None if horizon is None else horizon.values
+    walk = filt._alive.get(key)
+    if walk is not None:
+        yield from walk
+        return
+    walk = []
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
             if horizon is None or horizon.alive_block(b, k):
+                walk.append((k, b))
                 yield k, b
+    filt._alive[key] = tuple(walk)
 
 
 def horizon_or_last_tick(space: SampleSpace, filt: Filtration,

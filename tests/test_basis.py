@@ -205,6 +205,17 @@ def test_process_jump_convention():
     assert X.ticks == 2 and X.n == 2
 
 
+def test_child_jumps_are_the_jumps_at_each_childs_smallest_outcome():
+    """child_jumps(k, kids) == [jump(min(kid), k)], tick 0 included, in dimensions 1 and 2."""
+    for seed in range(40):
+        rng = random.Random(f"child-jumps:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        X = random_adapted(rng, sp, filt, dim=rng.choice((1, 2)))
+        for k in range(filt.K + 1):
+            kids = filt.at(k).blocks
+            assert X.child_jumps(k, kids) == [X.jump(min(kid), k) for kid in kids]
+
+
 def test_process_from_jumps_round_trip():
     X = Process.from_scalar_paths([[1, 3, 2], [1, 0, 5]])
     Y = Process.from_jumps(2, 2, lambda i, k: X.jump(i, k), start=(Q(1),))
@@ -298,6 +309,63 @@ def test_alive_atoms_refuses_a_horizon_that_is_not_a_stopping_time():
     with pytest.raises(NotAStoppingTime) as exc:
         list(walk)
     assert exc.value.detail == {"tick": 2, "atom": [0, 1]}
+
+
+def uncached_walk(filt, horizon):
+    return [(k, b) for k in range(1, filt.K + 1) for b in filt.pre(k).blocks
+            if horizon is None or horizon.alive_block(b, k)]
+
+
+def test_alive_atoms_stores_each_completed_walk():
+    """A repeated walk iterates the first one's stored tuple, keyed by the horizon's values.
+
+    No horizon, a constant one, random stopping times and an equal but
+    distinct StoppingTime each give the uncached walk on every call.
+    """
+    for seed in range(60):
+        rng = random.Random(f"alive-memo:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        T = random_stopping_time(rng, sp, filt)
+        for horizon in (None, StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T):
+            key = None if horizon is None else horizon.values
+            expected = uncached_walk(filt, horizon)
+            assert list(alive_atoms(filt, horizon)) == expected
+            stored = filt._alive[key]
+            assert list(stored) == expected
+            assert list(alive_atoms(filt, horizon)) == expected
+            assert filt._alive[key] is stored
+        stored, count = filt._alive[T.values], len(filt._alive)
+        again = StoppingTime(list(T.values))
+        assert again is not T and again == T
+        assert list(alive_atoms(filt, again)) == uncached_walk(filt, T)
+        assert filt._alive[T.values] is stored and len(filt._alive) == count
+
+
+def test_an_unfinished_walk_stores_nothing():
+    """A walk abandoned after its first atom stores nothing; the next full walk stores."""
+    for seed in range(30):
+        rng = random.Random(f"alive-abandoned:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        walk = alive_atoms(filt)
+        assert next(walk) == (1, filt.pre(1).blocks[0])
+        assert filt._alive == {}
+        walk.close()
+        assert filt._alive == {}
+        assert list(alive_atoms(filt)) == uncached_walk(filt, None)
+        assert list(filt._alive) == [None]
+
+
+def test_a_straddling_horizon_raises_on_every_walk():
+    """The refused walk stores nothing, so a second walk raises at the same (tick, atom)."""
+    whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
+    filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
+    details = []
+    for T in (StoppingTime((1, 2, 2, 2)), StoppingTime((1, 2, 2, 2))):
+        with pytest.raises(NotAStoppingTime) as exc:
+            list(alive_atoms(filt, T))
+        details.append(exc.value.detail)
+        assert filt._alive == {}
+    assert details == [{"tick": 2, "atom": [0, 1]}] * 2
 
 
 def test_from_jump_table_is_zero_on_absent_keys():

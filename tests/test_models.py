@@ -27,7 +27,7 @@ from driftlab.models import (
     random_viable_asset,
     tilted_component_assets,
 )
-from driftlab.oracle import check_deflator, lp_deflator_oracle
+from driftlab.oracle import check_deflator
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation, fired_component
 from driftlab.serialize import dumps, process_to_json
