@@ -138,8 +138,8 @@ class Filtration:
         return self.initial if k == 0 else self.ticks[k - 1][0]
 
     @cached_property
-    def _alive(self) -> dict[Optional[tuple], tuple[tuple[int, frozenset[int]], ...]]:
-        """Horizon values (None for no horizon) -> alive_atoms' completed walk."""
+    def _alive(self) -> dict[tuple, tuple[tuple[int, frozenset[int]], ...]]:
+        """A horizon's values -> alive_atoms' completed walk under it."""
         return {}
 
     @cached_property
@@ -432,24 +432,29 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
     Without a horizon every atom is alive; with one, an atom that straddles
     {T >= k} raises NotAStoppingTime (see StoppingTime.alive_block).
 
-    A walk that runs to its end is stored on the filtration, keyed by the
-    horizon's values (None without one), and a later call with an equal
-    horizon iterates the stored walk.  A walk left unfinished, or stopped
-    by a straddling atom, stores nothing, so the same horizon raises at the
-    same (tick, atom) on every call.
+    A walk under a horizon that runs to its end is stored on the filtration,
+    keyed by the horizon's values, and a later call with an equal horizon
+    iterates the stored walk; a walk without one tests nothing, so it
+    stores nothing.  A walk left unfinished, or stopped by a straddling
+    atom, stores nothing, so the same horizon raises at the same (tick,
+    atom) on every call.
     """
-    key = None if horizon is None else horizon.values
-    walk = filt._alive.get(key)
+    if horizon is None:
+        for k in range(1, filt.K + 1):
+            for b in filt.pre(k).blocks:
+                yield k, b
+        return
+    walk = filt._alive.get(horizon.values)
     if walk is not None:
         yield from walk
         return
     walk = []
     for k in range(1, filt.K + 1):
         for b in filt.pre(k).blocks:
-            if horizon is None or horizon.alive_block(b, k):
+            if horizon.alive_block(b, k):
                 walk.append((k, b))
                 yield k, b
-    filt._alive[key] = tuple(walk)
+    filt._alive[horizon.values] = tuple(walk)
 
 
 def horizon_or_last_tick(space: SampleSpace, filt: Filtration,

@@ -48,8 +48,7 @@ def _z_columns(filt: Filtration, horizon: StoppingTime, var_index: dict) -> list
     return columns
 
 
-def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime,
-              atoms=None):
+def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: StoppingTime):
     """The deflator feasibility program, deterministically ordered, in linfeas's sparse rows.
 
     Returns (c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms): columns is
@@ -59,10 +58,6 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     equality row is sum_{i in b} prob_i (Z_k S_k - Z_{k-1} S_{k-1})(i) = 0,
     with the known Z_0 = 1 moved to the rhs.  Then one positivity row
     gap <= Z per Z column, and the cap gap <= 1.
-
-    With atoms, a collection of alive (tick, atom) pairs, only their
-    equality rows are emitted, each as the full program has it and in its
-    order; the columns and the inequality rows are the full program's.
     """
     var_index: dict = {}
     for k in range(1, filt.K + 1):
@@ -75,14 +70,10 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     prob, values = space.prob, S.values
     # carried[c][i] = prob_i * S_{k-1}(i)[c], as the rows at tick k - 1 formed
     # it: ticks ascend, and an outcome alive at k >= 2 was alive at k - 1, so
-    # each product is formed once per (outcome, tick, component).  Rows
-    # skipped at k - 1 formed nothing, so named atoms form it afresh.
+    # each product is formed once per (outcome, tick, component).
     carried = [[None] * space.n for _ in range(S.dim)]
-    whole = atoms is None
     A_eq, b_eq = [], []
     for k, b in alive_atoms(filt, horizon):
-        if not whole and (k, b) not in atoms:
-            continue
         for comp in range(S.dim + 1):
             acc = {}
             rhs = ZERO
@@ -90,8 +81,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
             for i in b:
                 if comp:
                     w_now = prob[i] * values[i][k][comp - 1]
-                    w_prev = (carry[i] if k > 1 and whole
-                              else prob[i] * values[i][k - 1][comp - 1])
+                    w_prev = carry[i] if k > 1 else prob[i] * values[i][0][comp - 1]
                     carry[i] = w_now
                 else:
                     w_now = w_prev = prob[i]
@@ -126,14 +116,13 @@ def _row_descriptors(filt: Filtration, dim: int, horizon: StoppingTime, z_atoms)
     return rows_eq, rows_ub
 
 
-def _proved_head(program: tuple, y_eq, y_ub, bound) -> Optional[dict]:
+def _proved_head(lp: tuple, y_eq, y_ub, bound) -> Optional[dict]:
     """The status, reason and gap_bound that y proves, if linfeas's checkers accept it, else None.
 
-    y is checked over the rows of program, (c, A_eq, b_eq, A_ub, b_ub) as
-    _build_lp gives them: as a Farkas vector if bound is None, else as a
-    bound certificate for gap <= bound <= 0.
+    y is checked over the rows of lp, _build_lp's output: as a Farkas vector
+    if bound is None, else as a bound certificate for gap <= bound <= 0.
     """
-    c, A_eq, b_eq, A_ub, b_ub = program
+    c, A_eq, b_eq, A_ub, b_ub, _, _ = lp
     if len(y_eq) != len(A_eq) or len(y_ub) != len(A_ub):
         return None
     if bound is None and check_infeasibility_certificate(A_eq, b_eq, A_ub, b_ub, y_eq, y_ub):
@@ -145,13 +134,15 @@ def _proved_head(program: tuple, y_eq, y_ub, bound) -> Optional[dict]:
     return None
 
 
-def _no_deflator_certificate(head: dict, filt: Filtration, dim: int, horizon: StoppingTime,
-                             z_atoms, y_eq, y_ub) -> dict:
-    """_proved_head's head with y's multipliers and the row descriptors of the full program."""
-    cert = dict(head)
+def _no_deflator_certificate(filt: Filtration, dim: int, horizon: StoppingTime, lp: tuple,
+                             y_eq, y_ub, bound) -> Optional[dict]:
+    """_proved_head's head with y's multipliers and lp's row descriptors, or None."""
+    cert = _proved_head(lp, y_eq, y_ub, bound)
+    if cert is None:
+        return None
     cert["multipliers_eq"] = [rat_str(v) for v in y_eq]
     cert["multipliers_ub"] = [rat_str(v) for v in y_ub]
-    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, dim, horizon, z_atoms)
+    cert["rows_eq"], cert["rows_ub"] = _row_descriptors(filt, dim, horizon, lp[6])
     return cert
 
 
@@ -169,11 +160,10 @@ def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
             raise InternalInvariant("oracle deflator fails its recheck")
         cert = {"status": "deflator", "gap": rat_str(res.value)}
         return OracleResult(feasible=True, deflator=Z, gap=res.value, certificate=cert)
-    head = _proved_head(lp[:5], res.dual_eq, res.dual_ub,
-                        None if res.status == INFEASIBLE else res.value)
-    if head is None:
+    cert = _no_deflator_certificate(filt, S.dim, horizon, lp, res.dual_eq, res.dual_ub,
+                                    None if res.status == INFEASIBLE else res.value)
+    if cert is None:
         raise InternalInvariant("no-deflator certificate fails its recheck")
-    cert = _no_deflator_certificate(head, filt, S.dim, horizon, lp[6], res.dual_eq, res.dual_ub)
     return OracleResult(feasible=False, deflator=None, gap=res.value, certificate=cert)
 
 
@@ -188,31 +178,20 @@ def arbitrage_certificate(space: SampleSpace, filt: Filtration, S: Process,
     1/(P(c) a*) and 1 on the positivity row gap <= Z_{k-1} bound the gap
     by 0.  A vector that fails its check (as every one does where a* = 0)
     raises InternalInvariant.
-
-    The vector is checked over its own rows only: (k, c)'s two equality
-    rows from _build_lp and, for k >= 2, the one positivity row.  The rows
-    it leaves out carry zero multipliers, which add nothing to the
-    checkers' combination, so the check decides as it would over the
-    whole program.  The printed certificate is the full program's: dense
-    multipliers over every row, with every row's descriptor.
     """
-    cost, A_eq, b_eq, A_ub, b_ub, columns, z_atoms = _build_lp(space, filt, S, horizon, {(k, c)})
+    lp = _build_lp(space, filt, S, horizon)
+    _, A_eq, _, A_ub, _, columns, _ = lp
     a_star = max(a for (a,) in S.child_jumps(k, filt.child_map[(k, c)]))
+    row = 2 * next(r for r, atom in enumerate(alive_atoms(filt, horizon)) if atom == (k, c))
+    y_eq, y_ub = [ZERO] * len(A_eq), [ZERO] * len(A_ub)
     scale = ONE if k == 1 else ONE / space.mass(c)
-    y_eq = [-scale, scale / a_star if a_star else ZERO]
-    positivity = [] if k == 1 else [columns[min(c)][k - 1]]
-    head = _proved_head((cost, A_eq, b_eq, [A_ub[j] for j in positivity],
-                         [b_ub[j] for j in positivity]),
-                        y_eq, [ONE] * len(positivity), None if k == 1 else ZERO)
-    if head is None:
+    y_eq[row], y_eq[row + 1] = -scale, scale / a_star if a_star else ZERO
+    if k > 1:
+        y_ub[columns[min(c)][k - 1]] = ONE
+    cert = _no_deflator_certificate(filt, 1, horizon, lp, y_eq, y_ub, None if k == 1 else ZERO)
+    if cert is None:
         raise InternalInvariant("arbitrage certificate fails its recheck", tick=k, atom=sorted(c))
-    alive = list(alive_atoms(filt, horizon))
-    row = 2 * alive.index((k, c))
-    dense_eq, dense_ub = [ZERO] * (2 * len(alive)), [ZERO] * len(A_ub)
-    dense_eq[row], dense_eq[row + 1] = y_eq
-    for j in positivity:
-        dense_ub[j] = ONE
-    return _no_deflator_certificate(head, filt, 1, horizon, z_atoms, dense_eq, dense_ub)
+    return cert
 
 
 def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
@@ -273,5 +252,5 @@ def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
     except (KeyError, ValueError, ZeroDivisionError):
         return False
     horizon = horizon_or_last_tick(space, filt, horizon)
-    head = _proved_head(_build_lp(space, filt, S, horizon)[:5], y_eq, y_ub, bound)
+    head = _proved_head(_build_lp(space, filt, S, horizon), y_eq, y_ub, bound)
     return head is not None and all(head[f] == certificate.get(f) for f in ("status", "reason"))

@@ -319,21 +319,23 @@ def uncached_walk(filt, horizon):
 def test_alive_atoms_stores_each_completed_walk():
     """A repeated walk iterates the first one's stored tuple, keyed by the horizon's values.
 
-    No horizon, a constant one, random stopping times and an equal but
-    distinct StoppingTime each give the uncached walk on every call.
+    A constant horizon, random stopping times and an equal but distinct
+    StoppingTime each give the uncached walk on every call; a walk without
+    a horizon gives it too and stores nothing.
     """
     for seed in range(60):
         rng = random.Random(f"alive-memo:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
+        assert list(alive_atoms(filt)) == list(alive_atoms(filt)) == uncached_walk(filt, None)
+        assert filt._alive == {}
         T = random_stopping_time(rng, sp, filt)
-        for horizon in (None, StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T):
-            key = None if horizon is None else horizon.values
+        for horizon in (StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T):
             expected = uncached_walk(filt, horizon)
             assert list(alive_atoms(filt, horizon)) == expected
-            stored = filt._alive[key]
+            stored = filt._alive[horizon.values]
             assert list(stored) == expected
             assert list(alive_atoms(filt, horizon)) == expected
-            assert filt._alive[key] is stored
+            assert filt._alive[horizon.values] is stored
         stored, count = filt._alive[T.values], len(filt._alive)
         again = StoppingTime(list(T.values))
         assert again is not T and again == T
@@ -346,13 +348,14 @@ def test_an_unfinished_walk_stores_nothing():
     for seed in range(30):
         rng = random.Random(f"alive-abandoned:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
-        walk = alive_atoms(filt)
+        horizon = StoppingTime.constant(sp.n, filt.K)
+        walk = alive_atoms(filt, horizon)
         assert next(walk) == (1, filt.pre(1).blocks[0])
         assert filt._alive == {}
         walk.close()
         assert filt._alive == {}
-        assert list(alive_atoms(filt)) == uncached_walk(filt, None)
-        assert list(filt._alive) == [None]
+        assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
+        assert list(filt._alive) == [horizon.values]
 
 
 def test_a_straddling_horizon_raises_on_every_walk():

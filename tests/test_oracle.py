@@ -12,8 +12,6 @@ from driftlab.basis import Filtration, Partition, Process, SampleSpace, Stopping
 from driftlab.calculus import is_martingale, stop
 from driftlab.errors import InternalInvariant
 from driftlab.models import (
-    GeneratorConfig,
-    gen_random_instance,
     gen_single_filtration,
     random_adapted,
     random_stopping_time,
@@ -23,8 +21,7 @@ from driftlab.oracle import (_build_lp, _row_descriptors, arbitrage_certificate,
                              lp_deflator_oracle, verify_no_deflator)
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.serialize import dumps, encode_exact
-from driftlab.viability import (deflator_from_connector, find_structure_connector,
-                                full_viability_verdict)
+from driftlab.viability import deflator_from_connector, find_structure_connector
 from reference import pointwise_mul
 
 SRC = pathlib.Path(driftlab.__file__).parent
@@ -295,25 +292,24 @@ def test_enlarged_split_has_one_home():
     assert callers == ["enlargement._enlarged_jump_mean"]
 
 
-def test_enlarged_caches_have_one_writer():
-    """Each `EnlargedBasis` cache dict is written by exactly one function.
+def cache_writers(module: str, class_name: str, scanned) -> dict:
+    """Cache name -> the functions that write it, for one class's cache dicts.
 
-    The caches are the basis's `cached_property`s that start as `{}`.  A
+    The caches are the class's `cached_property`s that start as `{}`.  A
     write is a subscript store or delete on `<x>.<cache>[...]`, or a call to
-    one of the dict's mutating methods, in `enlargement` or a module that
-    imports it (`basis` sits below and has a `SampleSpace._splits` of its
-    own).  The set of caches is read from the class, so a new cache needs
-    its one writer named here.
+    one of the dict's mutating methods, in a package module whose stem
+    `scanned` accepts.  The set of caches is read from the class, so a new
+    cache shows up with its writers.
     """
     mutators = {"clear", "pop", "popitem", "setdefault", "update"}
-    cls = next(node for node in parse(SRC / "enlargement.py").body
-               if isinstance(node, ast.ClassDef) and node.name == "EnlargedBasis")
+    cls = next(node for node in parse(SRC / f"{module}.py").body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
     caches = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and any(getattr(d, "id", None) == "cached_property" for d in fn.decorator_list)
               and isinstance(fn.body[-1], ast.Return) and isinstance(fn.body[-1].value, ast.Dict)}
     writers = {name: set() for name in caches}
     for path in package_modules():
-        if path.stem != "enlargement" and "enlargement" not in package_imports(path.stem):
+        if not scanned(path.stem):
             continue
         for fn in ast.walk(parse(path)):
             if not isinstance(fn, ast.FunctionDef):
@@ -328,6 +324,19 @@ def test_enlarged_caches_have_one_writer():
                     continue
                 if isinstance(target, ast.Attribute) and target.attr in caches:
                     writers[target.attr].add(f"{path.stem}.{fn.name}")
+    return writers
+
+
+def test_enlarged_caches_have_one_writer():
+    """Each `EnlargedBasis` cache dict is written by exactly one function.
+
+    The caches and their writes are as in `cache_writers`.  Scanned are
+    `enlargement` and the modules that import it (`basis` sits below and
+    has caches of its own).  A new cache needs its one writer named here.
+    """
+    writers = cache_writers("enlargement", "EnlargedBasis",
+                            lambda stem: stem == "enlargement"
+                            or "enlargement" in package_imports(stem))
     assert writers == {"_splits": {"enlargement._enlarged_jump_mean"},
                        "_factors": {"enlargement.solve_factors"},
                        "_connectors": {"viability._bare_connector"}}
@@ -336,34 +345,11 @@ def test_enlarged_caches_have_one_writer():
 def test_filtration_caches_have_one_writer():
     """Each `Filtration` cache dict is written by exactly one function.
 
-    As for `EnlargedBasis`: the caches are the class's `cached_property`s
-    that start as `{}`, and a write is a subscript store or delete on
-    `<x>.<cache>[...]`, or a call to one of the dict's mutating methods.
-    Every package module is scanned.  A new cache needs its one writer
-    named here.
+    The caches and their writes are as in `cache_writers`; every package
+    module is scanned.  A new cache needs its one writer named here.
     """
-    mutators = {"clear", "pop", "popitem", "setdefault", "update"}
-    cls = next(node for node in parse(SRC / "basis.py").body
-               if isinstance(node, ast.ClassDef) and node.name == "Filtration")
-    caches = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
-              and any(getattr(d, "id", None) == "cached_property" for d in fn.decorator_list)
-              and isinstance(fn.body[-1], ast.Return) and isinstance(fn.body[-1].value, ast.Dict)}
-    writers = {name: set() for name in caches}
-    for path in package_modules():
-        for fn in ast.walk(parse(path)):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                    target = node.value
-                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr in mutators:
-                    target = node.func.value
-                else:
-                    continue
-                if isinstance(target, ast.Attribute) and target.attr in caches:
-                    writers[target.attr].add(f"{path.stem}.{fn.name}")
-    assert writers == {"_alive": {"basis.alive_atoms"}}
+    assert cache_writers("basis", "Filtration", lambda stem: True) == \
+        {"_alive": {"basis.alive_atoms"}}
 
 
 def test_children_have_one_home():
@@ -770,40 +756,6 @@ def test_build_lp_rows_are_the_dense_formula():
         assert_sparse_form(A_eq, dense_eq)
         assert_sparse_form(A_ub, dense_ub)
         assert _row_descriptors(filt, S.dim, horizon, z_atoms) == (eq_desc, ub_desc)
-
-
-def forced_witness_markets(seeds):
-    """(space, enlarged filtration, witness asset, horizon) of each forced verdict, all kinds."""
-    for seed in seeds:
-        for kind in ("random", "initial", "progressive"):
-            eb = gen_random_instance(GeneratorConfig(
-                seed=seed, enlargement_kind=kind, force_condition_failure=True))
-            yield eb.space, eb.enlarged, full_viability_verdict(eb).witness["asset"], eb.horizon
-
-
-def test_build_lp_rows_of_named_atoms_are_the_full_programs():
-    """_build_lp with named atoms emits the full program's rows at those atoms' indices.
-
-    Named one alive atom at a time, then a random half of them: the
-    equality rows are the full program's rows of the named atoms, pair for
-    pair and in row order, with their right-hand sides; c, the inequality
-    rows, the column table and the Z atoms are the full program's.
-    """
-    rng = random.Random("named-rows")
-    markets = list(rows_markets()) + list(forced_witness_markets(range(100)))
-    for sp, filt, S, horizon in markets:
-        if horizon is None:
-            horizon = StoppingTime.constant(sp.n, filt.K)
-        c, A_eq, b_eq, A_ub, b_ub, columns, z_atoms = _build_lp(sp, filt, S, horizon)
-        alive = list(alive_atoms(filt, horizon))
-        width = S.dim + 1
-        for named in [{atom} for atom in alive] + [set(rng.sample(alive, len(alive) // 2))]:
-            rows = [r * width + comp for r, atom in enumerate(alive) if atom in named
-                    for comp in range(width)]
-            part = _build_lp(sp, filt, S, horizon, named)
-            assert (part[1], part[2]) == ([A_eq[r] for r in rows], [b_eq[r] for r in rows])
-            assert (part[0], part[3], part[4], part[5], part[6]) == \
-                (c, A_ub, b_ub, columns, z_atoms)
 
 
 def test_oracle_results_are_pinned():
