@@ -57,8 +57,17 @@ class SampleSpace:
 
     @cached_property
     def _splits(self) -> dict[tuple[frozenset[int], ...], tuple[Q, ...]]:
-        """Children of an atom -> their probabilities conditional on the atom (atom_split)."""
+        """Children of an atom -> their probabilities conditional on the atom (split)."""
         return {}
+
+    def split(self, kids: tuple[frozenset[int], ...]) -> tuple[Q, ...]:
+        """The probabilities of an atom's children kids conditional on the atom, cached by kids."""
+        p = self._splits.get(kids)
+        if p is None:
+            masses = [self.mass(kid) for kid in kids]
+            total = sum(masses, ZERO)
+            p = self._splits[kids] = tuple(m / total for m in masses)
+        return p
 
 
 @dataclass(frozen=True)
@@ -138,8 +147,8 @@ class Filtration:
         return self.initial if k == 0 else self.ticks[k - 1][0]
 
     @cached_property
-    def _alive(self) -> dict[tuple, tuple[tuple[int, frozenset[int]], ...]]:
-        """A horizon's values -> alive_atoms' completed walk under it."""
+    def _alive(self) -> dict[tuple, Optional[tuple]]:
+        """A horizon's values -> None after one completed walk, the walk after two (alive_atoms)."""
         return {}
 
     @cached_property
@@ -237,15 +246,14 @@ class Process:
         return tuple(map(operator.sub, cur, prev))
 
     def child_jumps(self, k: int, kids: Sequence[frozenset[int]]) -> list[tuple[Q, ...]]:
-        """The jump at tick k on each child, read at its smallest outcome (X adapted).
+        """The jump at tick k on each child, read at its smallest outcome (X adapted)."""
+        return self.jumps_at(k, map(min, kids))
 
-        Each child's values at k - 1 and k are read directly, as jump reads
-        them, with jump's zero vector at k = 0.
-        """
+    def jumps_at(self, k: int, outcomes: Iterable[int]) -> list[tuple[Q, ...]]:
+        """The jump at tick k at each outcome, as jump reads it (zero vector at k = 0)."""
+        rows = [self.values[i] for i in outcomes]
         if k == 0:
-            return [(ZERO,) * self.dim for _ in kids]
-        values = self.values
-        rows = [values[min(kid)] for kid in kids]
+            return [(ZERO,) * self.dim for _ in rows]
         if self.dim == 1:
             return [(row[k][0] - row[k - 1][0],) for row in rows]
         return [tuple(map(operator.sub, row[k], row[k - 1])) for row in rows]
@@ -432,21 +440,26 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
     Without a horizon every atom is alive; with one, an atom that straddles
     {T >= k} raises NotAStoppingTime (see StoppingTime.alive_block).
 
-    A walk under a horizon that runs to its end is stored on the filtration,
-    keyed by the horizon's values, and a later call with an equal horizon
-    iterates the stored walk; a walk without one tests nothing, so it
-    stores nothing.  A walk left unfinished, or stopped by a straddling
-    atom, stores nothing, so the same horizon raises at the same (tick,
-    atom) on every call.
+    Walks under a horizon are counted on the filtration, keyed by the
+    horizon's values.  The first that runs to its end is marked; the second
+    stores the walk, each atom with its children and each child's smallest
+    outcome (alive_children), and every later call with an equal horizon
+    iterates the stored walk.  A filtration walked once under a horizon, as
+    most are while instances are built, so holds no walk.  A walk without
+    a horizon tests nothing and is never stored.  A walk left unfinished,
+    or stopped by a straddling atom, counts for nothing, so the same
+    horizon raises at the same (tick, atom) on every call.
     """
     if horizon is None:
         for k in range(1, filt.K + 1):
             for b in filt.pre(k).blocks:
                 yield k, b
         return
-    walk = filt._alive.get(horizon.values)
-    if walk is not None:
-        yield from walk
+    key = horizon.values
+    stored = filt._alive.get(key)
+    if stored is not None:
+        for k, b, _, _ in stored:
+            yield k, b
         return
     walk = []
     for k in range(1, filt.K + 1):
@@ -454,7 +467,30 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
             if horizon.alive_block(b, k):
                 walk.append((k, b))
                 yield k, b
-    filt._alive[horizon.values] = tuple(walk)
+    filt._alive[key] = tuple(_with_children(filt, k, b) for k, b in walk) \
+        if key in filt._alive else None
+
+
+def _with_children(filt: Filtration, k: int, b: frozenset[int]) -> tuple:
+    """(k, b, kids, firsts): b's at(k)-children and each child's smallest outcome."""
+    kids = filt.child_map[(k, b)]
+    return k, b, kids, tuple(map(min, kids))
+
+
+def alive_children(filt: Filtration, horizon: Optional[StoppingTime] = None):
+    """(k, b, kids, firsts) for each (k, b) of alive_atoms(filt, horizon).
+
+    kids are b's at(k)-children (child_map) and firsts each child's
+    smallest outcome, where an adapted process is read (Process.jumps_at).
+    A stored walk is iterated as it is; otherwise the atoms come from
+    alive_atoms, which counts the walk, and their children from child_map.
+    """
+    stored = None if horizon is None else filt._alive.get(horizon.values)
+    if stored is not None:
+        yield from stored
+        return
+    for k, b in alive_atoms(filt, horizon):
+        yield _with_children(filt, k, b)
 
 
 def horizon_or_last_tick(space: SampleSpace, filt: Filtration,
@@ -478,14 +514,11 @@ def atom_split(space: SampleSpace, filt: Filtration, k: int,
                b: frozenset[int]) -> tuple[tuple[frozenset[int], ...], tuple[Q, ...]]:
     """The at(k)-children of the pre(k)-atom b and their conditional probabilities.
 
-    The probabilities are cached on the space, keyed by the children.
+    The probabilities are SampleSpace.split's, cached on the space and
+    keyed by the children.
     """
     kids = filt.child_map[(k, b)]
-    p = space._splits.get(kids)
-    if p is None:
-        mass = space.mass(b)
-        p = space._splits[kids] = tuple(space.mass(kid) / mass for kid in kids)
-    return kids, p
+    return kids, space.split(kids)
 
 
 def cond_prob(space: SampleSpace, partition: Partition, event: frozenset[int]) -> tuple[Q, ...]:

@@ -143,33 +143,37 @@ def random_martingale(rng: random.Random, space: SampleSpace, filt: Filtration,
     return Process.from_jump_table(space.n, filt, _martingale_jumps(rng, space, filt, cap))
 
 
-def _exp_table(filt: Filtration, jumps: dict) -> dict:
-    """The stochastic exponential of a process jumping by jumps[(k, c)], per (k, at(k)-atom)."""
-    out = {(0, b): ONE for b in filt.initial.blocks}
-    for k in range(1, filt.K + 1):
-        prev = filt.at(k - 1)
-        for c in filt.at(k).blocks:
-            out[(k, c)] = out[(k - 1, prev.block_of(min(c)))] * (ONE + jumps[(k, c)])
-    return out
-
-
 def random_viable_asset(rng: random.Random, space: SampleSpace, filt: Filtration,
                         dim: int = 1) -> tuple:
     """(S, D, Z): positive asset family with a known connector and deflator.
 
     Z is the exponential of -D and each component of S is an exponential
     martingale divided by Z, so Z*S is a martingale by construction and D
-    is a connector for S.  Jumps are capped away from the poles.  Z, each
-    exponential and S are formed once per at(k)-atom.
+    is a connector for S.  Jumps are capped away from the poles.  The jump
+    tables of D and of each exponential martingale are drawn first; then
+    one walk over the at(k)-atoms carries D, Z and the exponentials from
+    each atom's parent and forms S there.
     """
     cap = Q(7, 8)
     d_jumps = _martingale_jumps(rng, space, filt, cap)
-    z_of = _exp_table(filt, {key: -v for key, v in d_jumps.items()})
-    u_ofs = [_exp_table(filt, _martingale_jumps(rng, space, filt, cap)) for _ in range(dim)]
-    s_of = {key: tuple(u_of[key] / z for u_of in u_ofs) for key, z in z_of.items()}
+    u_jumps = [_martingale_jumps(rng, space, filt, cap) for _ in range(dim)]
+    ones = (ONE,) * dim
+    d_of, z_of, u_of, s_of = {}, {}, {}, {}
+    for b in filt.initial.blocks:
+        d_of[(0, b)], z_of[(0, b)], u_of[(0, b)], s_of[(0, b)] = (ZERO,), (ONE,), ones, ones
+    for k in range(1, filt.K + 1):
+        prev = filt.at(k - 1)
+        for c in filt.at(k).blocks:
+            parent, key = (k - 1, prev.block_of(min(c))), (k, c)
+            dj = d_jumps[key]
+            d_of[key] = (d_of[parent][0] + dj,)
+            z = z_of[parent][0] * (ONE - dj)
+            z_of[key] = (z,)
+            us = u_of[key] = tuple(u * (ONE + jumps[key]) for u, jumps in zip(u_of[parent], u_jumps))
+            s_of[key] = tuple(u / z for u in us)
     return (Process.from_value_table(space.n, filt, s_of, dim),
-            Process.from_jump_table(space.n, filt, d_jumps),
-            Process.from_value_table(space.n, filt, {key: (z,) for key, z in z_of.items()}))
+            Process.from_value_table(space.n, filt, d_of),
+            Process.from_value_table(space.n, filt, z_of))
 
 
 def tilted_component_assets(space: SampleSpace, filt: Filtration,

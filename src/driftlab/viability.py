@@ -5,7 +5,11 @@ with D_0 = 0 that is a martingale up to the horizon, has every jump
 strictly below one there, and whose jump covariance against the martingale
 part of each component reproduces that component's compensator increment.
 The stochastic exponential of -D is then a strictly positive deflator
-making D-deflated prices martingales, and conversely.
+making D-deflated prices martingales, and conversely.  The search for D
+solves one small program per alive atom, in closed form wherever its
+optimum has one: only an asset of dimension two or more that drifts on
+the atom, and a scalar tie at the extreme jump beside a zero jump, go to
+the simplex, whose vertex on a tied face the pinned results fix.
 
 On an enlarged basis the same machinery transfers.  Given a base
 connector D with martingale weights q_h = p_h (1 - jump_h(D)), the
@@ -32,8 +36,8 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
-from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split,
-                    horizon_or_last_tick)
+from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, alive_children,
+                    atom_split, horizon_or_last_tick)
 from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, _transfer_mismatch, check_condition_support,
@@ -158,20 +162,48 @@ def _atom_weights(p, s_jumps) -> Optional[list]:
     """The optimal weights q of one atom's program, or None if the atom blocks a connector.
 
     The atom blocks when the program is infeasible or its optimal floor t
-    is zero.  Two cases have a closed form and pose no program.  Where S
-    has no drift (sum p_h s_h = 0), summing p_h t <= q_h gives
-    t <= sum q = 1, with equality iff q = p, which is feasible there: q = p
-    is the unique optimum.  Where a scalar S drifts by mu, take e = min s
+    is zero.  Only a drifting S of dimension two or more, and a scalar tie
+    beside a zero jump, pose the program; every other atom has a closed
+    form.  Where S has no drift (sum p_h s_h = 0), summing p_h t <= q_h
+    gives t <= sum q = 1, with equality iff q = p, which is feasible there:
+    q = p is the unique optimum.  Where a scalar S drifts by mu, take e = min s
     if mu > 0 and e = max s if mu < 0.  Write q = t p + r with r >= 0 and
     sum r = 1 - t: then 0 = sum q s = t mu + sum r s.  For mu > 0,
     sum r s >= (1 - t) e, so t (mu - e) <= -e; for mu < 0 both inequalities
     flip.  Hence the atom blocks iff mu e >= 0, and otherwise the floor is
     t = e / (e - mu), in (0, 1), reached only with all of r on children
-    where s = e.  When a single child h* attains e,
-    q = t p + (1 - t) 1_{h*} is the unique optimum, so it is the one the
-    simplex returns.  Ties at e, and S of dimension two or more, go to the
-    simplex: on a tie the optimum is a face, and the pinned connector
-    digest fixes Bland's-rule vertex on it.
+    where s = e.  The optimal face thus has the vertices
+    V_h = t p + (1 - t) 1_h, one per child h with s_h = e.  With one such
+    child it is the unique optimum.  When several tie and no jump is zero,
+    the simplex returns V_h for the first of them, h*, so that is returned.
+
+    Why, for either sign of mu.  solve_lp orders the columns q_0..q_{m-1},
+    t, then the slacks r_h = q_h - p_h t; it enters the first column that
+    improves and, on a ratio tie, drops the row whose basic column comes
+    first.  Phase one starts on the artificials of sum q = 1 and
+    sum s q = 0.  While t = 0 each r_h equals q_h, so q_h leaves before
+    r_h, every slack stays basic and t prices at zero: phase one is
+    Bland's rule on those two rows.  Let j be the first child with
+    s_j > -1 (the first positive price, 1 + s_j).  If s_j > 0, the basic
+    child moves to the first child whose jump is below its own while that
+    jump is positive; the first negative child then enters, and phase one
+    ends on a measure on one positive child and the first negative one.
+    If s_j < 0, it moves to the first child whose jump is above its own
+    while negative, and ends with the first positive child.  In phase two,
+    pivots change nothing until one raises t; every point with t > 0 has
+    all of q and t basic and one slack r_g, so it is V_g, and the edge to
+    it keeps q_k = p_k t off g and the child whose slack leaves.  So t
+    first rises from phase one's measure to V_g for its child g on e's
+    side.  At V_g, entering r_h raises t iff s_h lies strictly beyond s_g
+    toward e, and the step ends at V_h; so each pivot takes the first
+    such child, which is h* as soon as it is tied, since every tied child
+    is beyond.  Phase one's child on e's side is tied only as h*: for
+    mu > 0 it is the first negative child, or j or a child with a jump
+    above s_j, and only j can be tied, before every tied child, since
+    e > -1 then; for mu < 0 it is the first positive child, or j or a
+    child below s_j, likewise.  A zero jump breaks this: 1_h is then a
+    martingale measure on its own, and t can first rise from it to any
+    child on e's side.
     """
     mean = jump_mean(p, s_jumps)
     if all(mu == ZERO for mu in mean):
@@ -182,7 +214,7 @@ def _atom_weights(p, s_jumps) -> Optional[list]:
         if mu * e >= ZERO:
             return None
         extreme = [h for h, sh in enumerate(s) if sh == e]
-        if len(extreme) == 1:
+        if len(extreme) == 1 or all(s):
             t = e / (e - mu)
             q = [t * ph for ph in p]
             q[extreme[0]] += ONE - t
@@ -242,10 +274,17 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     infeasible program or a floor of zero rules one out.
 
     _atom_weights gives each atom's optimum.  Only two kinds of atom pose
-    the program to the simplex: a scalar S whose drift-opposing extreme
-    jump is attained on two or more children (a tie), and S of dimension
-    two or more.  Driftless atoms (q = p, every jump of D zero) and the
-    other scalar atoms, blocked or not, take the closed form.
+    the program to the simplex: S of dimension two or more that drifts,
+    and a scalar S whose drift-opposing extreme jump is attained on two or
+    more children (a tie) while some child's jump is zero.  There the
+    optimum is a face whose vertex the simplex picks by Bland's rule, and
+    the pinned connector digest fixes that vertex; a zero jump lets the
+    simplex reach a tied child other than the first.  Driftless atoms
+    (q = p, every jump of D zero) and the other scalar atoms, blocked or
+    not, take the closed form, zero-free ties included.  Each atom's
+    children, and the outcome at which S is read on each, come from the
+    walk alive_children; the children's probabilities from
+    SampleSpace.split.
 
     Before a found search is returned, its atom table is checked on every
     alive atom through _atom_rows_violation, as in is_structure_connector:
@@ -258,9 +297,9 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     """
     jump_of: dict = {}
     rows = []
-    for k, b in alive_atoms(filt, horizon):
-        kids, p = atom_split(space, filt, k, b)
-        s_jumps = S.child_jumps(k, kids)
+    for k, b, kids, firsts in alive_children(filt, horizon):
+        p = space.split(kids)
+        s_jumps = S.jumps_at(k, firsts)
         q = _atom_weights(p, s_jumps)
         if q is None:
             return ConnectorSearch(tick=k, atom=tuple(sorted(b)))

@@ -11,6 +11,7 @@ from driftlab.basis import (
     SampleSpace,
     StoppingTime,
     alive_atoms,
+    alive_children,
     atom_split,
     cond_expect,
     cond_prob,
@@ -206,7 +207,10 @@ def test_process_jump_convention():
 
 
 def test_child_jumps_are_the_jumps_at_each_childs_smallest_outcome():
-    """child_jumps(k, kids) == [jump(min(kid), k)], tick 0 included, in dimensions 1 and 2."""
+    """child_jumps(k, kids) == [jump(min(kid), k)], tick 0 included, in dimensions 1 and 2.
+
+    jumps_at, which child_jumps calls, is jump at each of a list of outcomes.
+    """
     for seed in range(40):
         rng = random.Random(f"child-jumps:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
@@ -214,6 +218,8 @@ def test_child_jumps_are_the_jumps_at_each_childs_smallest_outcome():
         for k in range(filt.K + 1):
             kids = filt.at(k).blocks
             assert X.child_jumps(k, kids) == [X.jump(min(kid), k) for kid in kids]
+            outcomes = [rng.randrange(sp.n) for _ in range(rng.randint(0, 4))]
+            assert X.jumps_at(k, outcomes) == [X.jump(i, k) for i in outcomes]
 
 
 def test_process_from_jumps_round_trip():
@@ -316,46 +322,70 @@ def uncached_walk(filt, horizon):
             if horizon is None or horizon.alive_block(b, k)]
 
 
-def test_alive_atoms_stores_each_completed_walk():
-    """A repeated walk iterates the first one's stored tuple, keyed by the horizon's values.
+def uncached_children(filt, horizon):
+    """uncached_walk with each atom's children and each child's smallest outcome."""
+    return [(k, b, filt.child_map[(k, b)], tuple(min(kid) for kid in filt.child_map[(k, b)]))
+            for k, b in uncached_walk(filt, horizon)]
+
+
+def test_alive_atoms_stores_a_walk_on_its_second_completion():
+    """The first completed walk under a horizon is marked, the second stored, later ones read.
 
     A constant horizon, random stopping times and an equal but distinct
-    StoppingTime each give the uncached walk on every call; a walk without
-    a horizon gives it too and stores nothing.
+    StoppingTime each give the uncached walk on every call, through
+    alive_atoms and through alive_children, and the walk is stored only
+    when it completes for the second time, with the children of each atom.
+    A walk without a horizon gives it too and stores nothing.
     """
     for seed in range(60):
         rng = random.Random(f"alive-memo:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
         assert list(alive_atoms(filt)) == list(alive_atoms(filt)) == uncached_walk(filt, None)
+        assert list(alive_children(filt)) == uncached_children(filt, None)
         assert filt._alive == {}
         T = random_stopping_time(rng, sp, filt)
-        for horizon in (StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T):
-            expected = uncached_walk(filt, horizon)
-            assert list(alive_atoms(filt, horizon)) == expected
-            stored = filt._alive[horizon.values]
-            assert list(stored) == expected
-            assert list(alive_atoms(filt, horizon)) == expected
-            assert filt._alive[horizon.values] is stored
+        horizons = {h.values: h for h in (StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T)}
+        for first, second in ((alive_atoms, alive_children), (alive_children, alive_atoms)):
+            for horizon in horizons.values():
+                filt._alive.pop(horizon.values, None)
+                walks = {alive_atoms: uncached_walk(filt, horizon),
+                         alive_children: uncached_children(filt, horizon)}
+                assert list(first(filt, horizon)) == walks[first]
+                assert filt._alive[horizon.values] is None
+                assert list(second(filt, horizon)) == walks[second]
+                stored = filt._alive[horizon.values]
+                assert list(stored) == uncached_children(filt, horizon)
+                for walk in (first, second, first):
+                    assert list(walk(filt, horizon)) == walks[walk]
+                    assert filt._alive[horizon.values] is stored
         stored, count = filt._alive[T.values], len(filt._alive)
         again = StoppingTime(list(T.values))
         assert again is not T and again == T
         assert list(alive_atoms(filt, again)) == uncached_walk(filt, T)
+        assert list(alive_children(filt, again)) == uncached_children(filt, T)
         assert filt._alive[T.values] is stored and len(filt._alive) == count
 
 
 def test_an_unfinished_walk_stores_nothing():
-    """A walk abandoned after its first atom stores nothing; the next full walk stores."""
+    """A walk abandoned after its first atom counts for nothing; full walks mark, then store."""
     for seed in range(30):
         rng = random.Random(f"alive-abandoned:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
         horizon = StoppingTime.constant(sp.n, filt.K)
-        walk = alive_atoms(filt, horizon)
-        assert next(walk) == (1, filt.pre(1).blocks[0])
-        assert filt._alive == {}
-        walk.close()
-        assert filt._alive == {}
+        for walk in (alive_atoms, alive_children, alive_atoms, alive_children):
+            walker = walk(filt, horizon)
+            assert next(walker)[:2] == (1, filt.pre(1).blocks[0])
+            walker.close()
+            assert filt._alive == {}
         assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
-        assert list(filt._alive) == [horizon.values]
+        assert filt._alive == {horizon.values: None}
+        for walk in (alive_atoms, alive_children):
+            walker = walk(filt, horizon)
+            next(walker)
+            walker.close()
+            assert filt._alive == {horizon.values: None}
+        assert list(alive_children(filt, horizon)) == uncached_children(filt, None)
+        assert list(filt._alive[horizon.values]) == uncached_children(filt, None)
 
 
 def test_a_straddling_horizon_raises_on_every_walk():
@@ -363,12 +393,12 @@ def test_a_straddling_horizon_raises_on_every_walk():
     whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
     filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
     details = []
-    for T in (StoppingTime((1, 2, 2, 2)), StoppingTime((1, 2, 2, 2))):
+    for walk in (alive_atoms, alive_atoms, alive_children, alive_children):
         with pytest.raises(NotAStoppingTime) as exc:
-            list(alive_atoms(filt, T))
+            list(walk(filt, StoppingTime((1, 2, 2, 2))))
         details.append(exc.value.detail)
         assert filt._alive == {}
-    assert details == [{"tick": 2, "atom": [0, 1]}] * 2
+    assert details == [{"tick": 2, "atom": [0, 1]}] * 4
 
 
 def test_from_jump_table_is_zero_on_absent_keys():

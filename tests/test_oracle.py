@@ -353,7 +353,7 @@ def test_filtration_caches_have_one_writer():
 
 
 def test_children_have_one_home():
-    """An atom's children come from `child_map`, their probabilities from `atom_split`.
+    """An atom's children come from `child_map`, their probabilities from `SampleSpace.split`.
 
     No package module reads a second copy (an attribute named `children`
     or `probs`).  W-slot rows are padded past an atom's last child only

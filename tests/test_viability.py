@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given
@@ -585,7 +586,8 @@ def test_martingale_asset_poses_no_program(monkeypatch):
     """A base martingale has no drift on any atom: no LP, and D is zero.
 
     A drifting scalar atom poses a program only when two children tie at
-    the extreme jump; a drifting atom of dimension two always poses one.
+    the extreme jump and some child's jump is zero; a drifting atom of
+    dimension two always poses one.
     """
     import driftlab.viability as viability
     calls = []
@@ -607,14 +609,97 @@ def test_martingale_asset_poses_no_program(monkeypatch):
     assert find_structure_connector(sp, filt, Process.from_scalar_paths(
         [[0, 2], [0, -1], [0, 3]])).found
     assert calls == []
-    # two children tie at the extreme jump: one program
+    # two children tie at the extreme jump and no jump is zero: the closed form
     assert find_structure_connector(*tied_market()).found
+    assert calls == []
+    # a tie beside a zero jump: one program
+    assert find_structure_connector(*zero_tied_market()).found
     assert len(calls) == 1
     # a drifting atom of dimension two: one program
     S = Process(2, [[(ZERO, ZERO), (Q(2), ONE)], [(ZERO, ZERO), (-ONE, Q(-3))],
                     [(ZERO, ZERO), (ZERO, ONE)]])
     assert find_structure_connector(sp, filt, S).found
     assert len(calls) == 2
+
+
+TIE_JUMPS = (Q(-2), -ONE, Q(-1, 2), Q(1, 2), ONE, Q(2))
+TIE_WEIGHTS = (1, 2, 3, 5)
+
+
+def tied_extreme(p, s):
+    """The drift-opposing extreme jump of a drifting scalar atom when two children attain it."""
+    mu = jump_mean(p, [(sh,) for sh in s])[0]
+    e = min(s) if mu > ZERO else max(s)
+    return e if mu * e < ZERO and list(s).count(e) > 1 else None
+
+
+def scalar_ties(jump_rows, weight_rows):
+    """(p, s_jumps) of each atom whose tied_extreme is not None, p the normalized weights."""
+    for s in jump_rows:
+        for w in weight_rows:
+            p = [Q(x, sum(w)) for x in w]
+            if tied_extreme(p, s) is not None:
+                yield p, [(sh,) for sh in s]
+
+
+def tie_grid():
+    """Every tie over jumps TIE_JUMPS: weights from TIE_WEIGHTS at m = 3, fixed rows at 4 and 5."""
+    for m, weight_rows in ((3, product(TIE_WEIGHTS, repeat=3)),
+                           (4, ((1, 2, 3, 5), (5, 3, 2, 1), (2, 2, 2, 2))),
+                           (5, ((1, 2, 3, 5, 1),))):
+        yield from scalar_ties(product(TIE_JUMPS, repeat=m), list(weight_rows))
+
+
+def random_ties(count):
+    """Ties at m = 3..8 from a fixed seed: random weights, random nonzero jumps, a copied extreme."""
+    rng = random.Random("ties")
+    while count:
+        m = rng.randint(3, 8)
+        w = [rng.randint(1, 9) for _ in range(m)]
+        s = [Q(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
+        e = min(s) if rng.random() < 0.5 else max(s)
+        for h in rng.sample(range(m), rng.randint(1, m - 2)):
+            s[h] = e
+        for tie in scalar_ties([s], [w]):
+            count -= 1
+            yield tie
+
+
+def test_a_zero_free_tie_is_blands_vertex_in_closed_form(monkeypatch):
+    """On a tie with no zero jump, _atom_weights poses no program and returns the simplex's q.
+
+    Every tie of tie_grid and 400 random_ties up to m = 8: q equals the
+    first m values of solve_lp on _atom_program, exactly.  The two phases
+    of _atom_weights' argument both occur (the first jump above -1 is
+    positive or negative) under both signs of the drift, and the first
+    tied child is not always the first child.  The same ties with one
+    non-extreme jump set to zero pose one program each.
+    """
+    import driftlab.viability as viability
+    calls = []
+
+    def counting_solve_lp(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(viability, "solve_lp", counting_solve_lp)
+    census, later_first, zero_ties = Counter(), 0, 0
+    for p, s_jumps in [*tie_grid(), *random_ties(400)]:
+        s = [sh for (sh,) in s_jumps]
+        assert _atom_weights(p, s_jumps) == solve_lp(*_atom_program(p, s_jumps)).x[:len(p)]
+        e = tied_extreme(p, s)
+        first_above = next(sh for sh in s if sh > -ONE)
+        census[e < ZERO, first_above > ZERO] += 1
+        later_first += s.index(e) > 0
+        s[max(h for h, sh in enumerate(s) if sh != e)] = ZERO
+        if tied_extreme(p, s) is not None:
+            zeroed = [(sh,) for sh in s]
+            before = len(calls)
+            assert _atom_weights(p, zeroed) == solve_lp(*_atom_program(p, zeroed)).x[:len(p)]
+            assert len(calls) == before + 1
+            zero_ties += 1
+    assert len(calls) == zero_ties > 0
+    assert set(census) == set(product((False, True), repeat=2)) and later_first > 0, census
 
 
 def test_a_horizon_that_is_not_a_stopping_time_is_refused():
@@ -639,9 +724,20 @@ def three_point_market():
 
 
 def tied_market():
-    """three_point_market's space; S drifts and its two smallest jumps tie, so a program is posed."""
+    """three_point_market's space; S drifts and its two smallest jumps tie, none is zero."""
     sp, filt, _ = three_point_market()
     return sp, filt, Process.from_scalar_paths([[0, -1], [0, -1], [0, 2]])
+
+
+def zero_tied_market():
+    """Four equally likely children; S drifts, its two smallest jumps tie and one jump is zero.
+
+    The tie beside a zero jump is the atom that still poses a program.
+    """
+    sp = SampleSpace(("a", "b", "c", "d"), (Q(1, 4),) * 4)
+    top = Partition([[0, 1, 2, 3]])
+    filt = Filtration(top, ((top, Partition([[0], [1], [2], [3]])),))
+    return sp, filt, Process.from_scalar_paths([[0, -1], [0, -1], [0, 0], [0, 3]])
 
 
 def broken_optimum(q_of):
@@ -686,11 +782,11 @@ def test_search_self_check_catches_injected_faults(monkeypatch, patch, reason):
     assembled D is perturbed at one outcome, at its start, or in its
     dimension; D is built on the first read of the connector, so that
     read refuses these.  Each fault is injected on both routes to the
-    optimum: the closed form (three_point_market) and the simplex
-    (tied_market).
+    optimum: the closed form (three_point_market, and tied_market's tie)
+    and the simplex (zero_tied_market).
     """
     import driftlab.viability as viability
-    markets = (three_point_market(), tied_market())
+    markets = (three_point_market(), tied_market(), zero_tied_market())
     for sp, filt, S in markets:
         assert find_structure_connector(sp, filt, S).found
     name, fault = patch
