@@ -148,7 +148,10 @@ class Filtration:
 
     @cached_property
     def _alive(self) -> dict[tuple, Optional[tuple]]:
-        """A horizon's values -> None after one completed walk, the walk after two (alive_atoms)."""
+        """A horizon's values -> None after one completed walk, the walk after two (alive_atoms).
+
+        A stored walk is the tuple of the (k, b, kids) it yielded.
+        """
         return {}
 
     @cached_property
@@ -246,12 +249,11 @@ class Process:
         return tuple(map(operator.sub, cur, prev))
 
     def child_jumps(self, k: int, kids: Sequence[frozenset[int]]) -> list[tuple[Q, ...]]:
-        """The jump at tick k on each child, read at its smallest outcome (X adapted)."""
-        return self.jumps_at(k, map(min, kids))
+        """The jump at tick k on each child, read at its smallest outcome (X adapted).
 
-    def jumps_at(self, k: int, outcomes: Iterable[int]) -> list[tuple[Q, ...]]:
-        """The jump at tick k at each outcome, as jump reads it (zero vector at k = 0)."""
-        rows = [self.values[i] for i in outcomes]
+        As jump reads it: the zero vector at k = 0.
+        """
+        rows = [self.values[min(kid)] for kid in kids]
         if k == 0:
             return [(ZERO,) * self.dim for _ in rows]
         if self.dim == 1:
@@ -435,62 +437,37 @@ def validate(space: SampleSpace, *filts: Filtration) -> Diagnostics:
 
 
 def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
-    """(k, b) for every pre(k)-atom b alive at tick k, ticks ascending, then in block order.
+    """(k, b, kids) for every pre(k)-atom b alive at tick k, ticks ascending, then in block order.
 
-    Without a horizon every atom is alive; with one, an atom that straddles
-    {T >= k} raises NotAStoppingTime (see StoppingTime.alive_block).
+    kids are b's at(k)-children, filt.child_map[(k, b)]; the walk iterates
+    child_map, whose entries come in that order.  Without a horizon every
+    atom is alive; with one, an atom that straddles {T >= k} raises
+    NotAStoppingTime (see StoppingTime.alive_block).
 
     Walks under a horizon are counted on the filtration, keyed by the
     horizon's values.  The first that runs to its end is marked; the second
-    stores the walk, each atom with its children and each child's smallest
-    outcome (alive_children), and every later call with an equal horizon
-    iterates the stored walk.  A filtration walked once under a horizon, as
-    most are while instances are built, so holds no walk.  A walk without
-    a horizon tests nothing and is never stored.  A walk left unfinished,
-    or stopped by a straddling atom, counts for nothing, so the same
-    horizon raises at the same (tick, atom) on every call.
+    stores the triples it yielded, and every later call with an equal
+    horizon iterates the stored walk.  A filtration walked once under a
+    horizon, as most are while instances are built, so holds no walk.  A
+    walk without a horizon tests nothing and is never stored.  A walk left
+    unfinished, or stopped by a straddling atom, counts for nothing, so the
+    same horizon raises at the same (tick, atom) on every call.
     """
     if horizon is None:
-        for k in range(1, filt.K + 1):
-            for b in filt.pre(k).blocks:
-                yield k, b
+        for (k, b), kids in filt.child_map.items():
+            yield k, b, kids
         return
     key = horizon.values
     stored = filt._alive.get(key)
     if stored is not None:
-        for k, b, _, _ in stored:
-            yield k, b
-        return
-    walk = []
-    for k in range(1, filt.K + 1):
-        for b in filt.pre(k).blocks:
-            if horizon.alive_block(b, k):
-                walk.append((k, b))
-                yield k, b
-    filt._alive[key] = tuple(_with_children(filt, k, b) for k, b in walk) \
-        if key in filt._alive else None
-
-
-def _with_children(filt: Filtration, k: int, b: frozenset[int]) -> tuple:
-    """(k, b, kids, firsts): b's at(k)-children and each child's smallest outcome."""
-    kids = filt.child_map[(k, b)]
-    return k, b, kids, tuple(map(min, kids))
-
-
-def alive_children(filt: Filtration, horizon: Optional[StoppingTime] = None):
-    """(k, b, kids, firsts) for each (k, b) of alive_atoms(filt, horizon).
-
-    kids are b's at(k)-children (child_map) and firsts each child's
-    smallest outcome, where an adapted process is read (Process.jumps_at).
-    A stored walk is iterated as it is; otherwise the atoms come from
-    alive_atoms, which counts the walk, and their children from child_map.
-    """
-    stored = None if horizon is None else filt._alive.get(horizon.values)
-    if stored is not None:
         yield from stored
         return
-    for k, b in alive_atoms(filt, horizon):
-        yield _with_children(filt, k, b)
+    walk = []
+    for (k, b), kids in filt.child_map.items():
+        if horizon.alive_block(b, k):
+            walk.append((k, b, kids))
+            yield k, b, kids
+    filt._alive[key] = tuple(walk) if key in filt._alive else None
 
 
 def horizon_or_last_tick(space: SampleSpace, filt: Filtration,
@@ -508,17 +485,6 @@ def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -
         for i in b:
             out[i] = avg
     return tuple(out)
-
-
-def atom_split(space: SampleSpace, filt: Filtration, k: int,
-               b: frozenset[int]) -> tuple[tuple[frozenset[int], ...], tuple[Q, ...]]:
-    """The at(k)-children of the pre(k)-atom b and their conditional probabilities.
-
-    The probabilities are SampleSpace.split's, cached on the space and
-    keyed by the children.
-    """
-    kids = filt.child_map[(k, b)]
-    return kids, space.split(kids)
 
 
 def cond_prob(space: SampleSpace, partition: Partition, event: frozenset[int]) -> tuple[Q, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms, atom_split
+from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms
 from .errors import DimensionMismatch, NotAdapted, NotPredictable
 from .rational import ONE, ZERO, Q, _dot
 
@@ -54,9 +54,8 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
     its jump takes one value per child.
     """
     _require_adapted(filt, X)
-    for k, b in alive_atoms(filt, horizon):
-        kids, p = atom_split(space, filt, k, b)
-        for c, mean in enumerate(jump_mean(p, X.child_jumps(k, kids))):
+    for k, b, kids in alive_atoms(filt, horizon):
+        for c, mean in enumerate(jump_mean(space.split(kids), X.child_jumps(k, kids))):
             if mean != ZERO:
                 return (k, b, c)
     return None
@@ -74,9 +73,8 @@ def compensator(space: SampleSpace, filt: Filtration, A: Process) -> Process:
     """
     _require_adapted(filt, A)
     table: dict = {}
-    for k, b in alive_atoms(filt):
-        kids, p = atom_split(space, filt, k, b)
-        mean = jump_mean(p, A.child_jumps(k, kids))
+    for k, _, kids in alive_atoms(filt):
+        mean = jump_mean(space.split(kids), A.child_jumps(k, kids))
         table.update(((k, kid), mean) for kid in kids)
     return Process.from_jump_table(A.n, filt, table, A.dim)
 

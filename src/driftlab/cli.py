@@ -30,10 +30,14 @@ from .viability import deflator_from_connector, find_structure_connector, full_v
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:
+    """Write the report to output, or to stdout without one; SchemaError if output fails."""
     text = serialize.dumps(doc)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write output {output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -227,17 +231,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code.
+
+    An error report goes where --output points.  When that path cannot be
+    written, a SCHEMA_ERROR report naming it goes to stdout instead, with
+    exit 2.
+    """
     args = _build_parser().parse_args(argv)
     out = getattr(args, "output", None)
     try:
         return _DISPATCH[args.command](args)
     except SchemaError as exc:
-        _emit({"error": "SCHEMA_ERROR", "message": str(exc)}, out)
-        return 2
+        report, code = {"error": "SCHEMA_ERROR", "message": str(exc)}, 2
     except EngineError as exc:
-        _emit({"error": exc.code, "message": str(exc),
-               "detail": encode_exact(exc.detail)}, out)
-        return 3
+        report, code = {"error": exc.code, "message": str(exc),
+                        "detail": encode_exact(exc.detail)}, 3
+    try:
+        _emit(report, out)
+    except SchemaError as exc:
+        _emit({"error": "SCHEMA_ERROR", "message": str(exc)}, None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

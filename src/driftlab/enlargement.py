@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
-                    alive_atoms, atom_split, is_stopping_time, validate)
+                    alive_atoms, is_stopping_time, validate)
 from .calculus import compensator, is_adapted, is_martingale, jump_mean, stop
 from .errors import NotAMartingale, NotAdapted, Unsolvable
 from .linalg import vec_dot
@@ -74,7 +74,7 @@ class EnlargedBasis:
     def _support(self) -> "SupportReport":
         """check_condition_support's report: a set test per (alive atom, base child)."""
         base = self.base
-        for k, c in alive_atoms(self.enlarged, self.horizon):
+        for k, c, _ in alive_atoms(self.enlarged, self.horizon):
             for kid in base.child_map[(k, base.pre(k).block_of(min(c)))]:
                 if not (kid & c):
                     return SupportReport(ok=False, tick=k, atom=c, child=kid)
@@ -161,9 +161,9 @@ def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
     out = eb._splits.get(key)
     if out is None:
         b = eb.base.pre(k).block_of(min(c))
-        kids, p = atom_split(eb.space, eb.base, k, b)
+        kids = eb.base.child_map[(k, b)]
         mass = eb.space.mass(c)
-        p = padded(rep.width, p)
+        p = padded(rep.width, eb.space.split(kids))
         pbar = padded(rep.width, [eb.space.mass(kid & c) / mass for kid in kids])
         scale = Q(1, 2 ** k)
         gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, p))
@@ -192,13 +192,13 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     space, enlarged = eb.space, eb.enlarged
     phi_by_atom: dict = {}
     minus_gamma: dict = {}  # the drift's jumps, negated, on the alive atoms' children
-    for k, c in alive_atoms(enlarged, eb.horizon):
+    for k, c, ekids in alive_atoms(enlarged, eb.horizon):
         _, p, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
         phi_by_atom[(k, c)] = _multinomial_solve(
             p, [Q(4 ** k) * g for g in gamma],
             "factor system inconsistent", tick=k, atom=sorted(c))
         down = tuple(-g for g in gamma)
-        minus_gamma.update(((k, kid), down) for kid in enlarged.child_map[(k, c)])
+        minus_gamma.update(((k, kid), down) for kid in ekids)
     factors = eb._factors[width] = DriftFactors(
         N=rep.W, phi=Process.from_atom_table(space.n, enlarged, phi_by_atom, width),
         Wt=rep.W + Process.from_jump_table(space.n, enlarged, minus_gamma, width))
@@ -241,9 +241,9 @@ def _transfer_mismatch(eb: EnlargedBasis, factors: DriftFactors, X: Process,
     component, then outcome.
     """
     bad: list = []
-    for k, c in alive_atoms(eb.enlarged, eb.horizon):
-        ekids, pbar = atom_split(eb.space, eb.enlarged, k, c)
-        bkids, p = atom_split(eb.space, eb.base, k, eb.base.pre(k).block_of(min(c)))
+    for k, c, ekids in alive_atoms(eb.enlarged, eb.horizon):
+        bkids = eb.base.child_map[(k, eb.base.pre(k).block_of(min(c)))]
+        pbar, p = eb.space.split(ekids), eb.space.split(bkids)
         phi = factors.phi.at(min(c), k)
         tilt = [vec_dot(phi, nj) for nj in factors.N.child_jumps(k, bkids)]
         if connector is None:

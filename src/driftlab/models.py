@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
-                    alive_atoms, atom_split, cond_expect, cond_prob)
+                    alive_atoms, cond_expect, cond_prob)
 from .calculus import jump_mean
 from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
                           solve_factors, validate_enlargement)
@@ -122,10 +122,9 @@ def _martingale_jumps(rng: random.Random, space: SampleSpace, filt: Filtration,
                       cap: Optional[Q]) -> dict:
     """random_martingale's jump table: (k, at(k)-atom) -> its scalar jump at k."""
     jump_of = {}
-    for k, b in alive_atoms(filt):
-        kids, p = atom_split(space, filt, k, b)
+    for k, _, kids in alive_atoms(filt):
         raw = [_rand_q(rng) for _ in kids]
-        mean = _dot(p, raw)
+        mean = _dot(space.split(kids), raw)
         cent = [r - mean for r in raw]
         if cap is not None:
             peak = max((abs(v) for v in cent), default=ZERO)
@@ -192,8 +191,7 @@ def tilted_component_assets(space: SampleSpace, filt: Filtration,
     one = (ONE,)
     flat = {(j, c): one for j in range(filt.K + 1) for c in filt.at(j).blocks}
     out = []
-    for k, b in alive_atoms(filt):
-        kids = filt.child_map[(k, b)]
+    for k, b, kids in alive_atoms(filt):
         if len(kids) < 2:
             continue
         at_k = filt.at(k)
@@ -292,7 +290,7 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
     """
     base, enlarged = eb.base, eb.enlarged
     candidates = []
-    for k, c in alive_atoms(enlarged, eb.horizon):
+    for k, c, _ in alive_atoms(enlarged, eb.horizon):
         kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
         if len(kids) >= 2 and sum(1 for kid in kids if kid & c) >= 2:
             candidates.append((k, c, kids))

@@ -73,7 +73,7 @@ def _build_lp(space: SampleSpace, filt: Filtration, S: Process, horizon: Stoppin
     # each product is formed once per (outcome, tick, component).
     carried = [[None] * space.n for _ in range(S.dim)]
     A_eq, b_eq = [], []
-    for k, b in alive_atoms(filt, horizon):
+    for k, b, _ in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
             acc = {}
             rhs = ZERO
@@ -110,7 +110,7 @@ def _row_descriptors(filt: Filtration, dim: int, horizon: StoppingTime, z_atoms)
                 "tick": k,
                 "atom": sorted(b),
                 "component": comp - 1 if comp else None}
-               for k, b in alive_atoms(filt, horizon) for comp in range(dim + 1)]
+               for k, b, _ in alive_atoms(filt, horizon) for comp in range(dim + 1)]
     rows_ub = [{"kind": "positivity", "tick": k, "atom": sorted(b)} for k, b in z_atoms]
     rows_ub.append({"kind": "gap-cap"})
     return rows_eq, rows_ub
@@ -181,8 +181,9 @@ def arbitrage_certificate(space: SampleSpace, filt: Filtration, S: Process,
     """
     lp = _build_lp(space, filt, S, horizon)
     _, A_eq, _, A_ub, _, columns, _ = lp
-    a_star = max(a for (a,) in S.child_jumps(k, filt.child_map[(k, c)]))
-    row = 2 * next(r for r, atom in enumerate(alive_atoms(filt, horizon)) if atom == (k, c))
+    r, kids = next((r, kids) for r, (j, b, kids) in enumerate(alive_atoms(filt, horizon))
+                   if (j, b) == (k, c))
+    row, a_star = 2 * r, max(a for (a,) in S.child_jumps(k, kids))
     y_eq, y_ub = [ZERO] * len(A_eq), [ZERO] * len(A_ub)
     scale = ONE if k == 1 else ONE / space.mass(c)
     y_eq[row], y_eq[row + 1] = -scale, scale / a_star if a_star else ZERO
@@ -222,7 +223,7 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
     for i, t in enumerate(horizon.values):
         if t is not None and any(Z.at(i, k) != Z.at(i, t) for k in range(t + 1, filt.K + 1)):
             return False
-    for k, b in alive_atoms(filt, horizon):
+    for k, b, _ in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
             tot = ZERO
             for i in b:

@@ -4,7 +4,7 @@ At every tick each left-limit atom splits into at most d+1 children.  The
 driving process W has one component per child slot: slot h of an atom is
 its h-th child in `Filtration.child_map` (ordered by smallest outcome), and
 the slots past its last child are zero.  W's jump at tick k on child h is
-2^(-k) * (e_h - p), p the atom's child probabilities from `atom_split`,
+2^(-k) * (e_h - p), p the atom's child probabilities (`SampleSpace.split`),
 padded with zeros to W's width.  Every martingale null at 0 is a
 stochastic integral against W; coefficients are chosen with minimum
 Euclidean norm per (tick, atom).
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import Filtration, Process, SampleSpace, alive_atoms, atom_split
+from .basis import Filtration, Process, SampleSpace, alive_atoms
 from .calculus import is_martingale, stoch_integral
 from .errors import DimensionMismatch, NotAMartingale
 from .rational import ONE, ZERO, Q
@@ -42,9 +42,8 @@ def build_representation(space: SampleSpace, filt: Filtration) -> Representation
     width = multiplicity(filt)
     jump_of: dict = {}
     half = Q(1, 2)
-    for k, b in alive_atoms(filt):
-        kids, p = atom_split(space, filt, k, b)
-        p = padded(width, p)
+    for k, _, kids in alive_atoms(filt):
+        p = padded(width, space.split(kids))
         w = half ** k
         for h, kid in enumerate(kids):
             jump_of[(k, kid)] = tuple(w * ((ONE if g == h else ZERO) - pg)
@@ -75,8 +74,8 @@ def represent(rep: RepresentationProcess, X: Process) -> Process:
 
     coeff: dict = {}
     two = Q(2)
-    for k, b in alive_atoms(filt):
-        xs = [x for (x,) in X.child_jumps(k, filt.child_map[(k, b)])]
+    for k, b, kids in alive_atoms(filt):
+        xs = [x for (x,) in X.child_jumps(k, kids)]
         mean = sum(xs, ZERO) / len(xs)
         scale = two ** k
         coeff[(k, b)] = padded(rep.width, [scale * (x - mean) for x in xs])

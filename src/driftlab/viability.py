@@ -36,8 +36,8 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
-from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms, alive_children,
-                    atom_split, horizon_or_last_tick)
+from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms,
+                    horizon_or_last_tick)
 from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
                           _multinomial_solve, _transfer_mismatch, check_condition_support,
@@ -107,9 +107,8 @@ def _connector_violation(space: SampleSpace, filt: Filtration, D: Process,
             return {"reason": "nonzero-start", "outcome": i}
 
     def rows():
-        for k, b in alive_atoms(filt, horizon):
-            kids, p = atom_split(space, filt, k, b)
-            yield (k, b, kids, p, D.child_jumps(k, kids),
+        for k, b, kids in alive_atoms(filt, horizon):
+            yield (k, b, kids, space.split(kids), D.child_jumps(k, kids),
                    None if S is None else S.child_jumps(k, kids))
 
     return _atom_rows_violation(rows())
@@ -281,10 +280,9 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     the pinned connector digest fixes that vertex; a zero jump lets the
     simplex reach a tied child other than the first.  Driftless atoms
     (q = p, every jump of D zero) and the other scalar atoms, blocked or
-    not, take the closed form, zero-free ties included.  Each atom's
-    children, and the outcome at which S is read on each, come from the
-    walk alive_children; the children's probabilities from
-    SampleSpace.split.
+    not, take the closed form, zero-free ties included.  Each atom comes
+    with its children from the walk alive_atoms, and their probabilities
+    from SampleSpace.split.
 
     Before a found search is returned, its atom table is checked on every
     alive atom through _atom_rows_violation, as in is_structure_connector:
@@ -297,9 +295,9 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     """
     jump_of: dict = {}
     rows = []
-    for k, b, kids, firsts in alive_children(filt, horizon):
+    for k, b, kids in alive_atoms(filt, horizon):
         p = space.split(kids)
-        s_jumps = S.jumps_at(k, firsts)
+        s_jumps = S.child_jumps(k, kids)
         q = _atom_weights(p, s_jumps)
         if q is None:
             return ConnectorSearch(tick=k, atom=tuple(sorted(b)))
@@ -348,7 +346,7 @@ def _connector_atoms(eb: EnlargedBasis, rep: RepresentationProcess,
     if D is not None and not is_martingale(eb.space, eb.base, D):
         raise NotAMartingale()
     atoms = []
-    for k, c in alive_atoms(eb.enlarged, eb.horizon):
+    for k, c, _ in alive_atoms(eb.enlarged, eb.horizon):
         b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, c)
         q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip_longest(
             p, D.child_jumps(k, eb.base.child_map[(k, b)]), fillvalue=(ZERO,))]

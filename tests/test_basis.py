@@ -11,8 +11,6 @@ from driftlab.basis import (
     SampleSpace,
     StoppingTime,
     alive_atoms,
-    alive_children,
-    atom_split,
     cond_expect,
     cond_prob,
     is_stopping_time,
@@ -65,12 +63,11 @@ def assert_children_match_brute_force(space, filt):
                                    for b in filt.pre(k).blocks}
     for (k, b), kids in filt.child_map.items():
         assert list(kids) == [c for c in filt.at(k).blocks if c <= b]
-        split_kids, p = atom_split(space, filt, k, b)
-        assert split_kids == kids
+        p = space.split(kids)
         total = sum(space.prob[i] for i in b)
         assert list(p) == [sum(space.prob[i] for i in c) / total for c in kids]
         assert sum(p) == ONE
-        assert atom_split(space, filt, k, b) == (kids, p)  # the cached split
+        assert space.split(kids) is p  # the cached split
 
 
 def test_child_map_and_split_match_brute_force():
@@ -96,12 +93,12 @@ def test_split_cache_stays_on_its_space():
         first, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 3), 3)
         weights = [rng.randint(1, 9) for _ in range(first.n)]
         second = SampleSpace(first.outcomes, [Q(w, sum(weights)) for w in weights])
-        for k, b in alive_atoms(filt):
-            kids = filt.child_map[(k, b)]
+        for k, b, kids in alive_atoms(filt):
+            assert kids == filt.child_map[(k, b)]
             splits = {space: tuple(space.mass(c) / space.mass(b) for c in kids)
                       for space in (first, second)}
             for space in (first, second, first, second):
-                assert atom_split(space, filt, k, b) == (kids, splits[space])
+                assert space.split(kids) == splits[space]
 
 
 def test_cond_expect_golden():
@@ -207,10 +204,7 @@ def test_process_jump_convention():
 
 
 def test_child_jumps_are_the_jumps_at_each_childs_smallest_outcome():
-    """child_jumps(k, kids) == [jump(min(kid), k)], tick 0 included, in dimensions 1 and 2.
-
-    jumps_at, which child_jumps calls, is jump at each of a list of outcomes.
-    """
+    """child_jumps(k, kids) == [jump(min(kid), k)], tick 0 included, in dimensions 1 and 2."""
     for seed in range(40):
         rng = random.Random(f"child-jumps:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
@@ -218,8 +212,6 @@ def test_child_jumps_are_the_jumps_at_each_childs_smallest_outcome():
         for k in range(filt.K + 1):
             kids = filt.at(k).blocks
             assert X.child_jumps(k, kids) == [X.jump(min(kid), k) for kid in kids]
-            outcomes = [rng.randrange(sp.n) for _ in range(rng.randint(0, 4))]
-            assert X.jumps_at(k, outcomes) == [X.jump(i, k) for i in outcomes]
 
 
 def test_process_from_jumps_round_trip():
@@ -301,8 +293,8 @@ def test_alive_atoms_is_the_nested_alive_block_walk(seed):
     rng = random.Random(f"alive:{seed}")
     sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
     for horizon in (None, random_stopping_time(rng, sp, filt)):
-        expected = [(k, b) for k in range(1, filt.K + 1) for b in filt.pre(k).blocks
-                    if horizon is None or horizon.alive_block(b, k)]
+        expected = [(k, b, filt.child_map[(k, b)]) for k in range(1, filt.K + 1)
+                    for b in filt.pre(k).blocks if horizon is None or horizon.alive_block(b, k)]
         assert list(alive_atoms(filt, horizon)) == expected
     assert len(list(alive_atoms(filt))) == len(filt.child_map)
 
@@ -311,58 +303,47 @@ def test_alive_atoms_refuses_a_horizon_that_is_not_a_stopping_time():
     whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
     filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
     walk = alive_atoms(filt, StoppingTime((1, 2, 2, 2)))  # {T >= 2} splits {0, 1}
-    assert next(walk) == (1, frozenset(range(4)))
+    assert next(walk) == (1, frozenset(range(4)), halves.blocks)
     with pytest.raises(NotAStoppingTime) as exc:
         list(walk)
     assert exc.value.detail == {"tick": 2, "atom": [0, 1]}
 
 
 def uncached_walk(filt, horizon):
-    return [(k, b) for k in range(1, filt.K + 1) for b in filt.pre(k).blocks
-            if horizon is None or horizon.alive_block(b, k)]
-
-
-def uncached_children(filt, horizon):
-    """uncached_walk with each atom's children and each child's smallest outcome."""
-    return [(k, b, filt.child_map[(k, b)], tuple(min(kid) for kid in filt.child_map[(k, b)]))
-            for k, b in uncached_walk(filt, horizon)]
+    """(k, b, kids) of the nested alive_block walk, kids from child_map."""
+    return [(k, b, filt.child_map[(k, b)]) for k in range(1, filt.K + 1)
+            for b in filt.pre(k).blocks if horizon is None or horizon.alive_block(b, k)]
 
 
 def test_alive_atoms_stores_a_walk_on_its_second_completion():
     """The first completed walk under a horizon is marked, the second stored, later ones read.
 
     A constant horizon, random stopping times and an equal but distinct
-    StoppingTime each give the uncached walk on every call, through
-    alive_atoms and through alive_children, and the walk is stored only
-    when it completes for the second time, with the children of each atom.
-    A walk without a horizon gives it too and stores nothing.
+    StoppingTime each give the uncached walk on every call, and the walk
+    is stored, as the triples it yields, only when it completes for the
+    second time.  A walk without a horizon gives it too and stores nothing.
     """
     for seed in range(60):
         rng = random.Random(f"alive-memo:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
         assert list(alive_atoms(filt)) == list(alive_atoms(filt)) == uncached_walk(filt, None)
-        assert list(alive_children(filt)) == uncached_children(filt, None)
         assert filt._alive == {}
         T = random_stopping_time(rng, sp, filt)
         horizons = {h.values: h for h in (StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T)}
-        for first, second in ((alive_atoms, alive_children), (alive_children, alive_atoms)):
-            for horizon in horizons.values():
-                filt._alive.pop(horizon.values, None)
-                walks = {alive_atoms: uncached_walk(filt, horizon),
-                         alive_children: uncached_children(filt, horizon)}
-                assert list(first(filt, horizon)) == walks[first]
-                assert filt._alive[horizon.values] is None
-                assert list(second(filt, horizon)) == walks[second]
-                stored = filt._alive[horizon.values]
-                assert list(stored) == uncached_children(filt, horizon)
-                for walk in (first, second, first):
-                    assert list(walk(filt, horizon)) == walks[walk]
-                    assert filt._alive[horizon.values] is stored
+        for horizon in horizons.values():
+            walk = uncached_walk(filt, horizon)
+            assert list(alive_atoms(filt, horizon)) == walk
+            assert filt._alive[horizon.values] is None
+            assert list(alive_atoms(filt, horizon)) == walk
+            stored = filt._alive[horizon.values]
+            assert list(stored) == walk
+            for _ in range(3):
+                assert list(alive_atoms(filt, horizon)) == walk
+                assert filt._alive[horizon.values] is stored
         stored, count = filt._alive[T.values], len(filt._alive)
         again = StoppingTime(list(T.values))
         assert again is not T and again == T
         assert list(alive_atoms(filt, again)) == uncached_walk(filt, T)
-        assert list(alive_children(filt, again)) == uncached_children(filt, T)
         assert filt._alive[T.values] is stored and len(filt._alive) == count
 
 
@@ -372,20 +353,21 @@ def test_an_unfinished_walk_stores_nothing():
         rng = random.Random(f"alive-abandoned:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
         horizon = StoppingTime.constant(sp.n, filt.K)
-        for walk in (alive_atoms, alive_children, alive_atoms, alive_children):
-            walker = walk(filt, horizon)
-            assert next(walker)[:2] == (1, filt.pre(1).blocks[0])
+        first = filt.pre(1).blocks[0]
+        for _ in range(4):
+            walker = alive_atoms(filt, horizon)
+            assert next(walker) == (1, first, filt.child_map[(1, first)])
             walker.close()
             assert filt._alive == {}
         assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
         assert filt._alive == {horizon.values: None}
-        for walk in (alive_atoms, alive_children):
-            walker = walk(filt, horizon)
+        for _ in range(2):
+            walker = alive_atoms(filt, horizon)
             next(walker)
             walker.close()
             assert filt._alive == {horizon.values: None}
-        assert list(alive_children(filt, horizon)) == uncached_children(filt, None)
-        assert list(filt._alive[horizon.values]) == uncached_children(filt, None)
+        assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
+        assert list(filt._alive[horizon.values]) == uncached_walk(filt, None)
 
 
 def test_a_straddling_horizon_raises_on_every_walk():
@@ -393,9 +375,9 @@ def test_a_straddling_horizon_raises_on_every_walk():
     whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
     filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
     details = []
-    for walk in (alive_atoms, alive_atoms, alive_children, alive_children):
+    for _ in range(4):
         with pytest.raises(NotAStoppingTime) as exc:
-            list(walk(filt, StoppingTime((1, 2, 2, 2))))
+            list(alive_atoms(filt, StoppingTime((1, 2, 2, 2))))
         details.append(exc.value.detail)
         assert filt._alive == {}
     assert details == [{"tick": 2, "atom": [0, 1]}] * 4
@@ -408,7 +390,7 @@ def test_from_jump_table_is_zero_on_absent_keys():
         T = random_stopping_time(rng, sp, filt)
         dim = rng.choice((1, 2))
         table = {(k, kid): tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
-                 for k, b in alive_atoms(filt, T) for kid in filt.child_map[(k, b)]}
+                 for k, _, kids in alive_atoms(filt, T) for kid in kids}
 
         def jumps(i, k):
             if not T.geq(i, k):

@@ -89,6 +89,20 @@ def test_schema_errors_exit_2(tmp_path):
     assert main(["validate", "--input", str(bad), "--output", str(out)]) == 2
 
 
+def test_an_unwritable_output_is_a_schema_error_on_stdout(tmp_path, capsys):
+    """--output in a missing directory exits 2, reporting the path on stdout, for an
+    --input command and a seeded one alike."""
+    six = worked_six_point()
+    inp = write(tmp_path / "i.json", instance_to_json(six["eb"]))
+    out = str(tmp_path / "missing" / "r.json")
+    for argv in (["check-viability", "--input", inp], ["generate", "--instances", "1"]):
+        assert main([*argv, "--output", out]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "SCHEMA_ERROR"
+        assert out in rep["message"]
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "deflator", "check-viability"])
 def test_deeply_nested_json_is_a_schema_error(tmp_path, command):
     """Nesting past the parser's recursion limit exits 2 with a report, not a traceback."""

@@ -220,7 +220,8 @@ def test_factors_and_event_data_read_one_cached_split(monkeypatch):
         rep = build_representation(eb.space, eb.base)
         factors = solve_factors(eb, rep)
         cached = dict(eb._splits)
-        assert set(cached) == {(rep.width, k, c) for k, c in alive_atoms(eb.enlarged, eb.horizon)}
+        alive = alive_atoms(eb.enlarged, eb.horizon)
+        assert set(cached) == {(rep.width, k, c) for k, c, _ in alive}
         with monkeypatch.context() as patch:
             patch.setattr(SampleSpace, "mass", refuse)
             for (_, k, c), (b, p, pbar, _) in cached.items():
@@ -405,9 +406,9 @@ def reference_g_connector(eb, rep, factors, S, D):
 def predictable_drift(rng, n, filt, width):
     """A process null at 0 whose jump is one small row per left-limit atom."""
     table = {}
-    for k, c in alive_atoms(filt):
+    for k, _, kids in alive_atoms(filt):
         row = tuple(Q(rng.randint(-2, 2), 8) for _ in range(width))
-        table.update(((k, kid), row) for kid in filt.child_map[(k, c)])
+        table.update(((k, kid), row) for kid in kids)
     return Process.from_jump_table(n, filt, table, width)
 
 
@@ -424,7 +425,7 @@ def perturbed(rng, eb, factors):
     roll = rng.random()
     if roll < 0.4:
         table = {}
-        for k, c in alive_atoms(enlarged):
+        for k, c, _ in alive_atoms(enlarged):
             h = rng.randrange(width) if rng.random() < 0.5 else None
             bump = Q(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
             table[(k, c)] = tuple(x + bump if g == h else x
@@ -448,9 +449,9 @@ def perturbed(rng, eb, factors):
 def sparse_adapted(rng, eb, dim):
     """A base-adapted process with jumps in {-1, 0, 1}, often zero on a whole base atom."""
     table = {}
-    for k, b in alive_atoms(eb.base):
+    for k, _, kids in alive_atoms(eb.base):
         live = [rng.random() < 0.5 for _ in range(dim)]
-        for kid in eb.base.child_map[(k, b)]:
+        for kid in kids:
             table[(k, kid)] = tuple(Q(rng.choice((-1, 0, 0, 1))) if on else ZERO
                                     for on in live)
     return Process.from_jump_table(eb.space.n, eb.base, table, dim)
@@ -509,7 +510,7 @@ def scaled_on_atoms(rng, eb, P):
     """
     table = {(k, c): P.at(min(c), k)
              for k in range(1, eb.enlarged.K + 1) for c in eb.enlarged.pre(k).blocks}
-    alive = list(alive_atoms(eb.enlarged, eb.horizon))
+    alive = [(k, c) for k, c, _ in alive_atoms(eb.enlarged, eb.horizon)]
     alive = [a for a in alive if any(table[a])] or alive
     for k, c in rng.sample(alive, min(len(alive), rng.randint(1, 2))):
         s = Q(rng.choice((-8, -3, -1, 0, 2, 5, 9)), rng.randint(1, 2))

@@ -123,9 +123,8 @@ def test_tilted_assets_are_the_exponentials_of_fired_components():
         eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3]))
         rep = build_representation(eb.space, eb.base)
         reference = [doleans_exp(fired_component(rep, k, b, slot))
-                     for k, b in alive_atoms(eb.base)
-                     if len(eb.base.child_map[(k, b)]) >= 2
-                     for slot in range(len(eb.base.child_map[(k, b)]))]
+                     for k, b, kids in alive_atoms(eb.base) if len(kids) >= 2
+                     for slot in range(len(kids))]
         assets = tilted_component_assets(eb.space, eb.base, rep)
         assert [X.values for X in assets] == [X.values for X in reference], seed
         assert all(X.dim == 1 for X in assets)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import pathlib
 import random
 
@@ -205,6 +206,57 @@ def test_alive_atoms_is_the_only_alive_walk():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Attribute) and node.func.attr == "alive_block"]
     assert sorted(callers) == ["basis.alive_atoms", "oracle._build_lp"]
+
+
+def child_map_refetches(path):
+    """Lines subscripting `child_map` with the (k, b) names of an enclosing walk.
+
+    A walk is a `for` loop or comprehension clause over `alive_atoms(...)`,
+    or over `enumerate(alive_atoms(...))`; its (k, b) names are the first
+    two names of its (k, b, kids) target.
+    """
+    def is_walk(call):
+        return isinstance(call, ast.Call) and \
+            getattr(call.func, "id", getattr(call.func, "attr", None)) == "alive_atoms"
+
+    found = []
+    for scope in ast.walk(parse(path)):
+        if isinstance(scope, ast.For):
+            clauses = [scope]
+        elif isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            clauses = scope.generators
+        else:
+            continue
+        for clause in clauses:
+            target, walk = clause.target, clause.iter
+            if isinstance(walk, ast.Call) and getattr(walk.func, "id", None) == "enumerate" \
+                    and walk.args and isinstance(target, ast.Tuple) and len(target.elts) == 2:
+                target, walk = target.elts[1], walk.args[0]
+            if not (is_walk(walk) and isinstance(target, ast.Tuple)):
+                continue
+            names = [getattr(e, "id", None) for e in target.elts[:2]]
+            found += [f"{path.stem}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Subscript)
+                      and getattr(node.value, "attr", None) == "child_map"
+                      and isinstance(node.slice, ast.Tuple)
+                      and [getattr(e, "id", None) for e in node.slice.elts] == names]
+    return found
+
+
+def test_walks_take_children_from_alive_atoms():
+    """A walk reads each atom's children from the (k, b, kids) that `alive_atoms` yields.
+
+    No package module subscripts `child_map` with the (k, b) names of an
+    enclosing walk (`child_map_refetches`).  The second walk and the
+    helpers that read children beside `alive_atoms` are gone: no package
+    module defines or imports `alive_children` or `atom_split`, and
+    `Process` has no `jumps_at`.
+    """
+    assert [line for path in package_modules() for line in child_map_refetches(path)] == []
+    modules = [importlib.import_module(f"driftlab.{path.stem}") for path in package_modules()]
+    assert [f"{mod.__name__}.{name}" for mod in modules
+            for name in ("alive_children", "atom_split") if hasattr(mod, name)] == []
+    assert not hasattr(Process, "jumps_at")
 
 
 def test_cond_expect_serves_only_cond_prob_and_the_crosschecks():
@@ -678,7 +730,7 @@ def dense_program(space, filt, S, horizon):
         columns.append(row + row[-1:] * (filt.K - last))
     nz = len(var_index)
     A_eq, b_eq, eq_desc = [], [], []
-    for k, b in alive_atoms(filt, horizon):
+    for k, b, _ in alive_atoms(filt, horizon):
         for comp in range(S.dim + 1):
             row = [ZERO] * (nz + 1)
             rhs = ZERO

@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
-                            alive_atoms, atom_split)
+                            alive_atoms)
 from driftlab.calculus import is_adapted, is_martingale, jump_mean, stoch_integral, stop
 from driftlab.enlargement import check_condition_support, solve_factors
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
@@ -403,8 +403,9 @@ def test_viability_reports_are_pinned():
 def tilts_an_atom(eb) -> bool:
     """Whether some alive enlarged atom c has pbar != p: mass(kid & c) / mass(c) != p_kid."""
     space, base = eb.space, eb.base
-    for k, c in alive_atoms(eb.enlarged, eb.horizon):
-        kids, p = atom_split(space, base, k, base.pre(k).block_of(min(c)))
+    for k, c, _ in alive_atoms(eb.enlarged, eb.horizon):
+        kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
+        p = space.split(kids)
         if any(space.mass(kid & c) / space.mass(c) != ph for kid, ph in zip(kids, p)):
             return True
     return False
@@ -568,8 +569,8 @@ def test_atom_program_rows_are_the_dense_formula():
     """
     dropped = 0
     for sp, filt, S, horizon in search_pool(60):
-        for k, b in alive_atoms(filt, horizon):
-            kids, p = atom_split(sp, filt, k, b)
+        for k, _, kids in alive_atoms(filt, horizon):
+            p = sp.split(kids)
             s_jumps = S.child_jumps(k, kids)
             c, A_eq, b_eq, A_ub, b_ub = _atom_program(p, s_jumps)
             dense_c, dense_eq, dense_b_eq, dense_ub, dense_b_ub = dense_atom_program(p, s_jumps)
@@ -864,8 +865,8 @@ def path_level_connector_violation(space, filt, D, horizon, S=None):
         if D.at(i, 0)[0] != ZERO:
             return {"reason": "nonzero-start", "outcome": i}
     big_jump = identity = None
-    for k, b in alive_atoms(filt, horizon):
-        kids, p = atom_split(space, filt, k, b)
+    for k, b, kids in alive_atoms(filt, horizon):
+        p = space.split(kids)
         d_jumps = D.child_jumps(k, kids)
         if jump_mean(p, d_jumps)[0] != ZERO:
             return {"reason": "not-martingale", "tick": k, "atom": sorted(b)}
@@ -915,9 +916,9 @@ def perturbed_connectors(seed):
     k = rng.randint(1, K)
     child = rng.choice(filt.at(k).blocks)
     Ds = [D, moved(child, k, [rng.choice(DELTAS)] * len(child))]
-    k, b = rng.choice(list(alive_atoms(filt, horizon)))
+    k, _, kids = rng.choice(list(alive_atoms(filt, horizon)))
     scale = rng.choice(SCALES)
-    outcomes = [i for kid in filt.child_map[(k, b)] for i in kid]
+    outcomes = [i for kid in kids for i in kid]
     Ds.append(moved(outcomes, k, [(scale - ONE) * D.jump(i, k)[0] for i in outcomes]))
     Ds.append(moved([rng.randrange(n)], 0, [rng.choice(DELTAS)]))
     Ds.append(moved(range(n), 0, [rng.choice(DELTAS)] * n))
