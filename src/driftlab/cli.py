@@ -50,6 +50,8 @@ def _read_input(path: Optional[str]) -> dict:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read input {path}: not UTF-8 ({exc})")
     return serialize.loads(text)
 
 

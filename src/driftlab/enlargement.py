@@ -13,10 +13,11 @@ so phi per (tick, enlarged left-limit atom) has a closed form, read as a
 density: 1 + phi.jump(W) = pbar_h / p_h.  Its target, W's enlarged jump
 mean, also gives W minus its drift, against which the enlarged connector
 is an integral (viability builds that connector from its closed form).
-The per-atom rows, the support report, the factors and the connector for
-the bare driving process are cached on the enlarged basis.  The
-compensator and connector transfer checks share one walk, comparing
-per-child jump means over an enlarged atom and its base atom.
+The atom table pairing each alive enlarged atom with its base atom, the
+support report, the factors and the connector for the bare driving
+process are cached on the enlarged basis; every per-atom pass reads the
+table.  The compensator and connector transfer checks share one pass,
+comparing per-child jump means over an enlarged atom and its base atom.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class EnlargedBasis:
     """A base and an enlarged filtration on one space, with a horizon stopping time.
 
     Facts that depend only on the basis (and the row width) are computed
-    once and cached on it, lazily, each written by one function: the
-    per-atom splits, the support report, solve_factors' DriftFactors and
+    once and cached on it, lazily, each written by one function: the atom
+    table (_atoms), the support report, solve_factors' DriftFactors and
     the connector for the bare driving process (viability._bare_connector).
     An entry is written only once its value is complete, so a call that
     raises leaves none for it.  The caches are not init fields, so a basis
@@ -56,11 +57,6 @@ class EnlargedBasis:
         return self.horizon.geq(i, k)
 
     @cached_property
-    def _splits(self) -> dict:
-        """(width, k, enlarged atom) -> (b, p, pbar, gamma) of _enlarged_jump_mean."""
-        return {}
-
-    @cached_property
     def _factors(self) -> dict:
         """width -> solve_factors' DriftFactors, valid for the rep whose W is its N."""
         return {}
@@ -71,13 +67,30 @@ class EnlargedBasis:
         return {}
 
     @cached_property
-    def _support(self) -> "SupportReport":
-        """check_condition_support's report: a set test per (alive atom, base child)."""
+    def _atoms(self) -> dict:
+        """(k, c) -> (ekids, b, bkids, inside) per alive enlarged atom c, in alive_atoms order.
+
+        ekids are c's enlarged children, b the base pre(k)-atom holding c,
+        bkids b's children and inside their intersections with c (empty
+        where a child misses c), so space.split gives p and pbar.  The one
+        place that maps an enlarged atom to its base atom; a straddling
+        horizon raises NotAStoppingTime here, as in alive_atoms.
+        """
         base = self.base
-        for k, c, _ in alive_atoms(self.enlarged, self.horizon):
-            for kid in base.child_map[(k, base.pre(k).block_of(min(c)))]:
-                if not (kid & c):
-                    return SupportReport(ok=False, tick=k, atom=c, child=kid)
+        table = {}
+        for k, c, ekids in alive_atoms(self.enlarged, self.horizon):
+            b = base.pre(k).block_of(min(c))
+            bkids = base.child_map[(k, b)]
+            table[(k, c)] = (ekids, b, bkids, tuple(kid & c for kid in bkids))
+        return table
+
+    @cached_property
+    def _support(self) -> "SupportReport":
+        """check_condition_support's report: the first empty intersection in the atom table."""
+        for (k, c), (_, _, bkids, inside) in self._atoms.items():
+            if not all(inside):
+                kid = bkids[inside.index(frozenset())]
+                return SupportReport(ok=False, tick=k, atom=c, child=kid)
         return SupportReport(ok=True)
 
 
@@ -147,30 +160,6 @@ def _multinomial_solve(p, r, message: str, **where) -> tuple:
     return x
 
 
-def _enlarged_jump_mean(eb: EnlargedBasis, rep: RepresentationProcess, k: int,
-                        c: frozenset[int]):
-    """(b, p, pbar, gamma) for the enlarged left-limit atom c at tick k, as W-slot rows.
-
-    b is the base atom holding c; p and pbar give, per child of b, its
-    conditional probability in b and inside c, zero past b's last child.
-    W jumps by 2^-k (e_h - p) on child h, so its enlarged conditional jump
-    mean on c is gamma = 2^-k (pbar - p), exactly.  The four are cached on
-    eb, keyed by the row width, k and c.
-    """
-    key = (rep.width, k, c)
-    out = eb._splits.get(key)
-    if out is None:
-        b = eb.base.pre(k).block_of(min(c))
-        kids = eb.base.child_map[(k, b)]
-        mass = eb.space.mass(c)
-        p = padded(rep.width, eb.space.split(kids))
-        pbar = padded(rep.width, [eb.space.mass(kid & c) / mass for kid in kids])
-        scale = Q(1, 2 ** k)
-        gamma = tuple(scale * (pb - ph) for pb, ph in zip(pbar, p))
-        out = eb._splits[key] = (b, p, pbar, gamma)
-    return out
-
-
 def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors:
     """Minimum-norm multiplier per (tick, enlarged left-limit atom), and W minus its drift.
 
@@ -180,6 +169,9 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     1 + phi.jump(W) = pbar_h / p_h, Jacod's conditional density.  The
     system is consistent by construction, so a failed residual is raised
     as an internal error rather than reported.
+
+    p and pbar are the splits of the atom table's bkids and inside as W-slot
+    rows; W jumps by 2^-k (e_h - p) on child h, so gamma is exact.
 
     The factors are solved once per basis and width and cached on eb.  The
     cached entry is returned only to a rep whose W is its N; any other rep
@@ -192,8 +184,10 @@ def solve_factors(eb: EnlargedBasis, rep: RepresentationProcess) -> DriftFactors
     space, enlarged = eb.space, eb.enlarged
     phi_by_atom: dict = {}
     minus_gamma: dict = {}  # the drift's jumps, negated, on the alive atoms' children
-    for k, c, ekids in alive_atoms(enlarged, eb.horizon):
-        _, p, _, gamma = _enlarged_jump_mean(eb, rep, k, c)
+    for (k, c), (ekids, _, bkids, inside) in eb._atoms.items():
+        p = padded(width, space.split(bkids))
+        pbar = padded(width, space.split(inside))
+        gamma = tuple(Q(1, 2 ** k) * (pb - ph) for pb, ph in zip(pbar, p))
         phi_by_atom[(k, c)] = _multinomial_solve(
             p, [Q(4 ** k) * g for g in gamma],
             "factor system inconsistent", tick=k, atom=sorted(c))
@@ -241,8 +235,7 @@ def _transfer_mismatch(eb: EnlargedBasis, factors: DriftFactors, X: Process,
     component, then outcome.
     """
     bad: list = []
-    for k, c, ekids in alive_atoms(eb.enlarged, eb.horizon):
-        bkids = eb.base.child_map[(k, eb.base.pre(k).block_of(min(c)))]
+    for (k, c), (ekids, _, bkids, _) in eb._atoms.items():
         pbar, p = eb.space.split(ekids), eb.space.split(bkids)
         phi = factors.phi.at(min(c), k)
         tilt = [vec_dot(phi, nj) for nj in factors.N.child_jumps(k, bkids)]

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                     alive_atoms, cond_expect, cond_prob)
 from .calculus import jump_mean
-from .enlargement import (DriftFactors, EnlargedBasis, _enlarged_jump_mean, drift_operator,
-                          solve_factors, validate_enlargement)
+from .enlargement import (DriftFactors, EnlargedBasis, drift_operator, solve_factors,
+                          validate_enlargement)
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
 from .event_kernels import AccessibleEventData, InaccessibleEventData
@@ -288,22 +288,21 @@ def _force_support_failure(rng: random.Random, eb: EnlargedBasis) -> Optional[En
     support condition fails there by construction.  Downstream levels
     already separate the children, so only the one level changes.
     """
-    base, enlarged = eb.base, eb.enlarged
+    enlarged = eb.enlarged
     candidates = []
-    for k, c, _ in alive_atoms(enlarged, eb.horizon):
-        kids = base.child_map[(k, base.pre(k).block_of(min(c)))]
-        if len(kids) >= 2 and sum(1 for kid in kids if kid & c) >= 2:
-            candidates.append((k, c, kids))
+    for (k, c), (_, _, _, inside) in eb._atoms.items():
+        met = [part for part in inside if part]
+        if len(met) >= 2:
+            candidates.append((k, c, met))
     if not candidates:
         return None
-    k, c, kids = candidates[rng.randrange(len(candidates))]
-    kids = [kid for kid in kids if kid & c]
-    kid = kids[rng.randrange(len(kids))]
-    blocks = [x for x in enlarged.pre(k).blocks if x != c] + [c & kid, c - kid]
+    k, c, met = candidates[rng.randrange(len(candidates))]
+    piece = met[rng.randrange(len(met))]
+    blocks = [x for x in enlarged.pre(k).blocks if x != c] + [piece, c - piece]
     chain = list(enlarged.ticks)
     chain[k - 1] = (Partition(blocks), enlarged.at(k))
     patched = Filtration(enlarged.initial, tuple(chain))
-    return EnlargedBasis(space=eb.space, base=base, enlarged=patched,
+    return EnlargedBasis(space=eb.space, base=eb.base, enlarged=patched,
                          horizon=eb.horizon)
 
 
@@ -472,10 +471,9 @@ def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
                                   factors: DriftFactors, D: Optional[Process],
                                   k: int, cblk: frozenset) -> AccessibleEventData:
     """Package one (tick, enlarged left-limit atom) as accessible event data, a slot per child."""
-    b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, cblk)
-    kids = eb.base.child_map[(k, b)]
+    _, _, kids, inside = eb._atoms[(k, cblk)]
     d_vals = (ZERO,) * len(kids) if D is None else tuple(d for (d,) in D.child_jumps(k, kids))
-    return AccessibleEventData(p=p[:len(kids)], pbar=pbar[:len(kids)],
+    return AccessibleEventData(p=eb.space.split(kids), pbar=eb.space.split(inside),
                                n_vals=tuple(rep.W.child_jumps(k, kids)), d_vals=d_vals,
                                phi=factors.phi.at(min(cblk), k))
 

@@ -155,7 +155,7 @@ def accessible_battery(seed: int) -> dict:
     inst = random_accessible_instance(rng)
     eb, rep, factors = inst["eb"], inst["rep"], inst["factors"]
     out = {"battery": "accessible-kernel", "seed": seed, "ok": True}
-    b = eb.base.pre(1).block_of(min(inst["atom"]))
+    _, _, _, inside = eb._atoms[(1, inst["atom"])]
     for D, tag in ((None, "zero"), (inst["D"], "random")):
         data = extract_accessible_event_data(eb, rep, factors, D, 1, inst["atom"])
         try:
@@ -167,9 +167,9 @@ def accessible_battery(seed: int) -> dict:
         if jump_identity_check(eb, rep, factors, K, D) is not None:
             _fail(out, f"jump identity broke ({tag})")
         engine_sq = kernel_sq = ZERO
-        for h, kid in enumerate(eb.base.child_map[(1, b)]):
+        for h, part in enumerate(inside):
             val_kernel = accessible_jump_value(data, h)
-            i = min(kid & inst["atom"])
+            i = min(part)
             val_engine = vec_dot(K.at(i, 1), factors.Wt.jump(i, 1))
             if val_engine != val_kernel:
                 _fail(out, f"engine and kernel jump values differ at slot {h} ({tag})")

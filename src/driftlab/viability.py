@@ -33,22 +33,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
 from typing import Optional
 
 from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms,
                     horizon_or_last_tick)
 from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
-from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _enlarged_jump_mean,
-                          _multinomial_solve, _transfer_mismatch, check_condition_support,
-                          check_positivity, solve_factors)
+from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _multinomial_solve,
+                          _transfer_mismatch, check_condition_support, check_positivity,
+                          solve_factors)
 from .errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant, NotAdapted,
                      NotAMartingale, SupportConditionFailed)
 from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import arbitrage_certificate
 from .rational import ONE, ZERO
-from .representation import RepresentationProcess, build_representation, fired_component
+from .representation import (RepresentationProcess, build_representation, fired_component,
+                             padded)
 
 
 def _atom_rows_violation(rows) -> Optional[dict]:
@@ -327,15 +327,15 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
     return doleans_exp(-stop(D, horizon))
 
 
-def _connector_atoms(eb: EnlargedBasis, rep: RepresentationProcess,
-                     D: Optional[Process]) -> list:
-    """(k, c, b, pbar, q) per alive enlarged atom c inside the base atom b, after the gates.
+def _connector_atoms(eb: EnlargedBasis, D: Optional[Process]) -> list:
+    """(k, c, ekids, bkids, pbar, q) per alive enlarged atom c, after the gates.
 
-    pbar and q are W-slot rows over the children h of b: the conditional
-    probability of h inside c, and D's martingale weight q_h = p_h (1 - jump_h(D))
-    (q = p without D).  The gates run once, first, in this order: the
-    child-support condition, which makes pbar positive exactly where p is,
-    then that D is scalar, then that it is a base martingale.
+    From the basis's atom table: c's children and its base atom's children
+    h, then per-child rows over the h: pbar_h = P(h | c) and D's weight
+    q_h = p_h (1 - jump_h(D)) (q = p without D).  The gates run once,
+    first, in this order: the child-support condition, which makes pbar
+    positive exactly where p is, then that D is scalar, then that it is a
+    base martingale.
     """
     support = check_condition_support(eb)
     if not support.ok:
@@ -346,21 +346,24 @@ def _connector_atoms(eb: EnlargedBasis, rep: RepresentationProcess,
     if D is not None and not is_martingale(eb.space, eb.base, D):
         raise NotAMartingale()
     atoms = []
-    for k, c, _ in alive_atoms(eb.enlarged, eb.horizon):
-        b, p, pbar, _ = _enlarged_jump_mean(eb, rep, k, c)
-        q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip_longest(
-            p, D.child_jumps(k, eb.base.child_map[(k, b)]), fillvalue=(ZERO,))]
-        atoms.append((k, c, b, pbar, q))
+    for (k, c), (ekids, _, bkids, inside) in eb._atoms.items():
+        p = eb.space.split(bkids)
+        q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip(p, D.child_jumps(k, bkids))]
+        atoms.append((k, c, ekids, bkids, eb.space.split(inside), q))
     return atoms
 
 
 def _integrand(eb: EnlargedBasis, rep: RepresentationProcess, atoms: list) -> Process:
-    """K on each atom of _connector_atoms: the multinomial inverse for pbar at 2^k (pbar - q)."""
+    """K on each atom of _connector_atoms: the multinomial inverse for pbar at 2^k (pbar - q).
+
+    Both rows are padded to W's slots, so K has rep.width components.
+    """
+    width = rep.width
     value_at = {(k, c): _multinomial_solve(
-        pbar, [2 ** k * (pb - qh) for pb, qh in zip(pbar, q)],
+        padded(width, pbar), padded(width, [2 ** k * (pb - qh) for pb, qh in zip(pbar, q)]),
         "integrand system inconsistent", tick=k, atom=sorted(c))
-        for k, c, _, pbar, q in atoms}
-    return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, rep.width)
+        for k, c, _, _, pbar, q in atoms}
+    return Process.from_atom_table(eb.space.n, eb.enlarged, value_at, width)
 
 
 def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
@@ -369,18 +372,15 @@ def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
     Each atom's exact row sum_h pbar_h y_h = 1 - sum_h q_h = 0 is checked;
     a failure raises InternalInvariant.
     """
-    base, enlarged = eb.base, eb.enlarged
     jump_of: dict = {}
-    for k, c, b, pbar, q in atoms:
-        kids = base.child_map[(k, b)]
-        y = [ONE - qh / pb for qh, pb, _ in zip(q, pbar, kids)]
+    for k, c, ekids, bkids, pbar, q in atoms:
+        y = [ONE - qh / pb for qh, pb in zip(q, pbar)]
         if vec_dot(pbar, y) != ZERO:
             raise InternalInvariant("connector row fails", tick=k, atom=sorted(c))
-        y_of = dict(zip(kids, y))
-        at_k = base.at(k)
-        jump_of.update(((k, e), y_of[at_k.block_of(min(e))])
-                       for e in enlarged.child_map[(k, c)])
-    return Process.from_jump_table(eb.space.n, enlarged, jump_of)
+        y_of = dict(zip(bkids, y))
+        at_k = eb.base.at(k)
+        jump_of.update(((k, e), y_of[at_k.block_of(min(e))]) for e in ekids)
+    return Process.from_jump_table(eb.space.n, eb.enlarged, jump_of)
 
 
 def _bare_connector(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -394,7 +394,7 @@ def _bare_connector(eb: EnlargedBasis, rep: RepresentationProcess,
     Y = eb._connectors.get(rep.width)
     if Y is None:
         if atoms is None:
-            atoms = _connector_atoms(eb, rep, None)
+            atoms = _connector_atoms(eb, None)
         Y = eb._connectors[rep.width] = _closed_form_connector(eb, atoms)
     return Y
 
@@ -411,7 +411,7 @@ def solve_accessible_K(eb: EnlargedBasis, rep: RepresentationProcess,
     child-support condition, which makes pbar positive exactly where p is,
     then that D is a scalar base martingale.
     """
-    return _integrand(eb, rep, _connector_atoms(eb, rep, D))
+    return _integrand(eb, rep, _connector_atoms(eb, D))
 
 
 def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -424,7 +424,7 @@ def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
     sum to one raises K's Unsolvable.  For D = None, Y is then read from
     the basis's cache (_bare_connector), the verdict's connector object.
     """
-    atoms = _connector_atoms(eb, rep, D)
+    atoms = _connector_atoms(eb, D)
     K = _integrand(eb, rep, atoms)
     return K, _bare_connector(eb, rep, atoms) if D is None else _closed_form_connector(eb, atoms)
 
@@ -463,7 +463,7 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
     """
     if not is_adapted(eb.base, S):
         raise NotAdapted()
-    Y = _closed_form_connector(eb, _connector_atoms(eb, rep, D))
+    Y = _closed_form_connector(eb, _connector_atoms(eb, D))
     bad = _transfer_mismatch(eb, factors, S, (Y, D))
     if bad is not None:
         raise ConnectorInvalid("transfer identity failed",
@@ -483,9 +483,9 @@ def witness_asset(eb: EnlargedBasis, rep: RepresentationProcess,
     on that base atom, jumps strictly negative on the whole atom; any
     positive deflator would give it a negative conditional increment.
     """
-    k, cblk = support.tick, support.atom
-    b = eb.base.pre(k).block_of(min(cblk))
-    return fired_component(rep, k, b, eb.base.child_map[(k, b)].index(support.child))
+    k = support.tick
+    _, b, bkids, _ = eb._atoms[(k, support.atom)]
+    return fired_component(rep, k, b, bkids.index(support.child))
 
 
 @dataclass

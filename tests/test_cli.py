@@ -103,6 +103,17 @@ def test_an_unwritable_output_is_a_schema_error_on_stdout(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "check-viability"])
+def test_an_input_that_is_not_utf8_is_a_schema_error(tmp_path, capsys, command):
+    """An --input file that does not decode as UTF-8 exits 2 with a report naming it."""
+    bad = tmp_path / "f.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main([command, "--input", str(bad)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"] == "SCHEMA_ERROR"
+    assert str(bad) in rep["message"] and "UTF-8" in rep["message"]
+
+
 @pytest.mark.parametrize("command", ["validate", "deflator", "check-viability"])
 def test_deeply_nested_json_is_a_schema_error(tmp_path, command):
     """Nesting past the parser's recursion limit exits 2 with a report, not a traceback."""

@@ -20,7 +20,8 @@ from driftlab.enlargement import (
     solve_factors,
     validate_enlargement,
 )
-from driftlab.errors import ConnectorInvalid, EngineError, NotAdapted, NotAMartingale, Unsolvable
+from driftlab.errors import (ConnectorInvalid, EngineError, NotAdapted, NotAMartingale,
+                             NotAStoppingTime, Unsolvable)
 from driftlab.linalg import min_norm_solve, vec_dot
 from driftlab.models import (
     GeneratorConfig,
@@ -205,12 +206,13 @@ def test_support_report_is_cached_and_matches_a_per_child_reference(force):
 
 
 def test_factors_and_event_data_read_one_cached_split(monkeypatch):
-    """solve_factors fills the basis's per-atom split cache; the event data reads it back.
+    """solve_factors fills the space's split cache from the atom table; the event data reads it.
 
     Once the factors are solved, SampleSpace.mass refuses every call:
     extracting the accessible event data of every alive enlarged atom
-    recomputes no split, its p and pbar are the cached rows cut to the
-    atom's children, and the cache keeps the very same entries.
+    recomputes no split, its p and pbar are the cached splits of the
+    table's bkids and inside, and the table and the cache keep the very
+    same entries.
     """
     def refuse(space, event):
         raise AssertionError("a split was recomputed")
@@ -219,17 +221,87 @@ def test_factors_and_event_data_read_one_cached_split(monkeypatch):
         eb = instance(seed)
         rep = build_representation(eb.space, eb.base)
         factors = solve_factors(eb, rep)
-        cached = dict(eb._splits)
-        alive = alive_atoms(eb.enlarged, eb.horizon)
-        assert set(cached) == {(rep.width, k, c) for k, c, _ in alive}
+        table, splits = eb._atoms, dict(eb.space._splits)
+        assert list(table) == [(k, c) for k, c, _ in alive_atoms(eb.enlarged, eb.horizon)]
         with monkeypatch.context() as patch:
             patch.setattr(SampleSpace, "mass", refuse)
-            for (_, k, c), (b, p, pbar, _) in cached.items():
-                m = len(eb.base.child_map[(k, b)])
+            for (k, c), (_, _, bkids, inside) in table.items():
                 data = extract_accessible_event_data(eb, rep, factors, None, k, c)
-                assert (data.p, data.pbar) == (p[:m], pbar[:m])
-        assert eb._splits.keys() == cached.keys()
-        assert all(eb._splits[key] is split for key, split in cached.items())
+                assert data.p is splits[bkids] and data.pbar is splits[inside]
+        assert eb._atoms is table
+        assert eb.space._splits.keys() == splits.keys()
+        assert all(eb.space._splits[key] is split for key, split in splits.items())
+
+
+def brute_force_atoms(eb):
+    """(k, c) -> (ekids, b, bkids, inside) by set containment, with no block_of or child_map.
+
+    Atoms by tick, then block order, kept only where the horizon is alive
+    on every outcome; children in at(k) block order.
+    """
+    table = {}
+    for k in range(1, eb.enlarged.K + 1):
+        for c in eb.enlarged.pre(k).blocks:
+            if not all(eb.horizon.geq(i, k) for i in c):
+                continue
+            b = next(x for x in eb.base.pre(k).blocks if c <= x)
+            bkids = tuple(kid for kid in eb.base.at(k).blocks if kid <= b)
+            ekids = tuple(e for e in eb.enlarged.at(k).blocks if e <= c)
+            table[(k, c)] = (ekids, b, bkids, tuple(kid & c for kid in bkids))
+    return table
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_atom_table_matches_set_containment(force):
+    """EnlargedBasis._atoms is the brute-force table, entry for entry and in order.
+
+    On gen_random_instance seeds 0-199, every kind, plain and forced.
+    Every forced table has an empty intersection, and so do some plain ones.
+    """
+    missed = 0
+    for seed in range(200):
+        for kind in KINDS:
+            eb = gen_random_instance(GeneratorConfig(
+                seed=seed, enlargement_kind=kind, force_condition_failure=force))
+            assert list(eb._atoms.items()) == list(brute_force_atoms(eb).items()), (seed, kind)
+            missed += not all(part for *_, inside in eb._atoms.values() for part in inside)
+    assert (missed == 600) if force else (0 < missed < 600)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_atom_table_refuses_a_straddling_horizon_as_alive_atoms_does(force):
+    """A horizon that straddles an enlarged atom raises from _atoms with alive_atoms' detail.
+
+    Each alive atom of two or more outcomes is made to straddle by stopping
+    its first outcome one tick early.  Nothing is cached, so a second read
+    raises the same again, and so does check_condition_support, even where
+    an earlier atom fails support.
+    """
+    straddled = after_failure = 0
+    for seed in range(30):
+        eb = instance(seed, force)
+        order = list(eb._atoms)
+        support = check_condition_support(eb)
+        first_failure = len(order) if support.ok else order.index((support.tick, support.atom))
+        for j, (k, c) in enumerate(order):
+            if len(c) < 2:
+                continue
+            after_failure += j > first_failure
+            values = list(eb.horizon.values)
+            values[min(c)] = k - 1
+            cut = dataclasses.replace(eb, horizon=StoppingTime(tuple(values)))
+            with pytest.raises(NotAStoppingTime) as walk:
+                list(alive_atoms(cut.enlarged, cut.horizon))
+            for read in (lambda: cut._atoms, lambda: cut._atoms,
+                         lambda: check_condition_support(cut)):
+                with pytest.raises(NotAStoppingTime) as table:
+                    read()
+                assert (str(table.value), table.value.detail) == \
+                    (str(walk.value), walk.value.detail)
+            assert "_atoms" not in vars(cut) and "_support" not in vars(cut)
+            straddled += 1
+    assert straddled >= 30, straddled
+    assert after_failure > 0, after_failure
 
 
 @given(st.integers(min_value=0, max_value=150))

@@ -330,36 +330,87 @@ def test_stoch_integral_serves_only_represent():
 
 
 def test_enlarged_split_has_one_home():
-    """An enlarged atom's split, `mass(kid & c) / mass(c)`, is computed in one place.
+    """An enlarged atom's split is `SampleSpace.split` of its intersections, cached on the space.
 
-    Every `.mass(` call on an intersection is in
-    `enlargement._enlarged_jump_mean`, which caches the split on the basis.
+    No package module calls `.mass(` on an intersection: the intersections
+    `kid & c` are formed once, in `EnlargedBasis._atoms`, and their
+    readers take `space.split` of them.
     """
-    callers = [f"{path.stem}.{fn.name}" for path in package_modules()
-               for fn in ast.walk(parse(path)) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
+    callers = [f"{path.stem}:{node.lineno}" for path in package_modules()
+               for node in ast.walk(parse(path)) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "mass"
                and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.BitAnd)
                        for arg in node.args)]
-    assert callers == ["enlargement._enlarged_jump_mean"]
+    assert callers == []
+
+
+def names_base(node) -> bool:
+    """Whether node is the name `base` or an attribute `<x>.base`."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "base"
+
+
+def base_atom_lookups(path):
+    """module.function (or module.Class.method) for each enlarged-to-base lookup in a module.
+
+    A lookup is a subscript of `child_map` on `base` or `<x>.base`, or a
+    call of `block_of` on `base.pre(...)` or `<x>.base.pre(...)`.  Nested
+    functions count for the top-level one that holds them.
+    """
+    tree = parse(path)
+    tops = [(f"{path.stem}.{node.name}", node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    tops += [(f"{path.stem}.{cls.name}.{fn.name}", fn) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for fn in cls.body
+             if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for name, top in tops:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "child_map" and names_base(node.value.value):
+                found.append(name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "block_of":
+                pre = node.func.value
+                if isinstance(pre, ast.Call) and isinstance(pre.func, ast.Attribute) \
+                        and pre.func.attr == "pre" and names_base(pre.func.value):
+                    found.append(name)
+    return found
+
+
+def test_enlarged_atoms_meet_their_base_atom_in_one_place():
+    """Only `EnlargedBasis._atoms` maps an enlarged atom to its base atom and its children.
+
+    No other package function subscripts `child_map` on a `base` name or
+    attribute, or calls `block_of` on `base.pre(...)` (`base_atom_lookups`);
+    every enlarged computation reads the basis's atom table instead.
+    """
+    found = [name for path in package_modules() for name in base_atom_lookups(path)]
+    assert sorted(found) == ["enlargement.EnlargedBasis._atoms"] * 2
 
 
 def cache_writers(module: str, class_name: str, scanned) -> dict:
     """Cache name -> the functions that write it, for one class's cache dicts.
 
-    The caches are the class's `cached_property`s that start as `{}`.  A
-    write is a subscript store or delete on `<x>.<cache>[...]`, or a call to
-    one of the dict's mutating methods, in a package module whose stem
-    `scanned` accepts.  The set of caches is read from the class, so a new
-    cache shows up with its writers.
+    The caches are the class's `cached_property`s that start as `{}`, and
+    their writes are as in `attribute_writers`.  The set of caches is read
+    from the class, so a new cache shows up with its writers.
     """
-    mutators = {"clear", "pop", "popitem", "setdefault", "update"}
     cls = next(node for node in parse(SRC / f"{module}.py").body
                if isinstance(node, ast.ClassDef) and node.name == class_name)
     caches = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and any(getattr(d, "id", None) == "cached_property" for d in fn.decorator_list)
               and isinstance(fn.body[-1], ast.Return) and isinstance(fn.body[-1].value, ast.Dict)}
-    writers = {name: set() for name in caches}
+    return attribute_writers(caches, scanned)
+
+
+def attribute_writers(attrs, scanned) -> dict:
+    """Attribute name -> the functions that write into `<x>.<name>`, for each name in attrs.
+
+    A write is a subscript store or delete on `<x>.<name>[...]`, or a call
+    to one of a dict's mutating methods on `<x>.<name>`, in a package module
+    whose stem `scanned` accepts.
+    """
+    mutators = {"clear", "pop", "popitem", "setdefault", "update"}
+    writers = {name: set() for name in attrs}
     for path in package_modules():
         if not scanned(path.stem):
             continue
@@ -374,7 +425,7 @@ def cache_writers(module: str, class_name: str, scanned) -> dict:
                     target = node.func.value
                 else:
                     continue
-                if isinstance(target, ast.Attribute) and target.attr in caches:
+                if isinstance(target, ast.Attribute) and target.attr in attrs:
                     writers[target.attr].add(f"{path.stem}.{fn.name}")
     return writers
 
@@ -385,13 +436,15 @@ def test_enlarged_caches_have_one_writer():
     The caches and their writes are as in `cache_writers`.  Scanned are
     `enlargement` and the modules that import it (`basis` sits below and
     has caches of its own).  A new cache needs its one writer named here.
+    The atom table `_atoms` is built whole by its cached property, and
+    no package function writes into it.
     """
     writers = cache_writers("enlargement", "EnlargedBasis",
                             lambda stem: stem == "enlargement"
                             or "enlargement" in package_imports(stem))
-    assert writers == {"_splits": {"enlargement._enlarged_jump_mean"},
-                       "_factors": {"enlargement.solve_factors"},
+    assert writers == {"_factors": {"enlargement.solve_factors"},
                        "_connectors": {"viability._bare_connector"}}
+    assert attribute_writers({"_atoms"}, lambda stem: True) == {"_atoms": set()}
 
 
 def test_filtration_caches_have_one_writer():
@@ -409,8 +462,8 @@ def test_children_have_one_home():
 
     No package module reads a second copy (an attribute named `children`
     or `probs`).  W-slot rows are padded past an atom's last child only
-    by `representation.padded`, called in `representation` and in
-    `enlargement._enlarged_jump_mean`.
+    by `representation.padded`, called in `representation`, in
+    `enlargement.solve_factors` and in `viability._integrand`.
     """
     reads = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(parse(path))
@@ -421,7 +474,7 @@ def test_children_have_one_home():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "padded"}
     assert {c for c in callers if not c.startswith("representation.")} == \
-        {"enlargement._enlarged_jump_mean"}
+        {"enlargement.solve_factors", "viability._integrand"}
 
 
 def sums_of_products(path):

@@ -186,10 +186,10 @@ def test_closed_form_connector_is_the_integral_of_K():
 
 def unit_sum_broken(atoms_of):
     """_connector_atoms with q_0 raised by 1/7 on the first atom, so sum q != 1 there."""
-    def broken(eb, rep, D):
-        atoms = atoms_of(eb, rep, D)
-        k, c, b, pbar, q = atoms[0]
-        atoms[0] = (k, c, b, pbar, (q[0] + Q(1, 7), *q[1:]))
+    def broken(eb, D):
+        atoms = atoms_of(eb, D)
+        k, c, ekids, bkids, pbar, q = atoms[0]
+        atoms[0] = (k, c, ekids, bkids, pbar, (q[0] + Q(1, 7), *q[1:]))
         return atoms
     return broken
 
