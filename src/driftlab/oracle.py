@@ -243,6 +243,8 @@ def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
     row) and, for positivity-unreachable, a rat-parsable gap_bound prove
     the status and reason it states.
     """
+    if not isinstance(certificate, dict):
+        return False
     y_eq, y_ub = certificate.get("multipliers_eq"), certificate.get("multipliers_ub")
     if not isinstance(y_eq, list) or not isinstance(y_ub, list):
         return False

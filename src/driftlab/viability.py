@@ -9,7 +9,10 @@ making D-deflated prices martingales, and conversely.  The search for D
 solves one small program per alive atom, in closed form wherever its
 optimum has one: only an asset of dimension two or more that drifts on
 the atom, and a scalar tie at the extreme jump beside a zero jump, go to
-the simplex, whose vertex on a tied face the pinned results fix.
+the simplex, whose vertex on a tied face the pinned results fix.  An atom
+with one child has the single measure q = (1), so its program and its row
+reduce to a flatness test: it blocks D where S moves on it, and D does
+not jump on it where S stays.
 
 On an enlarged basis the same machinery transfers.  Given a base
 connector D with martingale weights q_h = p_h (1 - jump_h(D)), the
@@ -163,7 +166,11 @@ def _atom_weights(p, s_jumps) -> Optional[list]:
     The atom blocks when the program is infeasible or its optimal floor t
     is zero.  Only a drifting S of dimension two or more, and a scalar tie
     beside a zero jump, pose the program; every other atom has a closed
-    form.  Where S has no drift (sum p_h s_h = 0), summing p_h t <= q_h
+    form.  With one child, p = (1) and the only measure is q = (1): this
+    returns p where the jump s is zero, and None otherwise (a scalar
+    mu e = s^2 > 0, or an infeasible program in dimension two or more), so
+    find_structure_connector tests s = 0 itself and does not call this
+    there.  Where S has no drift (sum p_h s_h = 0), summing p_h t <= q_h
     gives t <= sum q = 1, with equality iff q = p, which is feasible there:
     q = p is the unique optimum.  Where a scalar S drifts by mu, take e = min s
     if mu > 0 and e = max s if mu < 0.  Write q = t p + r with r >= 0 and
@@ -272,10 +279,18 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     alive atom assembles into a connector with jumps 1 - q_h / p_h; an
     infeasible program or a floor of zero rules one out.
 
-    _atom_weights gives each atom's optimum.  Only two kinds of atom pose
-    the program to the simplex: S of dimension two or more that drifts,
-    and a scalar S whose drift-opposing extreme jump is attained on two or
-    more children (a tie) while some child's jump is zero.  There the
+    An atom with one child reveals nothing at its tick: p = (1), the only
+    martingale measure is q = (1), and the atom admits a connector exactly
+    when S does not move there.  So it takes the flatness test
+    S_k = S_{k-1} at its smallest outcome: if S moves, the search blocks
+    at that (tick, atom); if not, D does not jump there.  That test is the
+    atom's row, sum p_h s_h = s = 0, so such an atom adds no D jump and no
+    row to the closing check, and poses no program.
+
+    _atom_weights gives every other atom's optimum.  Only two kinds of
+    atom pose the program to the simplex: S of dimension two or more that
+    drifts, and a scalar S whose drift-opposing extreme jump is attained on
+    two or more children (a tie) while some child's jump is zero.  There the
     optimum is a face whose vertex the simplex picks by Bland's rule, and
     the pinned connector digest fixes that vertex; a zero jump lets the
     simplex reach a tied child other than the first.  Driftless atoms
@@ -285,10 +300,13 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     from SampleSpace.split.
 
     Before a found search is returned, its atom table is checked on every
-    alive atom through _atom_rows_violation, as in is_structure_connector:
-    the martingale row, the jump bound and sum q_h s_h = 0.  A driftless
-    atom's row carries no D jumps, which pass the first two, so it is
-    checked on sum p_h s_h = 0.  A failure raises InternalInvariant.  The
+    alive atom with two or more children through _atom_rows_violation, as
+    in is_structure_connector: the martingale row, the jump bound and
+    sum q_h s_h = 0.  A driftless atom's row carries no D jumps, which pass
+    the first two, so it is checked on sum p_h s_h = 0; for an atom with
+    one child that row is the flatness test already passed, so it is not
+    kept.  is_structure_connector and deflator_from_connector still check
+    every alive atom.  A failure raises InternalInvariant.  The
     search then carries the checked table and builds no process; D is
     assembled and checked against the table on the first read of
     ConnectorSearch.connector.
@@ -296,6 +314,11 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     jump_of: dict = {}
     rows = []
     for k, b, kids in alive_atoms(filt, horizon):
+        if len(kids) == 1:  # q = (1): the atom's row is sum p_h s_h = s = 0
+            row = S.values[min(b)]
+            if row[k] != row[k - 1]:
+                return ConnectorSearch(tick=k, atom=tuple(sorted(b)))
+            continue
         p = space.split(kids)
         s_jumps = S.child_jumps(k, kids)
         q = _atom_weights(p, s_jumps)
@@ -328,14 +351,14 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
 
 
 def _connector_atoms(eb: EnlargedBasis, D: Optional[Process]) -> list:
-    """(k, c, ekids, bkids, pbar, q) per alive enlarged atom c, after the gates.
+    """(k, c, ekids, inside, pbar, q) per alive enlarged atom c, after the gates.
 
-    From the basis's atom table: c's children and its base atom's children
-    h, then per-child rows over the h: pbar_h = P(h | c) and D's weight
-    q_h = p_h (1 - jump_h(D)) (q = p without D).  The gates run once,
-    first, in this order: the child-support condition, which makes pbar
-    positive exactly where p is, then that D is scalar, then that it is a
-    base martingale.
+    From the basis's atom table: c's children and the parts h & c of c in
+    its base atom's children h, then per-child rows over the h:
+    pbar_h = P(h | c) and D's weight q_h = p_h (1 - jump_h(D)) (q = p
+    without D).  The gates run once, first, in this order: the
+    child-support condition, which makes pbar positive exactly where p is,
+    then that D is scalar, then that it is a base martingale.
     """
     support = check_condition_support(eb)
     if not support.ok:
@@ -349,7 +372,7 @@ def _connector_atoms(eb: EnlargedBasis, D: Optional[Process]) -> list:
     for (k, c), (ekids, _, bkids, inside) in eb._atoms.items():
         p = eb.space.split(bkids)
         q = p if D is None else [ph * (ONE - dj) for ph, (dj,) in zip(p, D.child_jumps(k, bkids))]
-        atoms.append((k, c, ekids, bkids, eb.space.split(inside), q))
+        atoms.append((k, c, ekids, inside, eb.space.split(inside), q))
     return atoms
 
 
@@ -369,17 +392,18 @@ def _integrand(eb: EnlargedBasis, rep: RepresentationProcess, atoms: list) -> Pr
 def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
     """Y jumping by 1 - q_h / pbar_h on every enlarged child inside base child h.
 
-    Each atom's exact row sum_h pbar_h y_h = 1 - sum_h q_h = 0 is checked;
-    a failure raises InternalInvariant.
+    An enlarged child lies in exactly one part h & c of its atom (the
+    table's inside), which gives its slot h.  Each atom's exact row
+    sum_h pbar_h y_h = 1 - sum_h q_h = 0 is checked; a failure raises
+    InternalInvariant.
     """
     jump_of: dict = {}
-    for k, c, ekids, bkids, pbar, q in atoms:
+    for k, c, ekids, inside, pbar, q in atoms:
         y = [ONE - qh / pb for qh, pb in zip(q, pbar)]
         if vec_dot(pbar, y) != ZERO:
             raise InternalInvariant("connector row fails", tick=k, atom=sorted(c))
-        y_of = dict(zip(bkids, y))
-        at_k = eb.base.at(k)
-        jump_of.update(((k, e), y_of[at_k.block_of(min(e))]) for e in ekids)
+        jump_of.update(((k, e), next(yh for part, yh in zip(inside, y) if e <= part))
+                       for e in ekids)
     return Process.from_jump_table(eb.space.n, eb.enlarged, jump_of)
 
 

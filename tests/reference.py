@@ -1,21 +1,26 @@
-"""Test-only references: calculus the engine never calls, and two worked instances.
+"""Test-only references: calculus the engine never calls, a connector search, two instances.
 
 The calculus here (bracket, compensated bracket, canonical decomposition,
 pathwise product) states textbook identities the tests check the engine's
-calculus against; no engine path computes them.  The worked instances are
-small hand-built bases with exact golden values.
+calculus against; no engine path computes them.  The connector search is
+the engine's search as it stood before atoms with one child took the
+flatness test: every alive atom goes through _atom_weights and the row
+check.  The worked instances are small hand-built bases with exact golden
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from driftlab.basis import Filtration, Partition, Process, SampleSpace, StoppingTime
+from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
+                            alive_atoms)
 from driftlab.calculus import _require_adapted, compensator
 from driftlab.enlargement import EnlargedBasis
-from driftlab.errors import DimensionMismatch
+from driftlab.errors import DimensionMismatch, InternalInvariant
 from driftlab.models import gen_initial_enlargement
-from driftlab.rational import ZERO, Q
+from driftlab.rational import ONE, ZERO, Q
+from driftlab.viability import ConnectorSearch, _atom_rows_violation, _atom_weights
 
 
 # --- calculus ---
@@ -66,6 +71,36 @@ def pointwise_mul(Z: Process, S: Process) -> Process:
             row.append(tuple(z * s for s in S.at(i, k)))
         rows.append(tuple(row))
     return Process(S.dim, tuple(rows))
+
+
+# --- connector search ---
+
+def connector_search_reference(space: SampleSpace, filt: Filtration, S: Process,
+                               horizon=None) -> ConnectorSearch:
+    """find_structure_connector with every alive atom, one child or more, posed in full.
+
+    Each atom's optimum comes from _atom_weights and each atom adds its row
+    to _atom_rows_violation, as the search did before an atom with one
+    child became a flatness test.
+    """
+    jump_of: dict = {}
+    rows = []
+    for k, b, kids in alive_atoms(filt, horizon):
+        p = space.split(kids)
+        s_jumps = S.child_jumps(k, kids)
+        q = _atom_weights(p, s_jumps)
+        if q is None:
+            return ConnectorSearch(tick=k, atom=tuple(sorted(b)))
+        if q is p:
+            d_jumps = None
+        else:
+            d_jumps = [(ONE - qh / ph,) for qh, ph in zip(q, p)]
+            jump_of.update(((k, kid), dj) for kid, (dj,) in zip(kids, d_jumps))
+        rows.append((k, b, kids, p, d_jumps, s_jumps))
+    bad = _atom_rows_violation(rows)
+    if bad is not None:
+        raise InternalInvariant("assembled connector fails its own check", **bad)
+    return ConnectorSearch(n=space.n, filt=filt, jumps=jump_of)
 
 
 # --- worked instances ---

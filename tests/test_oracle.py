@@ -349,12 +349,19 @@ def names_base(node) -> bool:
     return getattr(node, "id", getattr(node, "attr", None)) == "base"
 
 
+def base_partition_call(node) -> bool:
+    """Whether node is a call `base.pre(...)` or `base.at(...)`, base as in names_base."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr in ("pre", "at") and names_base(node.func.value)
+
+
 def base_atom_lookups(path):
     """module.function (or module.Class.method) for each enlarged-to-base lookup in a module.
 
     A lookup is a subscript of `child_map` on `base` or `<x>.base`, or a
-    call of `block_of` on `base.pre(...)` or `<x>.base.pre(...)`.  Nested
-    functions count for the top-level one that holds them.
+    call of `block_of` on `base.pre(...)`, `base.at(...)` or their `<x>.base`
+    forms, directly or through a local name bound to one.  Nested functions
+    count for the top-level one that holds them.
     """
     tree = parse(path)
     tops = [(f"{path.stem}.{node.name}", node) for node in tree.body
@@ -364,14 +371,16 @@ def base_atom_lookups(path):
              if isinstance(fn, ast.FunctionDef)]
     found = []
     for name, top in tops:
+        partitions = {target.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                      and base_partition_call(node.value)
+                      for target in node.targets if isinstance(target, ast.Name)}
         for node in ast.walk(top):
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
                     and node.value.attr == "child_map" and names_base(node.value.value):
                 found.append(name)
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "block_of":
-                pre = node.func.value
-                if isinstance(pre, ast.Call) and isinstance(pre.func, ast.Attribute) \
-                        and pre.func.attr == "pre" and names_base(pre.func.value):
+                part = node.func.value
+                if base_partition_call(part) or getattr(part, "id", None) in partitions:
                     found.append(name)
     return found
 
@@ -380,8 +389,9 @@ def test_enlarged_atoms_meet_their_base_atom_in_one_place():
     """Only `EnlargedBasis._atoms` maps an enlarged atom to its base atom and its children.
 
     No other package function subscripts `child_map` on a `base` name or
-    attribute, or calls `block_of` on `base.pre(...)` (`base_atom_lookups`);
-    every enlarged computation reads the basis's atom table instead.
+    attribute, or calls `block_of` on `base.pre(...)` or `base.at(...)`,
+    directly or through a local (`base_atom_lookups`); every enlarged
+    computation reads the basis's atom table instead.
     """
     found = [name for path in package_modules() for name in base_atom_lookups(path)]
     assert sorted(found) == ["enlargement.EnlargedBasis._atoms"] * 2
@@ -616,8 +626,9 @@ def test_verify_no_deflator_refuses_other_certificates(paths, reason):
     ([[0, 1], [0, 0]], "positivity-unreachable"),
 ], ids=["infeasible", "zero-gap"])
 def test_verify_no_deflator_refuses_malformed_multipliers(paths, reason):
-    """Multipliers that are not lists of rat-parsable entries, or a gap_bound that does
-    not parse, are refused with False, not an exception.
+    """Multipliers that are not lists of rat-parsable entries, a gap_bound that does
+    not parse, or a certificate that is not a dict are refused with False, not an
+    exception.
 
     A string is not read one character at a time: "12" is refused, not
     taken as [1, 2].
@@ -637,6 +648,8 @@ def test_verify_no_deflator_refuses_malformed_multipliers(paths, reason):
     if "gap_bound" in cert:
         for value in ("x", None, "1/0", [0]):
             assert verify_no_deflator(sp, filt, S, None, {**cert, "gap_bound": value}) is False
+    for not_a_dict in (None, [], "x", 3, list(cert.items())):
+        assert verify_no_deflator(sp, filt, S, None, not_a_dict) is False
 
 
 @pytest.mark.parametrize("k", [1, 2])

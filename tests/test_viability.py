@@ -44,7 +44,8 @@ from driftlab.viability import (
     solve_accessible_K,
     witness_asset,
 )
-from reference import pointwise_mul, worked_four_point, worked_six_point
+from reference import (connector_search_reference, pointwise_mul, worked_four_point,
+                       worked_six_point)
 
 KINDS = ("random", "initial", "progressive")
 
@@ -188,8 +189,8 @@ def unit_sum_broken(atoms_of):
     """_connector_atoms with q_0 raised by 1/7 on the first atom, so sum q != 1 there."""
     def broken(eb, D):
         atoms = atoms_of(eb, D)
-        k, c, ekids, bkids, pbar, q = atoms[0]
-        atoms[0] = (k, c, ekids, bkids, pbar, (q[0] + Q(1, 7), *q[1:]))
+        k, c, ekids, inside, pbar, q = atoms[0]
+        atoms[0] = (k, c, ekids, inside, pbar, (q[0] + Q(1, 7), *q[1:]))
         return atoms
     return broken
 
@@ -848,6 +849,102 @@ def test_search_decides_without_building_the_connector(monkeypatch):
             D = s.connector
             assert D is s.connector
             assert is_structure_connector(sp, filt, S, D, horizon) is None
+
+
+def search_record(search):
+    """found, tick, atom and the jump table of a search, for comparing two searches."""
+    return search.found, search.tick, search.atom, search.jumps
+
+
+def sweep_pool(count):
+    """(space, filt, S, horizon) of the enlarged asset sweep on `count` instances.
+
+    Per instance, as the sweep acceptance test draws its family: the tilted
+    component assets and random viable base assets up to 20, then one
+    random adapted asset of each dimension on the enlarged filtration,
+    each searched on the enlarged filtration up to the horizon.
+    """
+    for seed in range(count):
+        eb = gen_random_instance(GeneratorConfig(seed=seed, enlargement_kind=KINDS[seed % 3]))
+        rng = random.Random(f"one-child:{seed}")
+        family = tilted_component_assets(eb.space, eb.base,
+                                         build_representation(eb.space, eb.base))
+        while len(family) < 20:
+            family.append(random_viable_asset(rng, eb.space, eb.base)[0])
+        family += [random_adapted(rng, eb.space, eb.enlarged, dim=dim) for dim in (1, 2)]
+        for S in family:
+            yield eb.space, eb.enlarged, S, eb.horizon
+
+
+def test_one_child_atoms_keep_the_reference_search():
+    """Skipping an atom with one child changes no search outcome and no jump of D.
+
+    connector_search_reference poses every atom through _atom_weights and
+    the row check.  On the asset sweep of 150 enlarged instances and on the
+    240 search_pool markets, the search gives the same found/tick/atom
+    record and the same jump table.  The sweep blocks on atoms with one
+    child as well as on atoms with more, so both branches are compared.
+    """
+    blocked_on = Counter()
+    for market in [*sweep_pool(150), *search_pool(240)]:
+        search = find_structure_connector(*market)
+        assert search_record(search) == search_record(connector_search_reference(*market))
+        if not search.found:
+            filt = market[1]
+            blocked_on[len(filt.child_map[(search.tick, frozenset(search.atom))]) == 1] += 1
+    assert blocked_on[True] > 100 and blocked_on[False] > 100, blocked_on
+
+
+def moved_on(S, k, b, component):
+    """S with one added to one component from tick k on, on b: S jumps on (k, b) alone."""
+    rows = [list(row) for row in S.values]
+    for i in b:
+        for t in range(k, len(rows[i])):
+            rows[i][t] = tuple(x + ONE if c == component else x for c, x in enumerate(rows[i][t]))
+    return Process(S.dim, rows)
+
+
+def test_an_asset_moving_on_a_one_child_atom_blocks_there_without_a_program(monkeypatch):
+    """A martingale moved on one atom with one child is blocked at that atom, by no program.
+
+    On 40 markets, each atom with one child in turn: a scalar martingale,
+    and a pair of martingales in each of its two components, gain one on
+    that atom from its tick on.  Only that atom's row fails, so the search
+    blocks at its (tick, atom), like the reference, and solve_lp is not
+    called; the reference poses one infeasible program for the pair.  The
+    unmoved assets are found, with no jump of D on those atoms.
+    """
+    import driftlab.viability as viability
+    calls = []
+
+    def counting_solve_lp(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(viability, "solve_lp", counting_solve_lp)
+    moved = 0
+    for seed in range(40):
+        rng = random.Random(f"one-child-move:{seed}")
+        sp, filt = gen_single_filtration(rng, rng.randint(3, 10), rng.randint(2, 4), 3)
+        X, Y = random_martingale(rng, sp, filt), random_martingale(rng, sp, filt)
+        pair = Process(2, [[x + y for x, y in zip(xs, ys)] for xs, ys in zip(X.values, Y.values)])
+        singles = [(k, b) for k, b, kids in alive_atoms(filt) if len(kids) == 1]
+        for S in (X, pair):
+            search = find_structure_connector(sp, filt, S)
+            assert search.found and calls == []
+            assert all((k, b) not in search.jumps for k, b in singles)
+            for (k, b), component in product(singles, range(S.dim)):
+                bumped = moved_on(S, k, b, component)
+                search = find_structure_connector(sp, filt, bumped)
+                assert (search.found, search.tick, search.atom) == (False, k, tuple(sorted(b)))
+                assert calls == []
+                reference = connector_search_reference(sp, filt, bumped)
+                assert search_record(search) == search_record(reference)
+                assert len(calls) == (S.dim == 2)
+                assert calls == [] or solve_lp(*calls[0]).status == INFEASIBLE
+                calls.clear()
+                moved += 1
+    assert moved > 50, moved
 
 
 def path_level_connector_violation(space, filt, D, horizon, S=None):
