@@ -20,12 +20,11 @@ from .enlargement import (DriftFactors, EnlargedBasis, SupportReport,
 from .errors import (AzemaDegenerate, ConnectorInvalid, DataInvariantViolated,
                      DimensionMismatch, EngineError, InternalInvariant, InvalidDocument,
                      JacodDegenerate, NotAMartingale, NotARandomTime, NotAStoppingTime,
-                     NotAdapted, NotPredictable, SchemaError, SupportConditionFailed,
-                     Unsolvable, ZeroProbabilityBranch)
-from .event_kernels import (AccessibleEventData, InaccessibleEventData,
-                            accessible_jump_value, inaccessible_jump_value,
+                     NotAdapted, NotPredictable, RationalTooLong, SchemaError,
+                     SupportConditionFailed, Unsolvable)
+from .event_kernels import (InaccessibleEventData, inaccessible_jump_value,
                             quotient_identity_holds, reduced_equation_holds,
-                            validate_accessible, validate_inaccessible)
+                            validate_inaccessible)
 from .linalg import min_norm_solve
 from .models import (GeneratorConfig, azema_phi_crosscheck, gen_initial_enlargement,
                      gen_progressive_enlargement, gen_random_instance,

@@ -16,13 +16,12 @@ from typing import Optional
 from . import serialize
 from .enlargement import check_condition_support, check_positivity, drift_operator, solve_factors
 from .errors import EngineError, InternalInvariant, InvalidDocument, SchemaError
-from .event_kernels import (AccessibleEventData, InaccessibleEventData,
-                            accessible_jump_value, inaccessible_jump_value,
+from .event_kernels import (InaccessibleEventData, inaccessible_jump_value,
                             quotient_identity_holds, reduced_equation_holds,
-                            validate_accessible, validate_inaccessible)
+                            validate_inaccessible)
 from .models import ENLARGEMENT_KINDS, GeneratorConfig, gen_random_instance
 from .oracle import check_deflator, lp_deflator_oracle
-from .rational import ZERO, rat_str
+from .rational import rat_str
 from .representation import build_representation
 from .serialize import encode_exact
 from .verify import first_failure, run_verify
@@ -158,23 +157,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_kernel_eval(args) -> int:
-    kind, fields = serialize.load_kernel_event(_read_input(args.input))
-    if kind == "accessible":
-        data = AccessibleEventData(**fields)
-        validate_accessible(data)
-        report = {"values": [rat_str(accessible_jump_value(data, h)) if data.p[h] > ZERO
-                             else None for h in range(len(data.p))]}
-    else:
-        data = InaccessibleEventData(**fields)
-        validate_inaccessible(data)
-        cells = range(len(data.q))
-        report = {
-            "values": [rat_str(inaccessible_jump_value(data, k)) for k in cells],
-            "reduced_equation": [reduced_equation_holds(data, k) for k in cells],
-            "quotient_identity": [quotient_identity_holds(data, k) for k in cells],
-        }
-    report.update(command="kernel-eval", kind=kind)
-    _emit(report, args.output)
+    data = InaccessibleEventData(**serialize.load_kernel_event(_read_input(args.input)))
+    validate_inaccessible(data)
+    cells = range(len(data.q))
+    _emit({"command": "kernel-eval", "kind": "inaccessible",
+           "values": [rat_str(inaccessible_jump_value(data, k)) for k in cells],
+           "reduced_equation": [reduced_equation_holds(data, k) for k in cells],
+           "quotient_identity": [quotient_identity_holds(data, k) for k in cells]},
+          args.output)
     return 0
 
 

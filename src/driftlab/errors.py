@@ -53,8 +53,8 @@ class DataInvariantViolated(EngineError):
     code = "DATA_INVARIANT_VIOLATED"
 
 
-class ZeroProbabilityBranch(EngineError):
-    code = "ZERO_PROBABILITY_BRANCH"
+class RationalTooLong(EngineError):
+    code = "RATIONAL_TOO_LONG"
 
 
 class JacodDegenerate(EngineError):

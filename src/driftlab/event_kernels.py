@@ -1,69 +1,20 @@
-"""Pointwise jump-event kernels over explicit event data.
+"""Pointwise kernels for totally inaccessible jump events.
 
 Totally inaccessible jump times are degenerate on a finite tick grid, so
-the per-event formulas are exposed here as pure kernels over explicit
-event data instead of as process operations: accessible events carry
-child probabilities seen from both filtrations, inaccessible events carry
-cell probabilities with a scale factor per cell.  Every kernel is exact.
+their per-event formulas are exposed here as pure kernels over explicit
+event data instead of as process operations: an event carries cell
+probabilities under both conditionings, with a scale factor per cell.
+Every kernel is exact.  (Accessible jumps need no kernel: see
+viability._closed_form_connector.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataInvariantViolated, DimensionMismatch, ZeroProbabilityBranch
+from .errors import DataInvariantViolated, DimensionMismatch
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q
-
-
-@dataclass(frozen=True)
-class AccessibleEventData:
-    """One accessible jump event: child slots of a left-limit atom.
-
-    p and pbar are the child probabilities under the base and the enlarged
-    conditioning, n_vals the driving-process jump vector per slot, d_vals
-    the connector jump per slot, phi the multiplier row.
-    """
-    p: tuple
-    pbar: tuple
-    n_vals: tuple   # one vector per slot
-    d_vals: tuple
-    phi: tuple
-
-
-def validate_accessible(data: AccessibleEventData) -> None:
-    slots = len(data.p)
-    if not (len(data.pbar) == len(data.n_vals) == len(data.d_vals) == slots):
-        raise DimensionMismatch("slot counts differ")
-    for row in data.n_vals:
-        if len(row) != len(data.phi):
-            raise DimensionMismatch("driving jump width differs from multiplier width")
-    if sum(data.p, ZERO) != ONE or sum(data.pbar, ZERO) != ONE:
-        raise DataInvariantViolated("child probabilities must sum to one")
-    for h in range(slots):
-        if data.p[h] < ZERO or data.pbar[h] < ZERO:
-            raise DataInvariantViolated("negative probability", slot=h)
-        if (ONE + vec_dot(data.phi, data.n_vals[h])) * data.p[h] != data.pbar[h]:
-            raise DataInvariantViolated("probability tilt identity failed", slot=h)
-        if data.p[h] > ZERO and data.d_vals[h] >= ONE:
-            raise DataInvariantViolated("connector jump reaches one", slot=h)
-
-
-def accessible_jump_value(data: AccessibleEventData, h: int) -> Q:
-    """Connector jump transferred to the enlarged side at slot h.
-
-    (d_h + phi.n_h) / (1 + phi.n_h).  Slots the base conditioning never
-    reaches, and slots killed by the enlarged conditioning (where the
-    denominator collapses to zero), have no transferred value.
-    """
-    if not 0 <= h < len(data.p):
-        raise DimensionMismatch("slot out of range")
-    if data.p[h] <= ZERO:
-        raise ZeroProbabilityBranch(slot=h)
-    denom = ONE + vec_dot(data.phi, data.n_vals[h])
-    if denom == ZERO:
-        raise ZeroProbabilityBranch(slot=h, detail="enlarged conditioning kills the slot")
-    return (data.d_vals[h] + vec_dot(data.phi, data.n_vals[h])) / denom
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from typing import Optional, Sequence
 from .basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                     alive_atoms, cond_expect, cond_prob)
 from .calculus import jump_mean
-from .enlargement import (DriftFactors, EnlargedBasis, drift_operator, solve_factors,
-                          validate_enlargement)
+from .enlargement import EnlargedBasis, drift_operator, solve_factors, validate_enlargement
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
-from .event_kernels import AccessibleEventData, InaccessibleEventData
+from .event_kernels import InaccessibleEventData
 from .linalg import vec_dot
 from .rational import ONE, ZERO, Q, _dot
 from .representation import RepresentationProcess, build_representation
@@ -465,48 +464,7 @@ def azema_phi_crosscheck(eb: EnlargedBasis, tau: Sequence) -> bool:
     return True
 
 
-# --- event-data bridges and randomizers ---
-
-def extract_accessible_event_data(eb: EnlargedBasis, rep: RepresentationProcess,
-                                  factors: DriftFactors, D: Optional[Process],
-                                  k: int, cblk: frozenset) -> AccessibleEventData:
-    """Package one (tick, enlarged left-limit atom) as accessible event data, a slot per child."""
-    _, _, kids, inside = eb._atoms[(k, cblk)]
-    d_vals = (ZERO,) * len(kids) if D is None else tuple(d for (d,) in D.child_jumps(k, kids))
-    return AccessibleEventData(p=eb.space.split(kids), pbar=eb.space.split(inside),
-                               n_vals=tuple(rep.W.child_jumps(k, kids)), d_vals=d_vals,
-                               phi=factors.phi.at(min(cblk), k))
-
-
-def random_accessible_instance(rng: random.Random) -> dict:
-    """A one-tick enlarged basis with support, its connector, and its event data.
-
-    Integer weights guarantee every child meets the distinguished enlarged
-    atom, so the support condition holds and the extracted data satisfies
-    the kernel invariants; the identities relating the engine route to the
-    kernel formulas can then be tested on genuinely random events.
-    """
-    m = rng.randint(2, 4)
-    inside = [rng.randint(1, 9) for _ in range(m)]
-    outside = [rng.randint(1, 9) for _ in range(m)]
-    total = sum(inside) + sum(outside)
-    prob = [Q(w, total) for pair in zip(inside, outside) for w in pair]
-    space = SampleSpace(tuple(f"w{i}" for i in range(2 * m)), prob)
-    trivial = Partition([range(2 * m)])
-    children = Partition([{2 * h, 2 * h + 1} for h in range(m)])
-    base = Filtration(trivial, ((trivial, children),))
-    c_atom = frozenset(2 * h for h in range(m))
-    g_pre = Partition([c_atom, frozenset(range(2 * m)) - c_atom])
-    enlarged = Filtration(trivial, ((g_pre, g_pre.meet(children)),))
-    eb = EnlargedBasis(space=space, base=base, enlarged=enlarged,
-                       horizon=StoppingTime.constant(2 * m, 1))
-    D = random_martingale(rng, space, base, cap=Q(7, 8))
-    rep = build_representation(space, base)
-    factors = solve_factors(eb, rep)
-    data = extract_accessible_event_data(eb, rep, factors, D, 1, c_atom)
-    return {"eb": eb, "rep": rep, "factors": factors, "D": D,
-            "tick": 1, "atom": c_atom, "data": data}
-
+# --- event-data randomizers ---
 
 def random_inaccessible_event_data(rng: random.Random) -> InaccessibleEventData:
     """Random cell data satisfying the inaccessible-event invariants.

@@ -29,6 +29,8 @@ import sys
 from math import gcd
 from operator import mul
 
+from .errors import RationalTooLong
+
 
 class Rational:
     """The exact rational numerator/denominator, in lowest terms.
@@ -379,5 +381,8 @@ def rat(text) -> "Q":
 
 
 def rat_str(x) -> str:
-    """Serialize a rational as 'p/q' (denominator always present)."""
-    return f"{x.numerator}/{x.denominator}"
+    """'p/q' for a rational; RationalTooLong past the interpreter's int-to-str digit limit."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # the digit limit, which stays as the interpreter sets it
+        raise RationalTooLong(bits=(x.numerator.bit_length(), x.denominator.bit_length())) from None

@@ -263,24 +263,16 @@ def _rat_mat(raw, label: str) -> tuple:
     return tuple(tuple(_rat(v) for v in r) for r in raw)
 
 
-# Kernel-event fields per kind, in reading order, with their reader; a
-# field missing from the document reads as None.
-_KERNEL_FIELDS = {
-    "accessible": (("p", _rat_vec), ("pbar", _rat_vec), ("n_vals", _rat_mat),
-                   ("d_vals", _rat_vec), ("phi", _rat_vec)),
-    "inaccessible": (("q", _rat_vec), ("qbar", _rat_vec), ("jump_scale", _rat_vec),
-                     ("base_coeff", _rat_vec), ("pair_rows", _rat_mat),
-                     ("drive_mean", _rat_vec), ("phi", _rat_vec)),
-}
+# The inaccessible event's fields in reading order, with their readers; a missing one reads as None.
+_KERNEL_FIELDS = (("q", _rat_vec), ("qbar", _rat_vec), ("jump_scale", _rat_vec),
+                  ("base_coeff", _rat_vec), ("pair_rows", _rat_mat),
+                  ("drive_mean", _rat_vec), ("phi", _rat_vec))
 
 
-def load_kernel_event(doc: dict) -> tuple:
-    """A kernel-eval document: (kind, {field: value}) for its first kind present."""
-    for kind, fields in _KERNEL_FIELDS.items():
-        if kind in doc:
-            raw = _get(doc, kind, dict)
-            return kind, {name: read(raw.get(name), name) for name, read in fields}
-    raise SchemaError("kernel-eval input needs 'accessible' or 'inaccessible'")
+def load_kernel_event(doc: dict) -> dict:
+    """A kernel-eval document's `inaccessible` event, {field: value}; SchemaError without one."""
+    raw = _get(doc, "inaccessible", dict)
+    return {name: read(raw.get(name), name) for name, read in _KERNEL_FIELDS}
 
 
 # --- reports ---

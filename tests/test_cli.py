@@ -294,6 +294,20 @@ def test_verify_theorems_deterministic(tmp_path):
     assert rep["instances"] == 16
 
 
+def test_verify_theorems_rotates_seven_batteries(tmp_path):
+    """Fourteen instances run each of the seven batteries twice; none is an accessible kernel."""
+    out = tmp_path / "v.json"
+    assert main(["verify-theorems", "--seed", "0", "--instances", "14",
+                 "--output", str(out)]) == 0
+    rep = read(out)
+    assert rep["summary"] == {name: {"instances": 2, "failures": 0}
+                              for name in ("connector-oracle", "drift-factorization",
+                                           "full-viability", "jump-identity",
+                                           "inaccessible-kernel", "density-crosscheck",
+                                           "survival-crosscheck")}
+    assert [r["battery"] for r in rep["results"]] == [name for name, _ in verify.BATTERIES] * 2
+
+
 def _doubled_at(Z, i):
     """Z with outcome i's values doubled from tick 1 on."""
     rows = list(Z.values)
@@ -373,7 +387,31 @@ def test_generate_round_trips(tmp_path):
         assert validate_enlargement(eb).ok
 
 
+# An inaccessible event with two cells: q, the jump scales and phi are
+# chosen, and qbar follows from the cell tilt identity.
+INACCESSIBLE_EVENT = {
+    "q": ["1/2", "1/4"],
+    "qbar": ["1/2", "3/10"],
+    "jump_scale": ["1/1", "2/1"],
+    "base_coeff": ["1/2", "-1/1"],
+    "pair_rows": [["1/1"], ["1/1"]],
+    "drive_mean": ["1/1"],
+    "phi": ["1/4"],
+}
+
+
+def test_kernel_eval_inaccessible(tmp_path):
+    inp = write(tmp_path / "k.json", {"inaccessible": INACCESSIBLE_EVENT})
+    out = tmp_path / "r.json"
+    assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 0
+    rep = read(out)
+    assert rep["kind"] == "inaccessible"
+    assert [rat(v) for v in rep["values"]] == [Q(3, 5), Q(-1, 2)]
+    assert rep["reduced_equation"] == rep["quotient_identity"] == [True, True]
+
+
 def test_kernel_eval_accessible(tmp_path):
+    """kernel-eval has no accessible kind: an `accessible` document is a schema error."""
     doc = {"accessible": {
         "p": ["1/2", "1/2"],
         "pbar": ["3/4", "1/4"],
@@ -383,20 +421,13 @@ def test_kernel_eval_accessible(tmp_path):
     }}
     inp = write(tmp_path / "k.json", doc)
     out = tmp_path / "r.json"
-    assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 0
-    rep = read(out)
-    assert rep["kind"] == "accessible"
-    assert [rat(v) for v in rep["values"]] == [Q(1, 3), Q(-1)]
+    assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 2
+    assert read(out)["error"] == "SCHEMA_ERROR"
 
 
 def test_kernel_eval_rejects_tampered_data(tmp_path):
-    doc = {"accessible": {
-        "p": ["1/2", "1/2"],
-        "pbar": ["1/4", "3/4"],  # tilt identity broken on purpose
-        "n_vals": [["1/1"], ["-1/1"]],
-        "d_vals": ["0/1", "0/1"],
-        "phi": ["1/2"],
-    }}
+    doc = {"inaccessible": {**INACCESSIBLE_EVENT,
+                            "qbar": ["3/10", "1/2"]}}  # tilt identity broken on purpose
     inp = write(tmp_path / "k.json", doc)
     out = tmp_path / "r.json"
     assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 3
@@ -408,8 +439,8 @@ def test_removed_series_inputs_are_refused_and_weight_is_ignored(tmp_path):
     """No command diagnoses series, no kernel kind is `continuous`, no kernel reads `weight`.
 
     The argument parser refuses `diagnose-series`, the kernel loader refuses
-    a `continuous` event, and an accessible event's `weight` is ignored like
-    any other unknown field.
+    a `continuous` event, and an inaccessible event's `weight` is ignored
+    like any other unknown field.
     """
     series = write(tmp_path / "s.json", {"jumps": [0.5, 0.25]})
     with pytest.raises(SystemExit) as exc:
@@ -420,15 +451,37 @@ def test_removed_series_inputs_are_refused_and_weight_is_ignored(tmp_path):
         "base_coeff": ["1/1"], "pair_rows": [["1/1"]], "phi": ["1/2"]}})
     assert main(["kernel-eval", "--input", continuous, "--output", str(out)]) == 2
     assert read(out)["error"] == "SCHEMA_ERROR"
-    event = {"p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"], "n_vals": [["1/1"], ["-1/1"]],
-             "d_vals": ["0/1", "0/1"], "phi": ["1/2"]}
     reports = []
-    for name, doc in (("plain", event), ("weighted", {**event, "weight": "0/1"})):
-        inp = write(tmp_path / f"{name}.json", {"accessible": doc})
+    for name, doc in (("plain", INACCESSIBLE_EVENT),
+                      ("weighted", {**INACCESSIBLE_EVENT, "weight": "0/1"})):
+        inp = write(tmp_path / f"{name}.json", {"inaccessible": doc})
         assert main(["kernel-eval", "--input", inp, "--output", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
-    assert [rat(v) for v in json.loads(reports[1])["values"]] == [Q(1, 3), Q(-1)]
+    assert [rat(v) for v in json.loads(reports[1])["values"]] == [Q(3, 5), Q(-1, 2)]
+
+
+def test_a_rational_too_long_to_print_is_an_engine_error(tmp_path):
+    """A report value past the interpreter's digit limit exits 3, not with a traceback.
+
+    Each asset value has about 2500 digits, so the input loads; the
+    connector the deflator report prints has denominators past 4300
+    digits.  The interpreter's limit is left as it is.
+    """
+    doc = {"outcomes": ["a", "b", "c"], "prob": ["1/3", "1/3", "1/3"],
+           "filtration": {"initial": [[0, 1, 2]],
+                          "ticks": [{"pre": [[0, 1, 2]], "at": [[0], [1], [2]]}]},
+           "asset": {"dim": 1, "values": [
+               [["1/1"], [f"1/{7 * 10 ** 2501 + 1}"]],
+               [["1/1"], ["3/2"]],
+               [["1/1"], [f"1/{3 * 10 ** 2501 + 7}"]]]}}
+    inp = write(tmp_path / "long.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["validate", "--input", inp, "--output", str(out)]) == 0
+    assert main(["deflator", "--input", inp, "--output", str(out)]) == 3
+    rep = read(out)
+    assert rep["error"] == "RATIONAL_TOO_LONG"
+    assert min(rep["detail"]["bits"]) > 4300 * 3  # numerator and denominator bit lengths
 
 
 def test_readme_command_table_matches_the_parser():
@@ -462,10 +515,7 @@ def _valid_documents():
         "deflator": {**basis_to_json(eb.space, eb.base),
                      "asset": process_to_json(six["asset"]),
                      "horizon": horizon_to_json(eb.horizon)},
-        "kernel-eval": {"accessible": {
-            "p": ["1/2", "1/2"], "pbar": ["3/4", "1/4"],
-            "n_vals": [["1/1"], ["-1/1"]], "d_vals": ["0/1", "0/1"],
-            "phi": ["1/2"]}},
+        "kernel-eval": {"inaccessible": INACCESSIBLE_EVENT},
     }
 
 

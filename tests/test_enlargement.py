@@ -25,7 +25,6 @@ from driftlab.errors import (ConnectorInvalid, EngineError, NotAdapted, NotAMart
 from driftlab.linalg import min_norm_solve, vec_dot
 from driftlab.models import (
     GeneratorConfig,
-    extract_accessible_event_data,
     gen_random_instance,
     random_adapted,
     random_martingale,
@@ -34,6 +33,7 @@ from driftlab.models import (
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation, represent
 from driftlab.viability import (
+    _connector_atoms,
     enlarged_connector,
     g_connector,
     is_structure_connector,
@@ -206,31 +206,40 @@ def test_support_report_is_cached_and_matches_a_per_child_reference(force):
 
 
 def test_factors_and_event_data_read_one_cached_split(monkeypatch):
-    """solve_factors fills the space's split cache from the atom table; the event data reads it.
+    """solve_factors fills the space's split cache from the atom table; the connector rows read it.
 
     Once the factors are solved, SampleSpace.mass refuses every call:
-    extracting the accessible event data of every alive enlarged atom
-    recomputes no split, its p and pbar are the cached splits of the
-    table's bkids and inside, and the table and the cache keep the very
-    same entries.
+    the split of every alive enlarged atom's bkids and inside is the
+    cached one, on support-clean instances the connector rows of
+    `_connector_atoms` recompute no split (their pbar and q, with no D, are
+    the cached splits of the table's inside and bkids), and the table and
+    the cache keep the very same entries.
     """
     def refuse(space, event):
         raise AssertionError("a split was recomputed")
 
+    clean = 0
     for seed in range(40):
         eb = instance(seed)
         rep = build_representation(eb.space, eb.base)
-        factors = solve_factors(eb, rep)
+        solve_factors(eb, rep)
         table, splits = eb._atoms, dict(eb.space._splits)
         assert list(table) == [(k, c) for k, c, _ in alive_atoms(eb.enlarged, eb.horizon)]
         with monkeypatch.context() as patch:
             patch.setattr(SampleSpace, "mass", refuse)
-            for (k, c), (_, _, bkids, inside) in table.items():
-                data = extract_accessible_event_data(eb, rep, factors, None, k, c)
-                assert data.p is splits[bkids] and data.pbar is splits[inside]
+            for _, _, bkids, inside in table.values():
+                assert eb.space.split(bkids) is splits[bkids]
+                assert eb.space.split(inside) is splits[inside]
+            if check_condition_support(eb).ok:
+                clean += 1
+                rows = _connector_atoms(eb, None)
+                assert [(k, c) for k, c, *_ in rows] == list(table)
+                for (_, _, _, inside, pbar, q), (_, _, bkids, _) in zip(rows, table.values()):
+                    assert pbar is splits[inside] and q is splits[bkids]
         assert eb._atoms is table
         assert eb.space._splits.keys() == splits.keys()
         assert all(eb.space._splits[key] is split for key, split in splits.items())
+    assert 0 < clean < 40
 
 
 def brute_force_atoms(eb):
@@ -332,10 +341,12 @@ def test_closed_forms_match_general_min_norm_solves(force):
 
     V, Vt and V x are built here from W's jump rows and the masses of the
     children, then solved by the general `min_norm_solve`: phi solves
-    V phi = gamma on every alive enlarged atom, and on support-clean
-    instances K solves Vt K = V (phi + H_D), for D = 0 and a random base
-    martingale, and K . Wt jumps by 1 - q_h / pbar_h on every child of the
-    atom, q_h = p_h (1 - jump_h(D)) on the base child h holding it.
+    V phi = gamma on every alive enlarged atom, where it tilts each base
+    child's conditional mass to the enlarged one,
+    (1 + phi.jump_h(W)) p_h = pbar_h; on support-clean instances K solves
+    Vt K = V (phi + H_D), for D = 0 and a random base martingale, and
+    K . Wt jumps by 1 - q_h / pbar_h on every child of the atom,
+    q_h = p_h (1 - jump_h(D)) on the base child h holding it.
     """
     transfers = 0
     for seed in range(40):
@@ -364,6 +375,8 @@ def test_closed_forms_match_general_min_norm_solves(force):
                 V = _cov(p, rows, zero)
                 phi = factors.phi.at(i, k)
                 assert list(phi) == min_norm_solve(V, gamma)
+                for ph, pb, row in zip(p, pbar, rows):
+                    assert (ONE + vec_dot(phi, row)) * ph == pb
                 Vt = _cov(pbar, rows, gamma)
                 for K, HD in Ds:
                     x = phi if HD is None else [a + h for a, h in zip(phi, HD.at(i, k))]

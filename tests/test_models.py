@@ -9,7 +9,7 @@ from driftlab.basis import alive_atoms, is_stopping_time, validate
 from driftlab.calculus import doleans_exp, is_martingale
 from driftlab.enlargement import check_condition_support, validate_enlargement
 from driftlab.errors import DataInvariantViolated, JacodDegenerate, NotARandomTime
-from driftlab.event_kernels import validate_accessible, validate_inaccessible
+from driftlab.event_kernels import validate_inaccessible
 from driftlab.models import (
     GeneratorConfig,
     azema_phi_crosscheck,
@@ -19,7 +19,6 @@ from driftlab.models import (
     gen_single_filtration,
     jacod_density_table,
     jacod_phi_crosscheck,
-    random_accessible_instance,
     random_adapted,
     random_inaccessible_event_data,
     random_martingale,
@@ -206,10 +205,7 @@ def test_density_table_shape():
 
 @given(st.integers(min_value=0, max_value=300))
 def test_random_event_data_validates(seed):
-    rng = random.Random(f"ev:{seed}")
-    inst = random_accessible_instance(rng)
-    validate_accessible(inst["data"])
-    data = random_inaccessible_event_data(rng)
+    data = random_inaccessible_event_data(random.Random(f"ev:{seed}"))
     validate_inaccessible(data)
 
 
