@@ -20,7 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 # InternalInvariant is re-exported for the oracle, whose only engine imports
 # are basis, linfeas and rational.
-from .errors import DimensionMismatch, InternalInvariant, NotAStoppingTime  # noqa: F401
+from .errors import (DimensionMismatch, InternalInvariant, NotARandomTime,  # noqa: F401
+                     NotAStoppingTime)
 from .rational import ONE, ZERO, Q, _dot, rat
 
 
@@ -145,14 +146,6 @@ class Filtration:
     def pre(self, k: int) -> Partition:
         # convention: pre(0) := at(0)
         return self.initial if k == 0 else self.ticks[k - 1][0]
-
-    @cached_property
-    def _alive(self) -> dict[tuple, Optional[tuple]]:
-        """A horizon's values -> None after one completed walk, the walk after two (alive_atoms).
-
-        A stored walk is the tuple of the (k, b, kids) it yielded.
-        """
-        return {}
 
     @cached_property
     def child_map(self) -> dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]]:
@@ -375,28 +368,37 @@ class StoppingTime:
     def n(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def _leq(self) -> dict[int, frozenset[int]]:
+        """k -> the event {T <= k} (leq_event)."""
+        return {}
+
     def leq_event(self, k: int) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v is not None and v <= k)
+        """{T <= k}, built once per k; is_stopping_time and alive_block read it."""
+        out = self._leq.get(k)
+        if out is None:
+            out = self._leq[k] = frozenset(
+                i for i, v in enumerate(self.values) if v is not None and v <= k)
+        return out
 
     def geq(self, i: int, k: int) -> bool:
         v = self.values[i]
         return v is None or v >= k
 
     def alive_block(self, b: frozenset[int], k: int) -> bool:
-        """True when the time is still running (>= k) on every outcome of b.
+        """True when b misses {T <= k - 1}, so the time runs (>= k) on all of b; False inside it.
 
-        For a stopping time, {T >= k} is the complement of {T <= k - 1},
-        which is at(k-1)-measurable; pre(k), at(k) and every later partition
-        refine at(k-1), so an atom of any of them lies entirely inside or
-        entirely outside the event.  An atom that straddles it shows the
-        time is not a stopping time of the atom's filtration, and raises
-        NotAStoppingTime.
+        For a stopping time that event is at(k-1)-measurable; pre(k), at(k)
+        and every later partition refine at(k-1), so an atom of any of them
+        is one or the other.  An atom that straddles it shows the time is
+        not a stopping time of the atom's filtration: NotAStoppingTime.
         """
-        if all(self.geq(i, k) for i in b):
+        stopped = self.leq_event(k - 1)
+        if stopped.isdisjoint(b):
             return True
-        if any(self.geq(i, k) for i in b):
-            raise NotAStoppingTime("atom straddles {T >= k}", tick=k, atom=sorted(b))
-        return False
+        if b <= stopped:
+            return False
+        raise NotAStoppingTime("atom straddles {T >= k}", tick=k, atom=sorted(b))
 
     @staticmethod
     def constant(n: int, k: Optional[int]) -> "StoppingTime":
@@ -441,38 +443,25 @@ def alive_atoms(filt: Filtration, horizon: Optional[StoppingTime] = None):
 
     kids are b's at(k)-children, filt.child_map[(k, b)]; the walk iterates
     child_map, whose entries come in that order.  Without a horizon every
-    atom is alive; with one, an atom that straddles {T >= k} raises
-    NotAStoppingTime (see StoppingTime.alive_block).
-
-    Walks under a horizon are counted on the filtration, keyed by the
-    horizon's values.  The first that runs to its end is marked; the second
-    stores the triples it yielded, and every later call with an equal
-    horizon iterates the stored walk.  A filtration walked once under a
-    horizon, as most are while instances are built, so holds no walk.  A
-    walk without a horizon tests nothing and is never stored.  A walk left
-    unfinished, or stopped by a straddling atom, counts for nothing, so the
-    same horizon raises at the same (tick, atom) on every call.
+    atom is alive; with one, StoppingTime.alive_block tests each atom
+    against {T <= k - 1}, and one that straddles it raises NotAStoppingTime.
+    The walk keeps no state: a horizon gives the same walk, or raises at
+    the same (tick, atom), on every call.
     """
-    if horizon is None:
-        for (k, b), kids in filt.child_map.items():
-            yield k, b, kids
-        return
-    key = horizon.values
-    stored = filt._alive.get(key)
-    if stored is not None:
-        yield from stored
-        return
-    walk = []
     for (k, b), kids in filt.child_map.items():
-        if horizon.alive_block(b, k):
-            walk.append((k, b, kids))
+        if horizon is None or horizon.alive_block(b, k):
             yield k, b, kids
-    filt._alive[key] = tuple(walk) if key in filt._alive else None
 
 
 def horizon_or_last_tick(space: SampleSpace, filt: Filtration,
                          horizon: Optional[StoppingTime]) -> StoppingTime:
-    """The horizon; with none given, every outcome stops at the last tick."""
+    """The horizon; with none given, every outcome stops at the last tick.
+
+    A horizon without one value per outcome raises NotARandomTime.
+    """
+    if horizon is not None and horizon.n != space.n:
+        raise NotARandomTime("must assign a time to every outcome",
+                             outcomes=space.n, values=horizon.n)
     return StoppingTime.constant(space.n, filt.K) if horizon is None else horizon
 
 
@@ -493,7 +482,6 @@ def cond_prob(space: SampleSpace, partition: Partition, event: frozenset[int]) -
 
 
 def is_stopping_time(filt: Filtration, T: StoppingTime) -> bool:
-    for k in range(filt.K + 1):
-        if not filt.at(k).event_measurable(T.leq_event(k)):
-            return False
-    return True
+    """True when T gives one value per outcome and {T <= k} is at(k)-measurable at every tick."""
+    return T.n == sum(map(len, filt.initial.blocks)) and all(
+        filt.at(k).event_measurable(T.leq_event(k)) for k in range(filt.K + 1))

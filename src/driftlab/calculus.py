@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .basis import Filtration, Process, SampleSpace, StoppingTime, alive_atoms
-from .errors import DimensionMismatch, NotAdapted, NotPredictable
+from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms,
+                    horizon_or_last_tick)
+from .errors import DimensionMismatch, NotARandomTime, NotAdapted, NotPredictable
 from .rational import ONE, ZERO, Q, _dot
 
 
@@ -53,6 +54,8 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
     examined as stopped at the horizon).  X is checked adapted first, so
     its jump takes one value per child.
     """
+    if horizon is not None:  # without one, every atom is alive
+        horizon = horizon_or_last_tick(space, filt, horizon)
     _require_adapted(filt, X)
     for k, b, kids in alive_atoms(filt, horizon):
         for c, mean in enumerate(jump_mean(space.split(kids), X.child_jumps(k, kids))):
@@ -106,7 +109,9 @@ def doleans_exp(X: Process) -> Process:
 
 
 def stop(X: Process, T: StoppingTime) -> Process:
-    """Freeze the path at the stopping time."""
+    """Freeze the path at the stopping time; one of the wrong length raises NotARandomTime."""
+    if T.n != X.n:
+        raise NotARandomTime("must assign a time to every outcome", outcomes=X.n, values=T.n)
     rows = []
     for i in range(X.n):
         v = T.values[i]

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
-                    alive_atoms, is_stopping_time, validate)
+                    alive_atoms, horizon_or_last_tick, is_stopping_time, validate)
 from .calculus import compensator, is_adapted, is_martingale, jump_mean, stop
 from .errors import NotAMartingale, NotAdapted, Unsolvable
 from .linalg import vec_dot
@@ -63,7 +63,7 @@ class EnlargedBasis:
 
     @cached_property
     def _connectors(self) -> dict:
-        """width -> the enlarged connector Y for D = None (viability._bare_connector)."""
+        """None -> the enlarged connector Y for D = None (viability._bare_connector)."""
         return {}
 
     @cached_property
@@ -73,12 +73,13 @@ class EnlargedBasis:
         ekids are c's enlarged children, b the base pre(k)-atom holding c,
         bkids b's children and inside their intersections with c (empty
         where a child misses c), so space.split gives p and pbar.  The one
-        place that maps an enlarged atom to its base atom; a straddling
-        horizon raises NotAStoppingTime here, as in alive_atoms.
+        place that maps an enlarged atom to its base atom; a horizon of the
+        wrong length (horizon_or_last_tick) or a straddling one raises here.
         """
         base = self.base
+        horizon = horizon_or_last_tick(self.space, self.enlarged, self.horizon)
         table = {}
-        for k, c, ekids in alive_atoms(self.enlarged, self.horizon):
+        for k, c, ekids in alive_atoms(self.enlarged, horizon):
             b = base.pre(k).block_of(min(c))
             bkids = base.child_map[(k, b)]
             table[(k, c)] = (ekids, b, bkids, tuple(kid & c for kid in bkids))
@@ -107,6 +108,8 @@ def validate_enlargement(eb: EnlargedBasis) -> Diagnostics:
             if not fine.refines(coarse):
                 errors.append(f"REFINEMENT_BROKEN({name}): enlargement does not refine the base")
                 break
+    if not errors and eb.horizon.n != eb.space.n:
+        errors.append("NOT_A_RANDOM_TIME: horizon must assign a time to every outcome")
     if not errors and not is_stopping_time(eb.enlarged, eb.horizon):
         errors.append("NOT_A_STOPPING_TIME: horizon not measurable in the enlarged filtration")
     return Diagnostics(ok=not errors, errors=tuple(errors))

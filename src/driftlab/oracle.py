@@ -179,6 +179,7 @@ def arbitrage_certificate(space: SampleSpace, filt: Filtration, S: Process,
     by 0.  A vector that fails its check (as every one does where a* = 0)
     raises InternalInvariant.
     """
+    horizon = horizon_or_last_tick(space, filt, horizon)
     lp = _build_lp(space, filt, S, horizon)
     _, A_eq, _, A_ub, _, columns, _ = lp
     r, kids = next((r, kids) for r, (j, b, kids) in enumerate(alive_atoms(filt, horizon))

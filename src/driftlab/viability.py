@@ -311,6 +311,8 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     assembled and checked against the table on the first read of
     ConnectorSearch.connector.
     """
+    if horizon is not None:  # without one, every atom is alive
+        horizon = horizon_or_last_tick(space, filt, horizon)
     jump_of: dict = {}
     rows = []
     for k, b, kids in alive_atoms(filt, horizon):
@@ -407,19 +409,18 @@ def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
     return Process.from_jump_table(eb.space.n, eb.enlarged, jump_of)
 
 
-def _bare_connector(eb: EnlargedBasis, rep: RepresentationProcess,
-                    atoms: Optional[list] = None) -> Process:
-    """The closed-form connector Y for D = None, built once per basis and width.
+def _bare_connector(eb: EnlargedBasis, atoms: Optional[list] = None) -> Process:
+    """The closed-form connector Y for D = None, built once per basis.
 
     Y depends only on the basis (its weights are q = p), so it is cached on
-    eb, keyed by the row width.  atoms, when given, are _connector_atoms'
-    rows for D = None; otherwise they are built here, behind the gates.
+    eb under D = None.  atoms, when given, are _connector_atoms' rows for
+    D = None; otherwise they are built here, behind the gates.
     """
-    Y = eb._connectors.get(rep.width)
+    Y = eb._connectors.get(None)
     if Y is None:
         if atoms is None:
             atoms = _connector_atoms(eb, None)
-        Y = eb._connectors[rep.width] = _closed_form_connector(eb, atoms)
+        Y = eb._connectors[None] = _closed_form_connector(eb, atoms)
     return Y
 
 
@@ -450,7 +451,7 @@ def enlarged_connector(eb: EnlargedBasis, rep: RepresentationProcess,
     """
     atoms = _connector_atoms(eb, D)
     K = _integrand(eb, rep, atoms)
-    return K, _bare_connector(eb, rep, atoms) if D is None else _closed_form_connector(eb, atoms)
+    return K, _bare_connector(eb, atoms) if D is None else _closed_form_connector(eb, atoms)
 
 
 def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
@@ -555,7 +556,7 @@ def full_viability_verdict(eb: EnlargedBasis,
     if bad is not None:
         raise InternalInvariant("multiplier pairing not positive under support",
                                 outcome=bad[0], tick=bad[1])
-    Y = _bare_connector(eb, rep)
+    Y = _bare_connector(eb)
     Z = doleans_exp(-Y)
     return ViabilityReport(verdict=True, condition_support=True, positivity=True,
                            support=support, factors=factors, connector=Y, deflator=Z)

@@ -140,44 +140,86 @@ def one_tick_filtrations(n):
             for c in parts if c.refines(b)]
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 3, 5)], ids=["uniform", "weighted"])
-def test_verdict_holds_on_every_small_world(weights):
-    """Every one-tick enlargement of four outcomes: the verdict against the oracle.
+def small_world_pairs(weights):
+    """(eb, rep, assets) per one-tick enlargement of four outcomes at horizon 1.
 
-    Pairs every one-tick base filtration with every enlarged one that
-    validate_enlargement accepts, horizon 1.  The verdict must be true
-    exactly when the oracle prices every tilted component asset of the
-    base on the enlarged filtration; the oracle shares nothing with the
-    calculus stack, so the reference is independent of the verdict.  A
-    true verdict's Z must deflate the driver (check_deflator), a false
-    one's witness certificate must re-verify (verify_no_deflator).
+    The space weighs its outcomes by weights.  Every one-tick base
+    filtration, with its representation and tilted component assets, is
+    paired with every enlarged one that validate_enlargement accepts at
+    horizon 1.
     """
     total = sum(weights)
     space = SampleSpace(tuple(f"w{i}" for i in range(len(weights))),
                         [Q(w, total) for w in weights])
     horizon = StoppingTime.constant(space.n, 1)
     filtrations = one_tick_filtrations(space.n)
-    pairs = false = 0
+    assert len(filtrations) == 154
     for base in filtrations:
         rep = build_representation(space, base)
         assets = tilted_component_assets(space, base, rep)
         for enlarged in filtrations:
             eb = EnlargedBasis(space, base, enlarged, horizon)
-            if not validate_enlargement(eb).ok:
-                continue
-            pairs += 1
-            report = full_viability_verdict(eb, rep)
-            priced = all(lp_deflator_oracle(space, enlarged, S, horizon).feasible
-                         for S in assets)
-            assert report.verdict == priced, (base, enlarged)
-            if report.verdict:
-                assert check_deflator(space, enlarged, rep.W, report.deflator, horizon)
-            else:
-                false += 1
-                wit = report.witness
-                assert verify_no_deflator(space, enlarged, wit["asset"], horizon,
-                                          wit["certificate"]), (base, enlarged)
-    assert (len(filtrations), pairs, false) == (154, 3644, 2315)
+            if validate_enlargement(eb).ok:
+                yield eb, rep, assets
+
+
+def verdict_matches_oracle(eb, rep, assets) -> bool:
+    """eb's verdict, asserted against the oracle over assets, with its certificate rechecked.
+
+    The verdict must be true exactly when the oracle prices every asset on
+    the enlarged filtration; the oracle shares nothing with the calculus
+    stack, so the reference is independent of the verdict.  A true
+    verdict's Z must deflate the driver (check_deflator), a false one's
+    witness certificate must re-verify (verify_no_deflator).
+    """
+    space, enlarged, horizon = eb.space, eb.enlarged, eb.horizon
+    report = full_viability_verdict(eb, rep)
+    priced = all(lp_deflator_oracle(space, enlarged, S, horizon).feasible for S in assets)
+    assert report.verdict == priced, (eb.base, enlarged, horizon)
+    if report.verdict:
+        assert check_deflator(space, enlarged, rep.W, report.deflator, horizon)
+    else:
+        wit = report.witness
+        assert verify_no_deflator(space, enlarged, wit["asset"], horizon,
+                                  wit["certificate"]), (eb.base, enlarged, horizon)
+    return report.verdict
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 3, 5)], ids=["uniform", "weighted"])
+def test_verdict_holds_on_every_small_world(weights):
+    """Every one-tick enlargement of four outcomes at horizon 1: the verdict against the oracle.
+
+    Each pair of small_world_pairs, checked by verdict_matches_oracle over
+    the base's tilted component assets.
+    """
+    pairs = false = 0
+    for eb, rep, assets in small_world_pairs(weights):
+        pairs += 1
+        false += not verdict_matches_oracle(eb, rep, assets)
+    assert (pairs, false) == (3644, 2315)
+
+
+def test_verdict_holds_under_every_small_world_horizon():
+    """Every other horizon of the weighted small worlds: the verdict against the oracle.
+
+    With one tick, a horizon only chooses which at(0) blocks of the
+    enlarged filtration stop at 0; the rest run to 1, as they all do at
+    horizon 1.  Each pair of small_world_pairs, weights (1, 2, 3, 5), takes
+    every such choice of one block or more, a stopping time of the
+    enlarged filtration, checked by verdict_matches_oracle.
+    """
+    triples = false = 0
+    for eb, rep, assets in small_world_pairs((1, 2, 3, 5)):
+        blocks = eb.enlarged.initial.blocks
+        for r in range(1, len(blocks) + 1):
+            for chosen in itertools.combinations(blocks, r):
+                stopped = frozenset().union(*chosen)
+                horizon = StoppingTime([0 if i in stopped else 1 for i in range(eb.space.n)])
+                cut = EnlargedBasis(eb.space, eb.base, eb.enlarged, horizon)
+                assert validate_enlargement(cut).ok
+                triples += 1
+                false += not verdict_matches_oracle(cut, rep, assets)
+    assert (triples, false) == (15560, 6414)
 
 
 def test_forced_failures_yield_certified_witnesses():

@@ -309,69 +309,83 @@ def test_alive_atoms_refuses_a_horizon_that_is_not_a_stopping_time():
     assert exc.value.detail == {"tick": 2, "atom": [0, 1]}
 
 
-def uncached_walk(filt, horizon):
-    """(k, b, kids) of the nested alive_block walk, kids from child_map."""
-    return [(k, b, filt.child_map[(k, b)]) for k in range(1, filt.K + 1)
-            for b in filt.pre(k).blocks if horizon is None or horizon.alive_block(b, k)]
+def per_outcome_walk(filt, horizon):
+    """The alive walk by the per-outcome test, and the first straddling (tick, atom) or None.
+
+    Atoms come tick by tick, each tick in pre(k)'s block order, with kids
+    from child_map.  An atom is alive at k when every outcome in it has
+    T >= k (StoppingTime.geq) and dead when none has; the walk ends at the
+    first atom that is neither, whose detail is returned with the atoms
+    before it.
+    """
+    walk = []
+    for k in range(1, filt.K + 1):
+        for b in filt.pre(k).blocks:
+            running = [horizon is None or horizon.geq(i, k) for i in b]
+            if all(running):
+                walk.append((k, b, filt.child_map[(k, b)]))
+            elif any(running):
+                return walk, {"tick": k, "atom": sorted(b)}
+    return walk, None
 
 
-def test_alive_atoms_stores_a_walk_on_its_second_completion():
-    """The first completed walk under a horizon is marked, the second stored, later ones read.
+def test_alive_atoms_is_the_per_outcome_walk():
+    """The walk keeps no state: every call gives the per-outcome walk.
 
-    A constant horizon, random stopping times and an equal but distinct
-    StoppingTime each give the uncached walk on every call, and the walk
-    is stored, as the triples it yields, only when it completes for the
-    second time.  A walk without a horizon gives it too and stores nothing.
+    No horizon, constant horizons (never, and a random tick), a random
+    stopping time and an equal but distinct StoppingTime, on 60 random
+    filtrations: each horizon is walked twice, then once more after a walk
+    abandoned at its first atom, and every full walk is the reference.
     """
     for seed in range(60):
-        rng = random.Random(f"alive-memo:{seed}")
+        rng = random.Random(f"alive-walk:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
-        assert list(alive_atoms(filt)) == list(alive_atoms(filt)) == uncached_walk(filt, None)
-        assert filt._alive == {}
         T = random_stopping_time(rng, sp, filt)
-        horizons = {h.values: h for h in (StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T)}
-        for horizon in horizons.values():
-            walk = uncached_walk(filt, horizon)
-            assert list(alive_atoms(filt, horizon)) == walk
-            assert filt._alive[horizon.values] is None
-            assert list(alive_atoms(filt, horizon)) == walk
-            stored = filt._alive[horizon.values]
-            assert list(stored) == walk
-            for _ in range(3):
-                assert list(alive_atoms(filt, horizon)) == walk
-                assert filt._alive[horizon.values] is stored
-        stored, count = filt._alive[T.values], len(filt._alive)
         again = StoppingTime(list(T.values))
         assert again is not T and again == T
-        assert list(alive_atoms(filt, again)) == uncached_walk(filt, T)
-        assert filt._alive[T.values] is stored and len(filt._alive) == count
+        horizons = (None, StoppingTime.constant(sp.n, None),
+                    StoppingTime.constant(sp.n, rng.randint(0, filt.K)), T, again)
+        for horizon in horizons:
+            walk, straddle = per_outcome_walk(filt, horizon)
+            assert straddle is None
+            assert list(alive_atoms(filt, horizon)) == walk
+            assert list(alive_atoms(filt, horizon)) == walk
+            walker = alive_atoms(filt, horizon)
+            assert next(walker, None) == (walk[0] if walk else None)
+            walker.close()
+            assert list(alive_atoms(filt, horizon)) == walk
 
 
-def test_an_unfinished_walk_stores_nothing():
-    """A walk abandoned after its first atom counts for nothing; full walks mark, then store."""
-    for seed in range(30):
-        rng = random.Random(f"alive-abandoned:{seed}")
+def test_a_random_time_raises_where_the_per_outcome_walk_straddles():
+    """Per-outcome random times: the walk yields the reference's atoms, then raises at its straddle.
+
+    Each outcome draws a tick in 0..K or never, so most draws are not
+    stopping times.  The walk yields the atoms before the reference's first
+    straddling (tick, atom), then raises NotAStoppingTime with that detail,
+    on every call; a draw that straddles no walked atom gives the walk.
+    144 of the 200 draws straddle.
+    """
+    straddled = 0
+    for seed in range(200):
+        rng = random.Random(f"alive-straddle:{seed}")
         sp, filt = gen_single_filtration(rng, rng.randint(2, 10), rng.randint(1, 4), 3)
-        horizon = StoppingTime.constant(sp.n, filt.K)
-        first = filt.pre(1).blocks[0]
-        for _ in range(4):
-            walker = alive_atoms(filt, horizon)
-            assert next(walker) == (1, first, filt.child_map[(1, first)])
-            walker.close()
-            assert filt._alive == {}
-        assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
-        assert filt._alive == {horizon.values: None}
-        for _ in range(2):
-            walker = alive_atoms(filt, horizon)
-            next(walker)
-            walker.close()
-            assert filt._alive == {horizon.values: None}
-        assert list(alive_atoms(filt, horizon)) == uncached_walk(filt, None)
-        assert list(filt._alive[horizon.values]) == uncached_walk(filt, None)
+        T = StoppingTime([rng.choice([None] + list(range(filt.K + 1))) for _ in range(sp.n)])
+        walk, straddle = per_outcome_walk(filt, T)
+        for _ in range(3):
+            walker, got = alive_atoms(filt, T), []
+            if straddle is None:
+                assert list(walker) == walk
+                continue
+            with pytest.raises(NotAStoppingTime) as exc:
+                for triple in walker:
+                    got.append(triple)
+            assert got == walk and exc.value.detail == straddle
+        straddled += straddle is not None
+    assert straddled == 144
 
 
 def test_a_straddling_horizon_raises_on_every_walk():
-    """The refused walk stores nothing, so a second walk raises at the same (tick, atom)."""
+    """A refused walk leaves nothing behind, so every walk raises at the same (tick, atom)."""
     whole, halves = Partition([[0, 1, 2, 3]]), Partition([[0, 1], [2, 3]])
     filt = Filtration(whole, ((whole, halves), (halves, Partition([[0], [1], [2], [3]]))))
     details = []
@@ -379,7 +393,6 @@ def test_a_straddling_horizon_raises_on_every_walk():
         with pytest.raises(NotAStoppingTime) as exc:
             list(alive_atoms(filt, StoppingTime((1, 2, 2, 2))))
         details.append(exc.value.detail)
-        assert filt._alive == {}
     assert details == [{"tick": 2, "atom": [0, 1]}] * 4
 
 

@@ -457,14 +457,21 @@ def test_enlarged_caches_have_one_writer():
     assert attribute_writers({"_atoms"}, lambda stem: True) == {"_atoms": set()}
 
 
-def test_filtration_caches_have_one_writer():
-    """Each `Filtration` cache dict is written by exactly one function.
+def test_basis_caches_have_one_writer():
+    """Each cache dict of a `basis` class is written by exactly one function.
 
-    The caches and their writes are as in `cache_writers`; every package
-    module is scanned.  A new cache needs its one writer named here.
+    The caches and their writes are as in `cache_writers`, for every class
+    in `basis`; every package module is scanned.  The space caches masses
+    and splits, a stopping time its events {T <= k}; `Filtration` keeps
+    none, as its alive walk holds no state.  A new cache needs its one
+    writer named here.
     """
-    assert cache_writers("basis", "Filtration", lambda stem: True) == \
-        {"_alive": {"basis.alive_atoms"}}
+    classes = [node.name for node in parse(SRC / "basis.py").body
+               if isinstance(node, ast.ClassDef)]
+    writers = {name: cache_writers("basis", name, lambda stem: True) for name in classes}
+    assert writers == {"SampleSpace": {"_masses": {"basis.mass"}, "_splits": {"basis.split"}},
+                       "Partition": {}, "Filtration": {}, "Process": {},
+                       "StoppingTime": {"_leq": {"basis.leq_event"}}, "Diagnostics": {}}
 
 
 def test_children_have_one_home():

@@ -9,11 +9,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
-                            alive_atoms)
-from driftlab.calculus import is_adapted, is_martingale, jump_mean, stoch_integral, stop
-from driftlab.enlargement import check_condition_support, solve_factors
+                            alive_atoms, is_stopping_time)
+from driftlab.calculus import (is_adapted, is_martingale, jump_mean, martingale_violation,
+                               stoch_integral, stop)
+from driftlab.enlargement import (check_condition_support, drift_operator, solve_factors,
+                                  validate_enlargement)
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
-                             NotAdapted, NotAMartingale, NotAStoppingTime,
+                             NotAdapted, NotAMartingale, NotARandomTime, NotAStoppingTime,
                              SupportConditionFailed, Unsolvable)
 from driftlab.linfeas import INFEASIBLE, OPTIMAL, solve_lp
 from driftlab.models import (
@@ -26,7 +28,8 @@ from driftlab.models import (
     random_viable_asset,
     tilted_component_assets,
 )
-from driftlab.oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
+from driftlab.oracle import (arbitrage_certificate, check_deflator, lp_deflator_oracle,
+                            verify_no_deflator)
 from driftlab.rational import ONE, ZERO, Q
 from driftlab.representation import build_representation
 from driftlab.serialize import dumps, encode_exact, process_to_json, viability_report_to_json
@@ -1049,3 +1052,49 @@ def test_connector_reason_census_reaches_every_reason():
             assert got == expected
             census[None if got is None else got["reason"]] += 1
     assert set(census) == CONNECTOR_REASONS, census
+
+
+def test_a_horizon_of_the_wrong_length_is_refused_at_every_entry():
+    """A horizon with one value too few or too many raises NotARandomTime at every entry.
+
+    On a gen_single_filtration market with a viable asset S (with its
+    known connector D and deflator Z), and on gen_random_instance(seed=3)
+    with its horizon replaced: for each length, is_stopping_time is False,
+    validate_enlargement reports the length alone, and every entry that
+    takes the horizon, directly or as the basis's, refuses it.  None of
+    them raises IndexError or KeyError, and none walks it.
+    """
+    rng = random.Random("horizon-length")
+    sp, filt = gen_single_filtration(rng, 6, 2, 3)
+    S, D, Z = random_viable_asset(rng, sp, filt)
+    eb = gen_random_instance(GeneratorConfig(seed=3))
+    rep = build_representation(eb.space, eb.base)
+    assert validate_enlargement(eb).ok
+    for delta in (-1, 1):
+        T = StoppingTime.constant(sp.n + delta, filt.K)
+        assert not is_stopping_time(filt, T)
+        bad = dataclasses.replace(
+            eb, horizon=StoppingTime.constant(eb.space.n + delta, eb.enlarged.K))
+        assert validate_enlargement(bad).errors == (
+            "NOT_A_RANDOM_TIME: horizon must assign a time to every outcome",)
+        entries = [
+            lambda: find_structure_connector(sp, filt, S, T),
+            lambda: is_structure_connector(sp, filt, S, D, T),
+            lambda: deflator_from_connector(sp, filt, D, T),
+            lambda: lp_deflator_oracle(sp, filt, S, T),
+            lambda: check_deflator(sp, filt, S, Z, T),
+            lambda: verify_no_deflator(sp, filt, S, T, {"multipliers_eq": [],
+                                                        "multipliers_ub": []}),
+            lambda: is_martingale(sp, filt, D, T),
+            lambda: martingale_violation(sp, filt, D, T),
+            lambda: arbitrage_certificate(sp, filt, S, T, 1, filt.pre(1).blocks[0]),
+            lambda: stop(S, T),
+            lambda: full_viability_verdict(bad, rep),
+            lambda: check_condition_support(bad),
+            lambda: solve_factors(bad, rep),
+            lambda: solve_accessible_K(bad, rep),
+            lambda: drift_operator(bad, rep.W.component(0)),
+        ]
+        for entry in entries:
+            with pytest.raises(NotARandomTime, match="must assign a time to every outcome"):
+                entry()
