@@ -46,15 +46,9 @@ class SampleSpace:
     def n(self) -> int:
         return len(self.outcomes)
 
-    @cached_property
-    def _masses(self) -> dict[frozenset[int], Q]:
-        return {}
-
     def mass(self, event: frozenset[int]) -> Q:
-        out = self._masses.get(event)
-        if out is None:
-            out = self._masses[event] = sum((self.prob[i] for i in event), ZERO)
-        return out
+        """P(event), the sum of its outcomes' probabilities."""
+        return sum((self.prob[i] for i in event), ZERO)
 
     @cached_property
     def _splits(self) -> dict[tuple[frozenset[int], ...], tuple[Q, ...]]:
@@ -465,12 +459,20 @@ def horizon_or_last_tick(space: SampleSpace, filt: Filtration,
     return StoppingTime.constant(space.n, filt.K) if horizon is None else horizon
 
 
+def require_shape(space: SampleSpace, filt: Filtration, X: Process) -> None:
+    """DimensionMismatch unless X has space.n rows of filt.K + 1 values (no row is ragged: O(1))."""
+    ticks = X.ticks if X.n else None
+    if X.n != space.n or ticks != filt.K:
+        raise DimensionMismatch(f"process has {X.n} rows and {ticks} ticks; the basis has "
+                                f"{space.n} outcomes and {filt.K} ticks",
+                                rows=X.n, ticks=ticks, outcomes=space.n, basis_ticks=filt.K)
+
+
 def cond_expect(space: SampleSpace, partition: Partition, values: Sequence[Q]) -> tuple[Q, ...]:
     """Conditional expectation as a random variable, constant on each atom."""
     out: list[Q] = [ZERO] * space.n
     for b in partition.blocks:
-        mass = space.mass(b)
-        avg = _dot([space.prob[i] for i in b], [values[i] for i in b]) / mass
+        avg = _dot([space.prob[i] for i in b], [values[i] for i in b]) / space.mass(b)
         for i in b:
             out[i] = avg
     return tuple(out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms,
-                    horizon_or_last_tick)
+                    horizon_or_last_tick, require_shape)
 from .errors import DimensionMismatch, NotARandomTime, NotAdapted, NotPredictable
 from .rational import ONE, ZERO, Q, _dot
 
@@ -51,11 +51,12 @@ def martingale_violation(space: SampleSpace, filt: Filtration, X: Process,
     """First (tick, atom, component) with a nonzero conditional increment, else None.
 
     With a horizon, atoms past it are ignored atom-wise (the process is
-    examined as stopped at the horizon).  X is checked adapted first, so
-    its jump takes one value per child.
+    examined as stopped at the horizon).  X is checked for its shape and
+    adapted first, so its jump takes one value per child.
     """
     if horizon is not None:  # without one, every atom is alive
         horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, X)
     _require_adapted(filt, X)
     for k, b, kids in alive_atoms(filt, horizon):
         for c, mean in enumerate(jump_mean(space.split(kids), X.child_jumps(k, kids))):
@@ -72,8 +73,10 @@ def is_martingale(space: SampleSpace, filt: Filtration, X: Process,
 def compensator(space: SampleSpace, filt: Filtration, A: Process) -> Process:
     """Predictable dual projection: cumulative E[jump | pre(k)], starting at 0.
 
-    A is checked adapted first, so its jump takes one value per child.
+    A is checked for its shape and adapted first, so its jump takes one
+    value per child.
     """
+    require_shape(space, filt, A)
     _require_adapted(filt, A)
     table: dict = {}
     for k, _, kids in alive_atoms(filt):

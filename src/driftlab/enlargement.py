@@ -27,11 +27,11 @@ from functools import cached_property
 from typing import Optional
 
 from .basis import (Diagnostics, Filtration, Process, SampleSpace, StoppingTime,
-                    alive_atoms, horizon_or_last_tick, is_stopping_time, validate)
+                    alive_atoms, horizon_or_last_tick, is_stopping_time, require_shape,
+                    validate)
 from .calculus import compensator, is_adapted, is_martingale, jump_mean, stop
 from .errors import NotAMartingale, NotAdapted, Unsolvable
-from .linalg import vec_dot
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO, Q, _dot
 from .representation import RepresentationProcess, padded
 
 
@@ -142,7 +142,7 @@ class DriftFactors:
     Wt: Process   # jump(N) minus its enlarged jump mean up to the horizon, jump(N) after
 
     def phi_dot_jump(self, i: int, k: int) -> Q:
-        return vec_dot(self.phi.at(i, k), self.N.jump(i, k))
+        return _dot(self.phi.at(i, k), self.N.jump(i, k))
 
 
 def _multinomial_solve(p, r, message: str, **where) -> tuple:
@@ -157,7 +157,7 @@ def _multinomial_solve(p, r, message: str, **where) -> tuple:
     ratio = {h: rh / ph for h, (ph, rh) in enumerate(zip(p, r)) if ph}
     mean = sum(ratio.values(), ZERO) / len(ratio)
     x = tuple(ratio[h] - mean if h in ratio else ZERO for h in range(len(p)))
-    px = vec_dot(p, x)
+    px = _dot(p, x)
     if any(ph * (xh - px) != rh for ph, xh, rh in zip(p, x, r)):
         raise Unsolvable(message, **where)
     return x
@@ -220,6 +220,7 @@ def compensator_transfer_check(eb: EnlargedBasis, factors: DriftFactors, A: Proc
     Checked per child on [0, horizon] for a base-adapted A (_transfer_mismatch);
     returns None on success or the first mismatching (outcome, tick, component).
     """
+    require_shape(eb.space, eb.base, A)
     if not is_adapted(eb.base, A):
         raise NotAdapted()
     return _transfer_mismatch(eb, factors, A, None)
@@ -241,14 +242,14 @@ def _transfer_mismatch(eb: EnlargedBasis, factors: DriftFactors, X: Process,
     for (k, c), (ekids, _, bkids, _) in eb._atoms.items():
         pbar, p = eb.space.split(ekids), eb.space.split(bkids)
         phi = factors.phi.at(min(c), k)
-        tilt = [vec_dot(phi, nj) for nj in factors.N.child_jumps(k, bkids)]
+        tilt = [_dot(phi, nj) for nj in factors.N.child_jumps(k, bkids)]
         if connector is None:
             w_e, w_b = pbar, [ph * (ONE + t) for ph, t in zip(p, tilt)]
         else:
             Y, D = connector
             y = [yj for (yj,) in Y.child_jumps(k, ekids)]
             d = [dj + t for (dj,), t in zip(D.child_jumps(k, bkids), tilt)]
-            y_mean, d_mean = vec_dot(pbar, y), vec_dot(p, d)
+            y_mean, d_mean = _dot(pbar, y), _dot(p, d)
             w_e = [pe * (yj - y_mean) for pe, yj in zip(pbar, y)]
             w_b = [ph * (dj - d_mean) for ph, dj in zip(p, d)]
         lhs, rhs = jump_mean(w_e, X.child_jumps(k, ekids)), jump_mean(w_b, X.child_jumps(k, bkids))

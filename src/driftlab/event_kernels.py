@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataInvariantViolated, DimensionMismatch
-from .linalg import vec_dot
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO, Q, _dot
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def validate_inaccessible(data: InaccessibleEventData) -> None:
             raise DimensionMismatch("pair row width differs from multiplier width")
     if sum(data.q, ZERO) > ONE or sum(data.qbar, ZERO) > ONE:
         raise DataInvariantViolated("cell probabilities exceed one")
-    tilt = ONE + vec_dot(data.phi, data.drive_mean)
+    tilt = ONE + _dot(data.phi, data.drive_mean)
     if tilt <= ZERO:
         raise DataInvariantViolated("mean tilt must stay positive")
     for k in range(cells):
@@ -60,7 +59,7 @@ def validate_inaccessible(data: InaccessibleEventData) -> None:
             raise DataInvariantViolated("negative probability", cell=k)
         if data.jump_scale[k] == ZERO:
             raise DataInvariantViolated("jump scale vanishes", cell=k)
-        lhs = (ONE + vec_dot(data.phi, data.scaled_row(k))) * data.q[k]
+        lhs = (ONE + _dot(data.phi, data.scaled_row(k))) * data.q[k]
         if lhs != tilt * data.qbar[k]:
             raise DataInvariantViolated("cell tilt identity failed", cell=k)
 
@@ -73,17 +72,17 @@ def inaccessible_jump_value(data: InaccessibleEventData, k: int) -> Q:
     """
     if not 0 <= k < len(data.q):
         raise DimensionMismatch("cell out of range")
-    denom = ONE + vec_dot(data.phi, data.scaled_row(k))
+    denom = ONE + _dot(data.phi, data.scaled_row(k))
     if denom == ZERO:
         return ZERO
-    return (data.base_coeff[k] + vec_dot(data.phi, data.pair_rows[k])) / denom
+    return (data.base_coeff[k] + _dot(data.phi, data.pair_rows[k])) / denom
 
 
 def reduced_equation_holds(data: InaccessibleEventData, k: int) -> bool:
     """(1 + phi.mean) * value * qbar_k == (J_k + phi.zeta_k) * q_k."""
     value = inaccessible_jump_value(data, k)
-    tilt = ONE + vec_dot(data.phi, data.drive_mean)
-    rhs = (data.base_coeff[k] + vec_dot(data.phi, data.pair_rows[k])) * data.q[k]
+    tilt = ONE + _dot(data.phi, data.drive_mean)
+    rhs = (data.base_coeff[k] + _dot(data.phi, data.pair_rows[k])) * data.q[k]
     return tilt * value * data.qbar[k] == rhs
 
 
@@ -91,8 +90,8 @@ def quotient_identity_holds(data: InaccessibleEventData, k: int) -> bool:
     """value * a_k == (d_k + phi.l_k) / (1 + phi.l_k) with d_k = J_k * a_k."""
     value = inaccessible_jump_value(data, k)
     l_k = data.scaled_row(k)
-    denom = ONE + vec_dot(data.phi, l_k)
+    denom = ONE + _dot(data.phi, l_k)
     if denom == ZERO:
         return value == ZERO
     d_k = data.base_coeff[k] * data.jump_scale[k]
-    return value * data.jump_scale[k] * denom == d_k + vec_dot(data.phi, l_k)
+    return value * data.jump_scale[k] * denom == d_k + _dot(data.phi, l_k)

@@ -1,10 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
-The engine itself needs only `vec_dot`: its covariance systems are
-multinomial and are inverted in closed form in `enlargement`.
-`min_norm_solve` stays as the general minimum-norm solver of small
-symmetric systems, which tests use to cross-check those closed forms.
-Matrices are lists of lists of rationals.
+No engine module needs it: covariance systems are multinomial and are
+inverted in closed form in `enlargement`.  `min_norm_solve` stays as the
+general minimum-norm solver of small symmetric systems, which tests use
+to cross-check those closed forms.  Matrices are lists of lists of rationals.
 """
 
 from __future__ import annotations
@@ -12,10 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .rational import ZERO, Q, _dot
-
-
-def vec_dot(a: Sequence[Q], b: Sequence[Q]) -> Q:
-    return _dot(a, b)
 
 
 def solve_linear(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]]:
@@ -57,8 +52,8 @@ def min_norm_solve(V: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[list[Q]
     the one solution x = V y in the range.  V V y = b is consistent
     exactly when V x = b is, since V V and V share their range.
     """
-    VV = [[vec_dot(row, col) for col in V] for row in V]
+    VV = [[_dot(row, col) for col in V] for row in V]
     y = solve_linear(VV, b)
     if y is None:
         return None
-    return [vec_dot(row, y) for row in V]
+    return [_dot(row, y) for row in V]

@@ -24,7 +24,6 @@ from .enlargement import EnlargedBasis, drift_operator, solve_factors, validate_
 from .errors import (AzemaDegenerate, DataInvariantViolated, JacodDegenerate,
                      NotARandomTime)
 from .event_kernels import InaccessibleEventData
-from .linalg import vec_dot
 from .rational import ONE, ZERO, Q, _dot
 from .representation import RepresentationProcess, build_representation
 
@@ -485,11 +484,11 @@ def random_inaccessible_event_data(rng: random.Random) -> InaccessibleEventData:
     while True:
         phi = tuple(_rand_q(rng, -4, 4, 3) for _ in range(width))
         scaled = [tuple(a * z for z in row) for a, row in zip(jump_scale, pair_rows)]
-        tilts = [ONE + vec_dot(phi, row) for row in scaled]
+        tilts = [ONE + _dot(phi, row) for row in scaled]
         if all(t > ZERO for t in tilts):
             break
     drive_mean = jump_mean(q, scaled)
-    mean_tilt = ONE + vec_dot(phi, drive_mean)
+    mean_tilt = ONE + _dot(phi, drive_mean)
     qbar = tuple(t * qk / mean_tilt for t, qk in zip(tilts, q))
     base_coeff = []
     for a in jump_scale:

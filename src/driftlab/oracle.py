@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .basis import (Filtration, InternalInvariant, Process, SampleSpace, StoppingTime,
-                    alive_atoms, horizon_or_last_tick)
+                    alive_atoms, horizon_or_last_tick, require_shape)
 from .linfeas import (INFEASIBLE, UNBOUNDED, check_bound_certificate,
                       check_infeasibility_certificate, solve_lp)
 from .rational import ONE, ZERO, Q, rat, rat_str
@@ -149,6 +149,7 @@ def _no_deflator_certificate(filt: Filtration, dim: int, horizon: StoppingTime, 
 def lp_deflator_oracle(space: SampleSpace, filt: Filtration, S: Process,
                        horizon: Optional[StoppingTime] = None) -> OracleResult:
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
     lp = _build_lp(space, filt, S, horizon)
     res = solve_lp(*lp[:5])
     if res.status == UNBOUNDED:  # impossible: the gap is capped
@@ -180,6 +181,7 @@ def arbitrage_certificate(space: SampleSpace, filt: Filtration, S: Process,
     raises InternalInvariant.
     """
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
     lp = _build_lp(space, filt, S, horizon)
     _, A_eq, _, A_ub, _, columns, _ = lp
     r, kids = next((r, kids) for r, (j, b, kids) in enumerate(alive_atoms(filt, horizon))
@@ -204,9 +206,10 @@ def check_deflator(space: SampleSpace, filt: Filtration, S: Process, Z: Process,
     (False for any other shape); Z_0 = 1 and Z > 0; Z adapted (on every at(k)-atom, each
     outcome's Z at k equals that at the atom's smallest outcome); Z frozen
     after the horizon (each outcome's Z keeps its value at T_i); Z and Z*S
-    martingales up to the horizon.
+    martingales up to the horizon.  An S of the wrong shape raises.
     """
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
     if Z.dim != 1 or len(Z.values) != space.n or \
             any(len(row) != filt.K + 1 for row in Z.values):
         return False
@@ -256,5 +259,6 @@ def verify_no_deflator(space: SampleSpace, filt: Filtration, S: Process,
     except (KeyError, ValueError, ZeroDivisionError):
         return False
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
     head = _proved_head(_build_lp(space, filt, S, horizon), y_eq, y_ub, bound)
     return head is not None and all(head[f] == certificate.get(f) for f in ("status", "reason"))

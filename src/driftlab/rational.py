@@ -1,17 +1,14 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-`Q` is gmpy2's `mpq` when gmpy2 is installed.  Without it, `Q` is
-`Rational`, defined here: an exact rational held in lowest terms, with
-fast paths for the operations the engine uses on two rationals or on a
-rational and an int.  Addition, subtraction and multiplication compute in
-the operator's own frame, with no helper call.  The backend is chosen in
-this module only, and a benchmark's detail line names it as `gmpy2.mpq` or
-`driftlab.rational.Rational`.  Every number in the engine is a `Q`.
+`Rational` is an exact rational held in lowest terms, with fast paths for
+the operations the engine uses on two rationals or on a rational and an
+int.  Addition, subtraction and multiplication compute in the operator's
+own frame, with no helper call.  It is the engine's only number type:
+every number in the engine is a `Q`, the name the engine uses for it.
 
 Sums of products (dot products, conditional jump means) go through
-`_dot`, chosen with the backend: for `Rational` it adds the unreduced
-products over the running lcm of their denominators and reduces the total
-once; for `mpq` it is the plain sum of products.
+`_dot`, which adds the unreduced products over the running lcm of their
+denominators and reduces the total once.
 
 `Rational` equals, hashes and orders exactly as `fractions.Fraction` does
 on the same value, and so as an int on an integral value: sets and dicts
@@ -27,7 +24,6 @@ import numbers
 import re
 import sys
 from math import gcd
-from operator import mul
 
 from .errors import RationalTooLong
 
@@ -346,14 +342,7 @@ def _dot(xs, ys) -> Rational:
     return _make(n // g, d // g)
 
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Rational
-else:  # pragma: no cover - exercised only with gmpy2
-    def _dot(xs, ys):
-        return sum(map(mul, xs, ys), Q(0))
-
+Q = Rational
 ZERO = Q(0)
 ONE = Q(1)
 

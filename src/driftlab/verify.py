@@ -24,7 +24,6 @@ from .enlargement import (check_condition_support, check_positivity,
 from .errors import ConnectorInvalid, DataInvariantViolated
 from .event_kernels import (quotient_identity_holds, reduced_equation_holds,
                             validate_inaccessible)
-from .linalg import vec_dot
 from .models import (ENLARGEMENT_KINDS, GeneratorConfig, azema_phi_crosscheck,
                      gen_initial_enlargement, gen_progressive_enlargement,
                      gen_random_instance, gen_single_filtration,
@@ -33,7 +32,7 @@ from .models import (ENLARGEMENT_KINDS, GeneratorConfig, azema_phi_crosscheck,
                      random_stopping_time, random_viable_asset,
                      tilted_component_assets)
 from .oracle import check_deflator, lp_deflator_oracle, verify_no_deflator
-from .rational import ZERO, Q
+from .rational import ZERO, Q, _dot
 from .representation import build_representation
 from .viability import (deflator_from_connector, find_structure_connector,
                         full_viability_verdict, g_connector, jump_identity_check,
@@ -198,7 +197,7 @@ def inaccessible_battery(seed: int) -> dict:
             _fail(out, f"reduced equation broke at cell {k}")
         if not quotient_identity_holds(data, k):
             _fail(out, f"quotient identity broke at cell {k}")
-    pairings = (vec_dot(data.phi, data.scaled_row(k)) for k in range(len(data.q)))
+    pairings = (_dot(data.phi, data.scaled_row(k)) for k in range(len(data.q)))
     pairing = next((val for val in pairings if val != ZERO), None)
     if pairing is not None:
         tampered = dataclasses.replace(data, phi=tuple(Q(-2) / pairing * v for v in data.phi))

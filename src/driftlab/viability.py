@@ -39,17 +39,16 @@ from functools import cached_property
 from typing import Optional
 
 from .basis import (Filtration, Process, SampleSpace, StoppingTime, alive_atoms,
-                    horizon_or_last_tick)
+                    horizon_or_last_tick, require_shape)
 from .calculus import doleans_exp, is_adapted, is_martingale, jump_mean, stop
 from .enlargement import (DriftFactors, EnlargedBasis, SupportReport, _multinomial_solve,
                           _transfer_mismatch, check_condition_support, check_positivity,
                           solve_factors)
 from .errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant, NotAdapted,
                      NotAMartingale, SupportConditionFailed)
-from .linalg import vec_dot
 from .linfeas import INFEASIBLE, solve_lp
 from .oracle import arbitrage_certificate
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, _dot
 from .representation import (RepresentationProcess, build_representation, fired_component,
                              padded)
 
@@ -141,6 +140,8 @@ def is_structure_connector(space: SampleSpace, filt: Filtration, S: Process, D: 
                            horizon: Optional[StoppingTime] = None) -> Optional[dict]:
     """None if D is a connector for S on [0, horizon], else a violation record."""
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
+    require_shape(space, filt, D)
     return _connector_violation(space, filt, D, horizon, S)
 
 
@@ -313,6 +314,7 @@ def find_structure_connector(space: SampleSpace, filt: Filtration, S: Process,
     """
     if horizon is not None:  # without one, every atom is alive
         horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, S)
     jump_of: dict = {}
     rows = []
     for k, b, kids in alive_atoms(filt, horizon):
@@ -346,6 +348,7 @@ def deflator_from_connector(space: SampleSpace, filt: Filtration, D: Process,
     when D cannot make a positive deflator.
     """
     horizon = horizon_or_last_tick(space, filt, horizon)
+    require_shape(space, filt, D)
     bad = _connector_violation(space, filt, D, horizon)
     if bad is not None:
         raise ConnectorInvalid("not a deflating connector", **bad)
@@ -402,7 +405,7 @@ def _closed_form_connector(eb: EnlargedBasis, atoms: list) -> Process:
     jump_of: dict = {}
     for k, c, ekids, inside, pbar, q in atoms:
         y = [ONE - qh / pb for qh, pb in zip(q, pbar)]
-        if vec_dot(pbar, y) != ZERO:
+        if _dot(pbar, y) != ZERO:
             raise InternalInvariant("connector row fails", tick=k, atom=sorted(c))
         jump_of.update(((k, e), next(yh for part, yh in zip(inside, y) if e <= part))
                        for e in ekids)
@@ -462,11 +465,14 @@ def jump_identity_check(eb: EnlargedBasis, rep: RepresentationProcess,
     jump(K . factors.Wt) == (jump(D) + phi.jump(W)) / (1 + phi.jump(W));
     returns None or the first failing (outcome, tick).
     """
+    require_shape(eb.space, eb.enlarged, K)
+    if D is not None:
+        require_shape(eb.space, eb.base, D)
     for i in range(eb.space.n):
         for k in range(1, eb.base.K + 1):
             if not eb.alive(i, k):
                 continue
-            lhs = vec_dot(K.at(i, k), factors.Wt.jump(i, k))
+            lhs = _dot(K.at(i, k), factors.Wt.jump(i, k))
             dphi = factors.phi_dot_jump(i, k)
             dd = D.jump(i, k)[0] if D is not None else ZERO
             if lhs * (ONE + dphi) != dd + dphi:
@@ -486,6 +492,7 @@ def g_connector(eb: EnlargedBasis, rep: RepresentationProcess, factors: DriftFac
     and that Y is an enlarged connector for S (every jump below one among its
     conditions).  Raises ConnectorInvalid on a mismatch, which contradicts the construction.
     """
+    require_shape(eb.space, eb.base, S)
     if not is_adapted(eb.base, S):
         raise NotAdapted()
     Y = _closed_form_connector(eb, _connector_atoms(eb, D))

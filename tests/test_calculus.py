@@ -17,7 +17,6 @@ from driftlab.calculus import (
     stop,
 )
 from driftlab.errors import NotAdapted
-from driftlab.linalg import vec_dot
 from driftlab.models import (
     gen_single_filtration,
     random_adapted,
@@ -220,21 +219,14 @@ def test_atom_wise_calculus_matches_the_per_outcome_reference(seed):
         result_or_refusal(reference_compensator, sp, filt, X)
 
 
-# The dot-product kernel behind vec_dot and jump_mean, and Process.jump,
-# against the plain formulas they replace.
+# jump_mean and Process.jump against the plain formulas they replace
+# (test_rational holds rational._dot, their kernel, to the Fraction sum).
 
 def fields(x):
     return (type(x), x.numerator, x.denominator)
 
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
-
-
-@given(st.lists(st.tuples(rationals, rationals), max_size=12))
-def test_vec_dot_is_the_sum_of_products(terms):
-    a = [x for x, _ in terms]
-    b = [y for _, y in terms]
-    assert fields(vec_dot(a, b)) == fields(sum((x * y for x, y in zip(a, b)), ZERO))
 
 
 @given(st.integers(1, 3).flatmap(lambda dim: st.lists(

@@ -22,7 +22,7 @@ from driftlab.enlargement import (
 )
 from driftlab.errors import (ConnectorInvalid, EngineError, NotAdapted, NotAMartingale,
                              NotAStoppingTime, Unsolvable)
-from driftlab.linalg import min_norm_solve, vec_dot
+from driftlab.linalg import min_norm_solve
 from driftlab.models import (
     GeneratorConfig,
     gen_random_instance,
@@ -30,7 +30,7 @@ from driftlab.models import (
     random_martingale,
     random_viable_asset,
 )
-from driftlab.rational import ONE, ZERO, Q
+from driftlab.rational import ONE, ZERO, Q, _dot
 from driftlab.representation import build_representation, represent
 from driftlab.viability import (
     _connector_atoms,
@@ -376,15 +376,15 @@ def test_closed_forms_match_general_min_norm_solves(force):
                 phi = factors.phi.at(i, k)
                 assert list(phi) == min_norm_solve(V, gamma)
                 for ph, pb, row in zip(p, pbar, rows):
-                    assert (ONE + vec_dot(phi, row)) * ph == pb
+                    assert (ONE + _dot(phi, row)) * ph == pb
                 Vt = _cov(pbar, rows, gamma)
                 for K, HD in Ds:
                     x = phi if HD is None else [a + h for a, h in zip(phi, HD.at(i, k))]
-                    assert list(K.at(i, k)) == min_norm_solve(Vt, [vec_dot(r, x) for r in V])
+                    assert list(K.at(i, k)) == min_norm_solve(Vt, [_dot(r, x) for r in V])
                     for e in eb.enlarged.child_map[(k, c)]:
                         h = next(h for h, kid in enumerate(kids) if e <= kid)
                         d = ZERO if HD is None else D.jump(min(e), k)[0]
-                        assert vec_dot(K.at(i, k), factors.Wt.jump(min(e), k)) == \
+                        assert _dot(K.at(i, k), factors.Wt.jump(min(e), k)) == \
                             ONE - p[h] * (ONE - d) / pbar[h]
     assert (transfers == 0) == force
 
@@ -406,9 +406,9 @@ def test_multinomial_solve_is_the_min_norm_inverse(p, data):
          for a in range(width)]
     t = data.draw(st.lists(st.integers(min_value=-5, max_value=5).map(Q),
                            min_size=width, max_size=width), label="t")
-    r = [vec_dot(row, t) for row in M]
+    r = [_dot(row, t) for row in M]
     x = _multinomial_solve(p, r, "test")
-    assert [vec_dot(row, x) for row in M] == r
+    assert [_dot(row, x) for row in M] == r
     assert list(x) == min_norm_solve(M, r)
 
     live = [h for h in range(width) if p[h]]
@@ -446,8 +446,8 @@ def reference_compensator_transfer_check(eb, factors, A):
             for i in range(n):
                 if not eb.alive(i, k):
                     continue
-                rhs = base[i] + vec_dot(factors.phi.at(i, k),
-                                        [cols[h][i] for h in range(factors.N.dim)])
+                rhs = base[i] + _dot(factors.phi.at(i, k),
+                                     [cols[h][i] for h in range(factors.N.dim)])
                 if lhs[i] != rhs:
                     return (i, k, c)
     return None
@@ -477,8 +477,8 @@ def reference_g_connector(eb, rep, factors, S, D):
             for i in range(n):
                 if not eb.alive(i, k):
                     continue
-                rhs = base_side[i] + vec_dot(factors.phi.at(i, k),
-                                             [mult_side[h][i] for h in range(factors.N.dim)])
+                rhs = base_side[i] + _dot(factors.phi.at(i, k),
+                                          [mult_side[h][i] for h in range(factors.N.dim)])
                 if lhs[i] != rhs:
                     raise ConnectorInvalid("transfer identity failed",
                                            outcome=i, tick=k, component=c)
@@ -608,7 +608,7 @@ def reference_check_positivity(eb, factors):
     for i in range(eb.space.n):
         for k in range(1, eb.base.K + 1):
             if eb.horizon.geq(i, k) and \
-                    ONE + vec_dot(factors.phi.at(i, k), factors.N.jump(i, k)) <= ZERO:
+                    ONE + _dot(factors.phi.at(i, k), factors.N.jump(i, k)) <= ZERO:
                 return (i, k)
     return None
 
@@ -620,9 +620,9 @@ def reference_jump_identity_check(eb, factors, K, D):
         for k in range(1, eb.base.K + 1):
             if not eb.horizon.geq(i, k):
                 continue
-            tilt = vec_dot(factors.phi.at(i, k), factors.N.jump(i, k))
+            tilt = _dot(factors.phi.at(i, k), factors.N.jump(i, k))
             d = D.jump(i, k)[0] if D is not None else ZERO
-            if vec_dot(K.at(i, k), factors.Wt.jump(i, k)) * (ONE + tilt) != d + tilt:
+            if _dot(K.at(i, k), factors.Wt.jump(i, k)) * (ONE + tilt) != d + tilt:
                 return (i, k)
     return None
 

@@ -1,18 +1,14 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftlab.linalg import (
-    min_norm_solve,
-    solve_linear,
-    vec_dot,
-)
-from driftlab.rational import ZERO, Q
+from driftlab.linalg import min_norm_solve, solve_linear
+from driftlab.rational import ZERO, Q, _dot
 
 small = st.integers(min_value=-3, max_value=3).map(Q)
 
 
 def mat_vec(A, x):
-    return [vec_dot(row, x) for row in A]
+    return [_dot(row, x) for row in A]
 
 
 def test_solve_linear_golden():
@@ -37,7 +33,7 @@ def test_min_norm_golden():
 
 
 def _norm2(v):
-    return vec_dot(v, v)
+    return _dot(v, v)
 
 
 @given(st.lists(st.lists(small, min_size=2, max_size=2), min_size=1, max_size=3),

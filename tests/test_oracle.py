@@ -20,7 +20,7 @@ from driftlab.models import (
 )
 from driftlab.oracle import (_build_lp, _row_descriptors, arbitrage_certificate, check_deflator,
                              lp_deflator_oracle, verify_no_deflator)
-from driftlab.rational import ONE, ZERO, Q
+from driftlab.rational import ONE, ZERO, Q, Rational
 from driftlab.serialize import dumps, encode_exact
 from driftlab.viability import deflator_from_connector, find_structure_connector
 from reference import pointwise_mul
@@ -461,15 +461,16 @@ def test_basis_caches_have_one_writer():
     """Each cache dict of a `basis` class is written by exactly one function.
 
     The caches and their writes are as in `cache_writers`, for every class
-    in `basis`; every package module is scanned.  The space caches masses
-    and splits, a stopping time its events {T <= k}; `Filtration` keeps
-    none, as its alive walk holds no state.  A new cache needs its one
-    writer named here.
+    in `basis`; every package module is scanned.  The space caches splits
+    (a mass is summed on each call: split, which caches per kids tuple,
+    is its hot caller), a stopping time its events {T <= k}; `Filtration`
+    keeps none, as its alive walk holds no state.  A new cache needs its
+    one writer named here.
     """
     classes = [node.name for node in parse(SRC / "basis.py").body
                if isinstance(node, ast.ClassDef)]
     writers = {name: cache_writers("basis", name, lambda stem: True) for name in classes}
-    assert writers == {"SampleSpace": {"_masses": {"basis.mass"}, "_splits": {"basis.split"}},
+    assert writers == {"SampleSpace": {"_splits": {"basis.split"}},
                        "Partition": {}, "Filtration": {}, "Process": {},
                        "StoppingTime": {"_leq": {"basis.leq_event"}}, "Diagnostics": {}}
 
@@ -519,19 +520,30 @@ def test_sums_of_products_have_one_home():
 
     Dot products and conditional jump means go through `rational._dot`,
     which adds the products over one common denominator and reduces once;
-    `linalg.vec_dot` and `calculus.jump_mean` are thin names for it.
+    `calculus.jump_mean` applies it per component.
     """
     found = [site for path in package_modules() if path.stem != "rational"
              for site in sums_of_products(path)]
     assert found == []
 
 
-def test_rational_backend_is_chosen_in_one_place():
-    """Only `rational` imports a number backend; every other module uses its `Q`."""
-    backends = {"fractions", "gmpy2"}
+def test_rational_is_the_only_number_type():
+    """No package module imports a second number type; `Q` is `rational.Rational`."""
+    number_types = {"fractions", "gmpy2"}
     importers = {path.name for path in SRC.glob("*.py")
-                 if absolute_imports(path) & backends}
-    assert importers == {"rational.py"}
+                 if absolute_imports(path) & number_types}
+    assert importers == set()
+    assert Q is Rational
+
+
+def test_only_the_package_root_imports_linalg():
+    """No engine module imports `linalg`: dot products go through `rational._dot`.
+
+    `__init__` exports the general solver `min_norm_solve`, which the tests
+    use to cross-check the closed-form multinomial inverses.
+    """
+    importers = {path.stem for path in SRC.glob("*.py") if "linalg" in package_imports(path.stem)}
+    assert importers == {"__init__"}
 
 
 def test_package_starts_no_processes():

@@ -128,7 +128,6 @@ def test_shared_denominators_and_zero_operands_match_fraction(m, n, d):
 terms = st.tuples(st.one_of(operands, st.just((0, 1))), st.one_of(operands, st.just((0, 1))))
 
 
-@pytest.mark.skipif(Q is not Rational, reason="the gmpy2 backend's _dot is a plain mpq sum")
 @given(st.one_of(st.lists(terms, max_size=8), st.lists(terms, min_size=40, max_size=120)))
 def test_dot_matches_the_fraction_sum_of_products(products):
     xs = [x for x, _ in products]

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from driftlab.basis import (Filtration, Partition, Process, SampleSpace, StoppingTime,
                             alive_atoms, is_stopping_time)
-from driftlab.calculus import (is_adapted, is_martingale, jump_mean, martingale_violation,
-                               stoch_integral, stop)
-from driftlab.enlargement import (check_condition_support, drift_operator, solve_factors,
+from driftlab.calculus import (compensator, is_adapted, is_martingale, jump_mean,
+                               martingale_violation, stoch_integral, stop)
+from driftlab.enlargement import (check_condition_support, compensator_transfer_check,
+                                  drift_operator, factorization_check, solve_factors, tilde,
                                   validate_enlargement)
 from driftlab.errors import (ConnectorInvalid, DimensionMismatch, InternalInvariant,
                              NotAdapted, NotAMartingale, NotARandomTime, NotAStoppingTime,
@@ -1098,3 +1099,69 @@ def test_a_horizon_of_the_wrong_length_is_refused_at_every_entry():
         for entry in entries:
             with pytest.raises(NotARandomTime, match="must assign a time to every outcome"):
                 entry()
+
+
+# A process reshaped by one outcome row or one tick, either way.
+RESHAPES = {
+    "extra row": lambda values: values + values[-1:],
+    "extra tick": lambda values: tuple(row + row[-1:] for row in values),
+    "row short": lambda values: values[:-1],
+    "tick short": lambda values: tuple(row[:-1] for row in values),
+}
+
+
+@pytest.mark.parametrize("shape", RESHAPES)
+def test_a_process_of_the_wrong_shape_is_refused_at_every_entry(shape):
+    """A process with one outcome row or one tick too many or too few raises DimensionMismatch.
+
+    On a gen_single_filtration market with a viable asset S (with its
+    known connector D and deflator Z), and on gen_random_instance(seed=1),
+    whose support condition holds, with a base viable asset and a base
+    martingale: every entry that takes a process on the space and
+    filtration refuses the reshaped one, and names both shapes.  None of
+    them accepts it, raises IndexError, or blames the horizon.  A
+    reshaped Z is not a deflator: check_deflator answers False.
+    """
+    reshape = RESHAPES[shape]
+    rng = random.Random("process-shape")
+    sp, filt = gen_single_filtration(rng, 6, 2, 3)
+    S, D, Z = random_viable_asset(rng, sp, filt)
+    eb = gen_random_instance(GeneratorConfig(seed=1))
+    rep = build_representation(eb.space, eb.base)
+    factors = solve_factors(eb, rep)
+    ES, ED, _ = random_viable_asset(rng, eb.space, eb.base)
+    K, _ = enlarged_connector(eb, rep, factors, ED)
+    X = random_martingale(rng, eb.space, eb.base)
+    assert check_condition_support(eb).ok
+
+    def bad(P):
+        return Process(P.dim, reshape(P.values))
+
+    entries = [
+        lambda: find_structure_connector(sp, filt, bad(S)),
+        lambda: is_structure_connector(sp, filt, bad(S), D),
+        lambda: is_structure_connector(sp, filt, S, bad(D)),
+        lambda: deflator_from_connector(sp, filt, bad(D)),
+        lambda: lp_deflator_oracle(sp, filt, bad(S)),
+        lambda: check_deflator(sp, filt, bad(S), Z),
+        lambda: verify_no_deflator(sp, filt, bad(S), None, {"multipliers_eq": [],
+                                                            "multipliers_ub": []}),
+        lambda: arbitrage_certificate(sp, filt, bad(S), None, 1, filt.pre(1).blocks[0]),
+        lambda: is_martingale(sp, filt, bad(D)),
+        lambda: martingale_violation(sp, filt, bad(D)),
+        lambda: compensator(sp, filt, bad(S)),
+        lambda: drift_operator(eb, bad(X)),
+        lambda: tilde(eb, bad(X)),
+        lambda: factorization_check(eb, factors, bad(X)),
+        lambda: compensator_transfer_check(eb, factors, bad(X)),
+        lambda: solve_accessible_K(eb, rep, bad(ED)),
+        lambda: enlarged_connector(eb, rep, factors, bad(ED)),
+        lambda: g_connector(eb, rep, factors, bad(ES), ED),
+        lambda: g_connector(eb, rep, factors, ES, bad(ED)),
+        lambda: jump_identity_check(eb, rep, factors, bad(K), ED),
+        lambda: jump_identity_check(eb, rep, factors, K, bad(ED)),
+    ]
+    for entry in entries:
+        with pytest.raises(DimensionMismatch, match="the basis has"):
+            entry()
+    assert not check_deflator(sp, filt, S, bad(Z))
